@@ -169,6 +169,7 @@ def _allocate_victim(alloc: GuardianAllocator, size: int) -> int:
 
 
 def _free_victim(alloc: GuardianAllocator, ptr: int) -> None:
+    # A frame of its own, like _allocate_victim: the uaf golden pins stack depth.
     alloc.free(ptr)
 
 
@@ -392,35 +393,44 @@ def _timer_stats(args) -> int:
 # -- bench ---------------------------------------------------------------
 
 
-def _time_leg(alloc: GuardianAllocator, size: int, iterations: int, repeats: int) -> float:
-    """Best-of-repeats ns per malloc/free pair."""
-    malloc, free = alloc.malloc, alloc.free
-    warmup = max(iterations // 10, 1)
-    for _ in range(warmup):
-        free(malloc(size))
-    best = float("inf")
-    for _ in range(max(repeats, 1)):
-        start = time.perf_counter()
-        for _ in range(iterations):
+def _time_legs(allocs, size: int, iterations: int, repeats: int) -> list[list[float]]:
+    """ns per malloc/free pair of each allocator, one entry per chunk.
+
+    The legs take turns one chunk (up to 10^4 pairs) at a time, in an
+    order that reverses every round, so drift in machine speed hits
+    every leg alike.
+    """
+    legs = [(alloc.malloc, alloc.free) for alloc in allocs]
+    for malloc, free in legs:
+        for _ in range(max(iterations // 10, 1)):
             free(malloc(size))
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    return best / iterations * 1e9
+    times: list[list[float]] = [[] for _ in legs]
+    order = list(range(len(legs)))
+    remaining = iterations * max(repeats, 1)
+    while remaining > 0:
+        n = min(10_000, remaining)
+        remaining -= n
+        for k in order:
+            malloc, free = legs[k]
+            start = time.perf_counter_ns()
+            for _ in range(n):
+                free(malloc(size))
+            times[k].append((time.perf_counter_ns() - start) / n)
+        order.reverse()
+    return times
 
 
 def cmd_bench(args) -> int:
-    baseline_alloc = GuardianAllocator(_allocator_config(args, enabled=False))
-    disabled_alloc = GuardianAllocator(
-        _allocator_config(args, process_sample_probability=0.0)
-    )
-    enabled_alloc = GuardianAllocator(_allocator_config(args))
-
-    baseline = _time_leg(baseline_alloc, args.alloc_size, args.iterations, args.repeats)
-    disabled = _time_leg(disabled_alloc, args.alloc_size, args.iterations, args.repeats)
-    enabled = _time_leg(enabled_alloc, args.alloc_size, args.iterations, args.repeats)
-
-    enabled_pct = (enabled - baseline) / baseline * 100.0
-    disabled_pct = (disabled - baseline) / baseline * 100.0
+    chunks = _time_legs([
+        GuardianAllocator(_allocator_config(args, enabled=False)),
+        GuardianAllocator(_allocator_config(args, process_sample_probability=0.0)),
+        GuardianAllocator(_allocator_config(args)),
+    ], args.alloc_size, args.iterations, args.repeats)
+    baseline, disabled, enabled = (statistics.median(leg) for leg in chunks)
+    # Median of per-chunk ratios: each chunk is compared with its neighbour.
+    disabled_pct, enabled_pct = (
+        (statistics.median(t / b for t, b in zip(leg, chunks[0])) - 1) * 100.0
+        for leg in chunks[1:])
     if args.format == "records":
         print(
             f"bench iterations={args.iterations} alloc_size={args.alloc_size}"
@@ -429,8 +439,8 @@ def cmd_bench(args) -> int:
             f" enabled_overhead_pct={enabled_pct:.2f}"
         )
     else:
-        print(f"malloc/free pair, {args.alloc_size}B, {args.iterations} iterations,"
-              f" best of {args.repeats}:")
+        print(f"malloc/free pair, {args.alloc_size}B, {args.iterations} iterations"
+              f" x {args.repeats}, median of {len(chunks[0])} interleaved chunks:")
         print(f"  tool absent:      {baseline:8.1f} ns/pair")
         print(f"  process-disabled: {disabled:8.1f} ns/pair ({disabled_pct:+.2f}%)")
         print(f"  enabled (rate={args.sample_rate}): {enabled:8.1f} ns/pair"

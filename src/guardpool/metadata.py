@@ -137,7 +137,10 @@ class CompressedTrace:
         return cls(count, first_pc, bytes(data[pos + 8 :]))
 
     def byte_size(self) -> int:
-        return len(self.to_bytes())
+        """len(to_bytes()) without encoding: uleb128 count, first pc, deltas."""
+        if self.frame_count == 0:
+            return 1
+        return (self.frame_count.bit_length() + 6) // 7 + 8 + len(self.deltas)
 
 
 def compress_trace(pcs: Sequence[int]) -> CompressedTrace:

@@ -33,6 +33,10 @@ class SlotState(enum.Enum):
     QUARANTINED = "quarantined"
 
 
+# Which neighbour a guard page is attributed to: higher rank wins.
+_GUARD_RANK = {SlotState.ALLOCATED: 2, SlotState.QUARANTINED: 1, SlotState.FREE: 0}
+
+
 class AlignmentSide(enum.Enum):
     LEFT = "left"
     RIGHT = "right"
@@ -280,24 +284,15 @@ class GuardedPool:
                 return AddressClassification(AddressKind.QUARANTINED_SLOT, slot_index)
             return AddressClassification(AddressKind.FREE_SLOT, slot_index)
 
+        # Guard g fences slot g-1 on its right and slot g on its left.
         guard_index = page_index // 2
-        left_slot = guard_index - 1 if guard_index > 0 else None
-        right_slot = guard_index if guard_index < self.slot_count else None
-
-        def rank(slot_index: Optional[int]) -> int:
-            if slot_index is None:
-                return 0
-            state = self.slots[slot_index].state
-            if state is SlotState.ALLOCATED:
-                return 2
-            if state is SlotState.QUARANTINED:
-                return 1
-            return 0
-
-        left_rank, right_rank = rank(left_slot), rank(right_slot)
+        left_rank = _GUARD_RANK[self.slots[guard_index - 1].state] if guard_index > 0 else 0
+        right_rank = (
+            _GUARD_RANK[self.slots[guard_index].state] if guard_index < self.slot_count else 0
+        )
         if left_rank == 0 and right_rank == 0:
             return AddressClassification(AddressKind.UNATTRIBUTED_GUARD)
         if left_rank >= right_rank:
             # This guard is the right-hand fence of the slot to its left.
-            return AddressClassification(AddressKind.RIGHT_GUARD, left_slot)
-        return AddressClassification(AddressKind.LEFT_GUARD, right_slot)
+            return AddressClassification(AddressKind.RIGHT_GUARD, guard_index - 1)
+        return AddressClassification(AddressKind.LEFT_GUARD, guard_index)

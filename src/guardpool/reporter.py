@@ -467,48 +467,23 @@ class Reporter:
 
     # -- internals ----------------------------------------------------------
 
-    def _build_report(self, fault: FaultInfo, cls: AddressClassification) -> ErrorReport:
-        access_trace = capture_trace(self._store.max_frames)
-        access_kind = determine_access_kind(fault)
-        base = dict(
-            access_address=fault.address,
-            access_kind=access_kind,
-            faulting_thread=fault.thread_id,
-            access_trace=access_trace,
-        )
+    def slot_report(self, kind: ReportKind, slot_index: Optional[int], **access) -> ErrorReport:
+        """A report of kind against slot_index's allocation, with its stacks.
 
-        if cls.kind in (AddressKind.UNATTRIBUTED_GUARD, AddressKind.FREE_SLOT,
-                        AddressKind.ALLOCATED_SLOT):
-            # No allocation to pin the access to: free pages carry stale
-            # geometry and an allocated page can only fault when the
-            # slot changed hands mid-delivery.
-            return ErrorReport(
-                kind=ReportKind.INDETERMINATE_GUARD_HIT, metadata_lost=True, **base
-            )
-
-        slot_index = cls.slot_index
+        access holds ErrorReport's access fields.  No slot, or a record
+        recycled or torn since, gives a metadata_lost report."""
+        if slot_index is None:
+            return ErrorReport(kind=kind, metadata_lost=True, **access)
         slot = self._pool.slots[slot_index]
         allocation_address = self._pool.slot_page_addr(slot_index) + slot.user_offset
         snapshot = self._store.snapshot(slot.metadata_index, slot.metadata_seq)
-
-        if cls.kind is AddressKind.QUARANTINED_SLOT:
-            kind = ReportKind.USE_AFTER_FREE
-        elif slot.state is SlotState.QUARANTINED:
-            # Guard hit attributed to a freed neighbor: evidence says
-            # use-after-free, the locator carries the out-of-bounds part.
-            kind = ReportKind.USE_AFTER_FREE
-        elif cls.kind is AddressKind.LEFT_GUARD:
-            kind = ReportKind.BUFFER_UNDERFLOW
-        else:
-            kind = ReportKind.BUFFER_OVERFLOW
-
         if snapshot is None:
             return ErrorReport(
                 kind=kind,
                 allocation_address=allocation_address,
                 allocation_size=slot.user_size,
                 metadata_lost=True,
-                **base,
+                **access,
             )
         return ErrorReport(
             kind=kind,
@@ -522,8 +497,34 @@ class Reporter:
                 if snapshot.dealloc_trace is not None
                 else None
             ),
-            **base,
+            **access,
         )
+
+    def _build_report(self, fault: FaultInfo, cls: AddressClassification) -> ErrorReport:
+        access = dict(
+            access_address=fault.address,
+            access_kind=determine_access_kind(fault),
+            faulting_thread=fault.thread_id,
+            access_trace=capture_trace(self._store.max_frames),
+        )
+        if cls.kind in (AddressKind.UNATTRIBUTED_GUARD, AddressKind.FREE_SLOT,
+                        AddressKind.ALLOCATED_SLOT):
+            # No allocation to pin the access to: free pages carry stale
+            # geometry and an allocated page can only fault when the
+            # slot changed hands mid-delivery.
+            return self.slot_report(ReportKind.INDETERMINATE_GUARD_HIT, None, **access)
+
+        if cls.kind is AddressKind.QUARANTINED_SLOT:
+            kind = ReportKind.USE_AFTER_FREE
+        elif self._pool.slots[cls.slot_index].state is SlotState.QUARANTINED:
+            # Guard hit attributed to a freed neighbor: evidence says
+            # use-after-free, the locator carries the out-of-bounds part.
+            kind = ReportKind.USE_AFTER_FREE
+        elif cls.kind is AddressKind.LEFT_GUARD:
+            kind = ReportKind.BUFFER_UNDERFLOW
+        else:
+            kind = ReportKind.BUFFER_OVERFLOW
+        return self.slot_report(kind, cls.slot_index, **access)
 
     def _emit(self, report: ErrorReport) -> None:
         text = render_report(report)

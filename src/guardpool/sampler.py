@@ -4,14 +4,17 @@ Three independent gates exist in a deployment:
 
 * a per-process launch decision (a small fraction of processes enable
   the tool at all),
-* the per-allocation policy: either a thread-local countdown whose skip
-  lengths are drawn uniformly so the long-run sampling rate is exactly
+* the per-allocation policy: either a countdown whose skip lengths are
+  drawn uniformly so the long-run sampling rate is exactly
   1/sample_rate, or a timer gate that admits at most one sampled
   allocation per interval,
 * the pool itself, which can still refuse (no free slot).
 
 The countdown fast path is a single decrement and compare; the RNG only
-runs when a sample fires.
+runs when a sample fires.  GuardianAllocator keeps one countdown per
+allocator, unlocked, and calls next_skip() when it expires: a thread
+race can lose a decrement or take one extra sample, but never stores a
+countdown below 1, so sampling never stops.
 """
 
 from __future__ import annotations
@@ -105,8 +108,19 @@ class CounterSampler:
         if remaining > 0:
             state.skip = remaining
             return False
-        state.skip = 1 + state.rng.below(self._span)
+        self.next_skip()
         return True
+
+    def next_skip(self) -> int:
+        """Calls up to and including the thread's next sample, then redraw.
+
+        Counting down this many calls per next_skip() samples exactly
+        the calls on which want_to_sample() would return True.
+        """
+        state = self._tls
+        skip = state.skip
+        state.skip = 1 + state.rng.below(self._span)
+        return skip
 
 
 class TimerGate:

@@ -1,14 +1,14 @@
 """Allocator front end: sampling, routing, and free-path validation.
 
 GuardianAllocator wraps a host allocator (here FallbackAllocator, a
-bump-plus-freelist arena in the same modeled address space).  malloc
-asks the sampling policy; almost always the answer is no and the call
-forwards with one decrement of bookkeeping.  Sampled requests that fit
-a page go to the guarded pool, get their stack captured and recorded,
-and are registered with the coverage filter.  free routes by the
-constant-time region test; guarded frees are validated, so double frees
-and mid-object frees are detected directly by the shim without any
-page fault.
+bump-plus-freelist arena in the same modeled address space) and inlines
+the sampling check as GWP-ASan does: malloc decrements a countdown kept
+on the allocator and forwards to the host until it expires, and only
+then asks the policy in sampler.py.  Sampled requests that fit a page go
+to the guarded pool, get their stack captured and recorded, and are
+registered with the coverage filter.  free compares the pointer with
+the pool bounds cached at enable time; guarded frees are validated, so
+double frees and mid-object frees are detected without any page fault.
 
 Per-process enablement happens at construction: a disabled allocator
 reserves no pool pages and rebinds its entry points straight to the
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from typing import Optional, TextIO
 
 from .coverage import CoverageFilter, source_of
-from .metadata import MetadataStore, capture_trace, decompress_trace
+from .metadata import MetadataStore, capture_trace
+from .metadata import decompress_trace  # noqa: F401  perfbench/tracer.py wraps it here
 from .pool import (
     AddressKind,
     AlignmentSide,
@@ -94,7 +95,10 @@ class FallbackAllocator:
         if not addr:
             return
         with self._lock:
-            size, alignment = self._sizes.pop(addr)
+            try:
+                size, alignment = self._sizes.pop(addr)
+            except KeyError:
+                raise ValueError(f"0x{addr:x} is not a live allocation") from None
             self._free.setdefault((size, alignment), []).append(addr)
 
     def calloc(self, count: int, size: int) -> int:
@@ -105,7 +109,10 @@ class FallbackAllocator:
         return addr
 
     def usable_size(self, addr: int) -> int:
-        return self._sizes[addr][0]
+        try:
+            return self._sizes[addr][0]
+        except KeyError:
+            raise ValueError(f"0x{addr:x} is not a live allocation") from None
 
     def owns(self, addr: int) -> bool:
         with self._lock:
@@ -170,7 +177,7 @@ class AllocatorStats:
 
 
 class GuardianAllocator:
-    """The user-facing allocator. See create() for the usual entry point."""
+    """The user-facing allocator: malloc/calloc/realloc/free/usable_size."""
 
     def __init__(self, config: Optional[GuardianConfig] = None, vm: Optional[VirtualMemory] = None):
         self.config = config or GuardianConfig()
@@ -185,6 +192,7 @@ class GuardianAllocator:
         self.reporter: Optional[Reporter] = None
         self._sampler = None
         self._sampling_off = False
+        self._pool_lo = self._pool_hi = 0  # pool bounds: empty until enabled
 
         seed = self.config.seed
         launch_rng = None
@@ -203,11 +211,6 @@ class GuardianAllocator:
         self.enabled = self.pool is not None
         if not self.enabled:
             self._bind_passthrough()
-
-    @classmethod
-    def create(cls, config: Optional[GuardianConfig] = None,
-               vm: Optional[VirtualMemory] = None) -> "GuardianAllocator":
-        return cls(config, vm)
 
     def _enable(self) -> None:
         cfg = self.config
@@ -230,14 +233,19 @@ class GuardianAllocator:
             on_disable=self._stop_sampling,
         )
         self.reporter.install(self.vm)
+        self._min_alignment = cfg.min_alignment
         if cfg.policy == "counter":
             self._sampler = CounterSampler(cfg.sample_rate, cfg.seed)
+            self._skip = self._sampler.next_skip()
         else:
             clock = cfg.timer_clock
             self._sampler = (
                 TimerGate(cfg.sample_interval, clock) if clock is not None
                 else TimerGate(cfg.sample_interval)
             )
+            self._skip = 1
+        self._pool_lo = self.pool.base
+        self._pool_hi = self.pool.base + self.pool.region_length
 
     def _bind_passthrough(self) -> None:
         # Bound-method rebinding: a disabled allocator IS the fallback,
@@ -253,9 +261,11 @@ class GuardianAllocator:
     # -- allocation entry points ------------------------------------------
 
     def malloc(self, size: int, alignment: int = 0) -> int:
-        if self._sampling_off or not self._sampler.want_to_sample():
-            return self.fallback.malloc(size, alignment or self.config.min_alignment)
-        return self._guarded_malloc(size, alignment)
+        skip = self._skip - 1  # stores only values >= 1, even under races
+        if skip > 0:
+            self._skip = skip
+            return self.fallback.malloc(size, alignment or self._min_alignment)
+        return self._countdown_expired(size, alignment)
 
     def calloc(self, count: int, size: int) -> int:
         if count < 0 or size < 0:
@@ -264,7 +274,7 @@ class GuardianAllocator:
         addr = self.malloc(total)
         # Guarded slots are scrubbed on acquire; recycled fallback
         # blocks are not, so calloc zeroes explicitly there.
-        if total and not self.is_guarded(addr):
+        if total and not self._pool_lo <= addr < self._pool_hi:
             self.vm.fill(addr, total, 0)
         return addr
 
@@ -281,15 +291,13 @@ class GuardianAllocator:
         return new_addr
 
     def free(self, addr: int) -> None:
-        if not addr:
-            return
-        if self.pool is not None and self.pool.contains(addr):
+        if self._pool_lo <= addr < self._pool_hi:
             self._guarded_free(addr)
-            return
-        self.fallback.free(addr)
+        else:
+            self.fallback.free(addr)
 
     def usable_size(self, addr: int) -> int:
-        if self.pool is not None and self.pool.contains(addr):
+        if self._pool_lo <= addr < self._pool_hi:
             classification = self.pool.classify_address(addr)
             if classification.kind is AddressKind.ALLOCATED_SLOT:
                 # Requested size, not page capacity: keeps byte-exact
@@ -301,7 +309,7 @@ class GuardianAllocator:
 
     def is_guarded(self, addr: int) -> bool:
         """Constant-time ownership test, safe from any thread."""
-        return self.pool is not None and self.pool.contains(addr)
+        return self._pool_lo <= addr < self._pool_hi
 
     def destroy(self) -> None:
         """Detach from the fault-handler chain; the reservation stays.
@@ -315,14 +323,25 @@ class GuardianAllocator:
 
     # -- slow paths ----------------------------------------------------------
 
+    def _countdown_expired(self, size: int, alignment: int) -> int:
+        sampler = self._sampler
+        if isinstance(sampler, TimerGate):  # the countdown stays at 1
+            sample = sampler.want_to_sample()
+        else:
+            self._skip = sampler.next_skip()
+            sample = True
+        if sample and not self._sampling_off:
+            return self._guarded_malloc(size, alignment)
+        return self.fallback.malloc(size, alignment or self._min_alignment)
+
     def _guarded_malloc(self, size: int, alignment: int) -> int:
         self.stats.sampled += 1
         pool = self.pool
-        effective_alignment = max(alignment, self.config.min_alignment)
+        effective_alignment = max(alignment, self._min_alignment)
         if size <= 0 or size > pool.page_size or effective_alignment > pool.page_size:
             # Wasted sample: the request cannot be guarded.
             self.stats.oversized += 1
-            return self.fallback.malloc(size, alignment or self.config.min_alignment)
+            return self.fallback.malloc(size, alignment or self._min_alignment)
 
         trace = capture_trace(self.config.max_frames)
         thread_id = threading.get_ident()
@@ -396,49 +415,10 @@ class GuardianAllocator:
     def _free_error_report(
         self, kind: ReportKind, addr: int, slot_index: Optional[int]
     ) -> ErrorReport:
-        access_trace = capture_trace(self.config.max_frames)
-        thread_id = threading.get_ident()
-        if slot_index is None:
-            return ErrorReport(
-                kind=kind,
-                access_address=addr,
-                access_kind=AccessType.UNKNOWN,
-                faulting_thread=thread_id,
-                access_trace=access_trace,
-                metadata_lost=True,
-            )
-        slot = self.pool.slots[slot_index]
-        allocation_address = self.pool.slot_page_addr(slot_index) + slot.user_offset
-        snapshot = self.store.snapshot(slot.metadata_index, slot.metadata_seq)
-        if snapshot is None:
-            return ErrorReport(
-                kind=kind,
-                access_address=addr,
-                access_kind=AccessType.UNKNOWN,
-                faulting_thread=thread_id,
-                access_trace=access_trace,
-                allocation_address=allocation_address,
-                allocation_size=slot.user_size,
-                metadata_lost=True,
-            )
-        return ErrorReport(
-            kind=kind,
-            access_address=addr,
-            access_kind=AccessType.UNKNOWN,
-            faulting_thread=thread_id,
-            access_trace=access_trace,
-            allocation_address=allocation_address,
-            allocation_size=snapshot.user_size,
-            alloc_thread=snapshot.alloc_thread,
-            alloc_trace=decompress_trace(snapshot.alloc_trace),
-            dealloc_thread=snapshot.dealloc_thread,
-            dealloc_trace=(
-                decompress_trace(snapshot.dealloc_trace)
-                if snapshot.dealloc_trace is not None
-                else None
-            ),
-            metadata_lost=False,
-        )
+        return self.reporter.slot_report(
+            kind, slot_index, access_address=addr, access_kind=AccessType.UNKNOWN,
+            faulting_thread=threading.get_ident(),
+            access_trace=capture_trace(self.config.max_frames))
 
     # -- introspection ---------------------------------------------------------
 

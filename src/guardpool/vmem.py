@@ -158,9 +158,6 @@ class VirtualMemory:
             return None
         return region.prots[(addr - region.base) // self.page_size]
 
-    def is_mapped(self, addr: int) -> bool:
-        return self._find_region(addr) is not None
-
     # -- fault handler chain -------------------------------------------
 
     def install_fault_handler(self, handler: FaultHandler) -> Optional[FaultHandler]:

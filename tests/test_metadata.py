@@ -121,6 +121,17 @@ def test_trace_wire_format_round_trip(trace):
     assert compressed.byte_size() == len(wire)
 
 
+@given(
+    st.integers(min_value=0, max_value=1 << 30),
+    st.integers(min_value=0, max_value=(1 << 64) - 1),
+    st.binary(max_size=64),
+)
+def test_byte_size_counts_the_wire_bytes(frame_count, first_pc, deltas):
+    # Frame counts past 127 need a multi-byte uleb128 head.
+    trace = CompressedTrace(frame_count, first_pc, deltas)
+    assert trace.byte_size() == len(trace.to_bytes())
+
+
 def test_empty_trace_wire_format_is_one_byte():
     assert compress_trace([]).to_bytes() == b"\x00"
 

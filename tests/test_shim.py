@@ -1,12 +1,14 @@
 """Allocator front end: routing, free-path validation, passthrough cost model."""
 
 import io
+import sys
 import threading
 
 import pytest
 
 from guardpool.pool import AlignmentSide, SlotState
 from guardpool.reporter import REPORT_HEADER, AccessType, ReportKind, parse_report
+from guardpool.sampler import CounterSampler
 from guardpool.shim import FallbackAllocator, GuardianAllocator, GuardianConfig
 from guardpool.vmem import SegmentationFault, VirtualMemory
 
@@ -96,6 +98,29 @@ def test_fallback_argument_validation():
     arena.free(0)  # free(NULL) is a no-op
 
 
+def test_fallback_rejects_foreign_pointers_without_side_effects():
+    arena = FallbackAllocator(VirtualMemory())
+    a = arena.malloc(32)
+    arena.free(arena.malloc(48))
+    sizes, free_lists = dict(arena._sizes), {k: list(v) for k, v in arena._free.items()}
+    for bad in (a + 1, a + 4096):
+        with pytest.raises(ValueError, match=f"0x{bad:x}"):
+            arena.free(bad)
+        with pytest.raises(ValueError, match=f"0x{bad:x}"):
+            arena.usable_size(bad)
+    assert arena._sizes == sizes
+    assert arena._free == free_lists
+    arena.free(a)  # the real pointer is still live and frees normally
+
+
+def test_foreign_free_through_the_shim_is_a_value_error():
+    allocator, _ = make_allocator(sample_rate=10**9)
+    host_ptr = allocator.malloc(32)
+    with pytest.raises(ValueError, match=f"0x{host_ptr + 1:x}"):
+        allocator.free(host_ptr + 1)
+    assert allocator.usable_size(host_ptr) == 32
+
+
 # -- enablement and passthrough ---------------------------------------------
 
 
@@ -125,6 +150,58 @@ def test_launch_decision_is_seed_deterministic():
         allocator, _ = make_allocator(process_sample_probability=0.5, seed=123)
         decisions.append(allocator.enabled)
     assert decisions[0] == decisions[1]
+
+
+# -- the inlined countdown ------------------------------------------------
+
+
+@pytest.mark.parametrize("rate", [1, 7, 5000])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sampled_calls_match_the_counter_sampler(seed, rate):
+    allocator, _ = make_allocator(sample_rate=rate, seed=seed, max_frames=1)
+    oracle = CounterSampler(rate, seed).want_to_sample
+    malloc, free, stats = allocator.malloc, allocator.free, allocator.stats
+    got, want = [], []
+    for call in range(100_000):
+        before = stats.sampled
+        free(malloc(16))
+        if stats.sampled > before:
+            got.append(call)
+        if oracle():
+            want.append(call)
+    assert got == want
+
+
+def test_unlocked_countdown_keeps_sampling_under_threads():
+    allocator, _ = make_allocator(sample_rate=50, seed=4)
+    errors = []
+
+    def worker():
+        try:
+            for _ in range(20_000):
+                allocator.free(allocator.malloc(16))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    pool = allocator.pool
+    assert pool.live_count == sum(s.state is SlotState.ALLOCATED for s in pool.slots)
+    sampled = allocator.stats.sampled
+    assert sampled > 0
+    for _ in range(1000):
+        allocator.free(allocator.malloc(16))
+    assert allocator.stats.sampled > sampled
 
 
 # -- routing ------------------------------------------------------------------
@@ -205,6 +282,11 @@ def test_timer_policy_samples_once_per_interval():
     second = allocator.malloc(16)
     assert allocator.is_guarded(first)
     assert not allocator.is_guarded(second)
+    for interval in range(2, 7):
+        now[0] = interval + 0.5
+        guarded = [allocator.is_guarded(allocator.malloc(16)) for _ in range(50)]
+        assert guarded.count(True) == 1
+    assert allocator.stats.sampled == 6
 
 
 # -- coverage admission -------------------------------------------------------
@@ -343,8 +425,10 @@ def test_recovered_fault_stops_future_guarding():
     allocator.free(addr)
     assert allocator.vm.read(addr, 8) == b"\x00" * 8  # recovered
     assert sink.getvalue().count(REPORT_HEADER) == 1
-    after = allocator.malloc(16)
-    assert not allocator.is_guarded(after)
+    sampled = allocator.stats.sampled
+    for _ in range(100):
+        assert not allocator.is_guarded(allocator.malloc(16))
+    assert allocator.stats.sampled == sampled
 
 
 # -- library calls ------------------------------------------------------------
@@ -408,7 +492,10 @@ def test_destroy_detaches_but_keeps_the_reservation():
     with pytest.raises(SegmentationFault):
         allocator.vm.read(addr, 1)  # still protected, no reporter attached
     assert sink.getvalue() == ""
-    assert not allocator.is_guarded(allocator.malloc(16))
+    sampled = allocator.stats.sampled
+    for _ in range(100):
+        assert not allocator.is_guarded(allocator.malloc(16))
+    assert allocator.stats.sampled == sampled
 
 
 # -- memory accounting --------------------------------------------------------
