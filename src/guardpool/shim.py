@@ -64,7 +64,6 @@ class FallbackAllocator:
     def __init__(self, vm: VirtualMemory, initial_pages: int = 64):
         self.vm = vm
         self._lock = threading.Lock()
-        self._regions: list[tuple[int, int]] = []
         self._cursor = 0
         self._limit = 0
         self._grow_pages = max(initial_pages, 1)
@@ -121,7 +120,6 @@ class FallbackAllocator:
     def _grow(self, need: int) -> None:
         pages = max(self._grow_pages, -(-need // self.vm.page_size))
         base = self.vm.reserve(pages, PROT_READ | PROT_WRITE)
-        self._regions.append((base, pages * self.vm.page_size))
         self._cursor = base
         self._limit = base + pages * self.vm.page_size
         self._grow_pages *= 2

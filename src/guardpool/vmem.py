@@ -2,11 +2,19 @@
 
 Addresses are plain integers into a process-local address space.  Every
 reservation is anonymous, page-granular and zero-filled, and each page
-carries its own protection bits.  All user-level memory accesses go
-through :meth:`VirtualMemory.read` and :meth:`VirtualMemory.write`,
-which enforce protections and deliver access violations to an
-installable fault handler, mirroring how a SIGSEGV handler observes a
-faulting address plus (on most platforms) a read/write flag.
+carries its own protection bits.  A reservation is backed by a private
+anonymous host mapping, so its pages are committed on first touch:
+guard pages and unused arena tail cost address space, not memory.  All
+user-level memory accesses go through :meth:`VirtualMemory.read` and
+:meth:`VirtualMemory.write`, which enforce protections and deliver
+access violations to an installable fault handler, mirroring how a
+SIGSEGV handler observes a faulting address plus (on most platforms) a
+read/write flag.
+
+An access finds its region once, checks the protections of the pages it
+spans once, and moves its bytes with one copy.  Only a span that meets
+an inaccessible page is moved run by run: the accessible prefix first,
+then a fault at the first inaccessible byte, then the rest.
 
 Handler chaining follows sigaction semantics: installing a handler
 returns the previously installed one, and a handler that decides a
@@ -19,9 +27,11 @@ on the accessing thread.
 from __future__ import annotations
 
 import enum
+import mmap
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 PROT_NONE = 0
 PROT_READ = 1
@@ -77,16 +87,14 @@ class SegmentationFault(Exception):
 FaultHandler = Callable[[FaultInfo], FaultAction]
 
 
-@dataclass
 class _Region:
-    base: int
-    length: int
-    buf: bytearray
-    prots: list[int]  # one entry per page
+    __slots__ = ("base", "end", "mem", "prots")
 
-    @property
-    def end(self) -> int:
-        return self.base + self.length
+    def __init__(self, base: int, mem: mmap.mmap, prots: bytearray):
+        self.base = base
+        self.end = base + len(mem)
+        self.mem = mem
+        self.prots = prots  # one byte per page
 
 
 @dataclass
@@ -101,14 +109,20 @@ class VirtualMemory:
     page_size: int = DEFAULT_PAGE_SIZE
     expose_access_kind: bool = True
     fault_count: int = 0
+    # Regions in address order, with their bases alongside for bisect.
+    # reserve appends to _regions before _bases, so a lock-free lookup
+    # that finds a base always finds its region.
     _regions: list[_Region] = field(default_factory=list)
+    _bases: list[int] = field(default_factory=list)
     _cursor: int = _BASE_CURSOR_START
     _handler: Optional[FaultHandler] = None
     _lock: threading.Lock = field(default_factory=threading.Lock)
+    _page_shift: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.page_size <= 0 or self.page_size & (self.page_size - 1):
             raise ValueError(f"page_size must be a power of two, got {self.page_size}")
+        self._page_shift = self.page_size.bit_length() - 1
 
     # -- reservation / protection ------------------------------------
 
@@ -117,19 +131,24 @@ class VirtualMemory:
 
         Returns the base address.  The base is aligned to the region
         length rounded up to a power of two, so a reservation never
-        straddles an alignment boundary larger than itself.
+        straddles an alignment boundary larger than itself.  Raises
+        MemoryError when the host cannot map that much.
         """
         if num_pages <= 0:
             raise ValueError("num_pages must be positive")
         length = num_pages * self.page_size
         align = 1 << (length - 1).bit_length()
+        try:
+            mem = mmap.mmap(-1, length, flags=mmap.MAP_PRIVATE)
+        except OSError as exc:
+            raise MemoryError(f"cannot reserve {num_pages} pages") from exc
         with self._lock:
             base = -(-self._cursor // align) * align
             # Keep an unmapped hole page after every region so adjacent
             # reservations can never be mistaken for one another.
             self._cursor = base + length + self.page_size
-            region = _Region(base, length, bytearray(length), [prot] * num_pages)
-            self._regions.append(region)
+            self._regions.append(_Region(base, mem, bytearray([prot]) * num_pages))
+            self._bases.append(base)
         return base
 
     def protect(self, addr: int, length: int, prot: int) -> None:
@@ -145,18 +164,17 @@ class VirtualMemory:
         region = self._find_region(addr)
         if region is None or addr + length > region.end:
             raise ValueError(f"[0x{addr:x}, +{length}) is not a mapped range")
-        first = (addr - region.base) // self.page_size
+        first = (addr - region.base) >> self._page_shift
         npages = -(-length // self.page_size)
         with self._lock:
-            for i in range(first, first + npages):
-                region.prots[i] = prot
+            region.prots[first : first + npages] = bytes([prot]) * npages
 
     def page_protection(self, addr: int) -> Optional[int]:
         """Protection bits of the page containing addr, None if unmapped."""
         region = self._find_region(addr)
         if region is None:
             return None
-        return region.prots[(addr - region.base) // self.page_size]
+        return region.prots[(addr - region.base) >> self._page_shift]
 
     # -- fault handler chain -------------------------------------------
 
@@ -176,36 +194,39 @@ class VirtualMemory:
     # -- access --------------------------------------------------------
 
     def read(self, addr: int, length: int) -> bytes:
-        """Read length bytes, faulting per-page on protection violations."""
+        """Read length bytes, faulting at the first inaccessible byte."""
         if length < 0:
             raise ValueError("length must be non-negative")
-        out = bytearray()
-        pos = addr
-        remaining = length
-        while remaining > 0:
-            chunk = min(remaining, self.page_size - pos % self.page_size)
-            region = self._check_access(pos, AccessKind.READ)
-            off = pos - region.base
-            out += region.buf[off : off + chunk]
-            pos += chunk
-            remaining -= chunk
-        return bytes(out)
+        if not length:
+            return b""
+        end = addr + length
+        region, stop = self._accessible_run(addr, end, PROT_READ)
+        if stop == end:
+            off = addr - region.base
+            return region.mem[off : off + length]
+        return b"".join(
+            region.mem[lo - region.base : hi - region.base]
+            for region, lo, hi in self._runs(addr, end, AccessKind.READ)
+        )
 
     def write(self, addr: int, data: bytes) -> None:
-        """Write data, faulting per-page on protection violations.
+        """Write data, faulting at the first inaccessible byte.
 
         A terminating fault part-way through leaves the already-written
         prefix in place, as a real partial store sequence would.
         """
-        pos = addr
+        length = len(data)
+        if not length:
+            return
+        end = addr + length
+        region, stop = self._accessible_run(addr, end, PROT_WRITE)
+        if stop == end:
+            off = addr - region.base
+            region.mem[off : off + length] = data
+            return
         view = memoryview(data)
-        while view:
-            chunk = min(len(view), self.page_size - pos % self.page_size)
-            region = self._check_access(pos, AccessKind.WRITE)
-            off = pos - region.base
-            region.buf[off : off + chunk] = view[:chunk]
-            pos += chunk
-            view = view[chunk:]
+        for region, lo, hi in self._runs(addr, end, AccessKind.WRITE):
+            region.mem[lo - region.base : hi - region.base] = view[lo - addr : hi - addr]
 
     def fill(self, addr: int, length: int, value: int = 0) -> None:
         """Privileged fill that ignores protections (kernel-side store).
@@ -217,34 +238,66 @@ class VirtualMemory:
         if region is None or addr + length > region.end:
             raise ValueError(f"[0x{addr:x}, +{length}) is not a mapped range")
         off = addr - region.base
-        region.buf[off : off + length] = bytes([value & 0xFF]) * length
+        region.mem[off : off + length] = bytes([value & 0xFF]) * length
 
     # -- internals -------------------------------------------------------
 
     def _find_region(self, addr: int) -> Optional[_Region]:
-        for region in self._regions:
-            if region.base <= addr < region.end:
+        i = bisect_right(self._bases, addr) - 1
+        if i >= 0:
+            region = self._regions[i]
+            if addr < region.end:
                 return region
         return None
 
-    def _check_access(self, addr: int, kind: AccessKind) -> _Region:
-        """Return the region once addr is accessible, delivering faults.
+    def _accessible_run(self, pos: int, end: int, needed: int) -> tuple[Optional[_Region], int]:
+        """Return pos's region and where the run accessible from pos stops.
 
-        Retries after a handler resolves the fault; a handler that
-        resolves without making progress trips the retry bound.
+        The run ends at end, at the region's end, or at the first page
+        without the needed bit, whichever comes first; an unmapped pos
+        gives (None, pos).
+        """
+        region = self._find_region(pos)
+        if region is None:
+            return None, pos
+        base = region.base
+        stop = end if end < region.end else region.end
+        shift = self._page_shift
+        prots = region.prots
+        page = (pos - base) >> shift
+        if not prots[page] & needed:
+            return region, pos
+        last = (stop - 1 - base) >> shift
+        while page < last:
+            page += 1
+            if not prots[page] & needed:
+                return region, base + (page << shift)
+        return region, stop
+
+    def _runs(self, pos: int, end: int, kind: AccessKind) -> Iterator[tuple[_Region, int, int]]:
+        """Yield the accessible runs (region, lo, hi) of [pos, end) in order.
+
+        Between runs, delivers a fault at the first inaccessible byte and
+        retries once the handler resolves it; a handler that resolves
+        without making progress trips the retry bound.  The caller moves
+        each run's bytes before the next fault is delivered.
         """
         needed = PROT_READ if kind is AccessKind.READ else PROT_WRITE
-        for _ in range(_MAX_FAULT_RETRIES):
-            region = self._find_region(addr)
-            if region is not None:
-                prot = region.prots[(addr - region.base) // self.page_size]
-                if prot & needed:
-                    return region
-            self._deliver_fault(addr, kind)
-        raise RuntimeError(
-            f"fault handler resolved 0x{addr:x} {_MAX_FAULT_RETRIES} times "
-            "without making it accessible"
-        )
+        faults = 0
+        while pos < end:
+            region, stop = self._accessible_run(pos, end, needed)
+            if stop > pos:
+                yield region, pos, stop
+                pos = stop
+                faults = 0
+                continue
+            self._deliver_fault(pos, kind)
+            faults += 1
+            if faults == _MAX_FAULT_RETRIES:
+                raise RuntimeError(
+                    f"fault handler resolved 0x{pos:x} {_MAX_FAULT_RETRIES} times "
+                    "without making it accessible"
+                )
 
     def _deliver_fault(self, addr: int, kind: AccessKind) -> None:
         self.fault_count += 1
