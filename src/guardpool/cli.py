@@ -87,7 +87,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--sample-interval-ms", type=float, default=100.0)
     common.add_argument("--slots", type=int, default=16)
     common.add_argument("--max-live", type=int, default=None)
-    common.add_argument("--quarantine-min", type=int, default=0)
     common.add_argument("--recoverable", action="store_true")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--iterations", type=int, default=1_000_000)
@@ -141,7 +140,6 @@ def _allocator_config(args, **overrides) -> GuardianConfig:
     kwargs = dict(
         slot_count=args.slots,
         max_live=args.max_live,
-        quarantine_min_slots=args.quarantine_min,
         policy=args.policy,
         sample_rate=args.sample_rate,
         sample_interval=args.sample_interval_ms / 1000.0,
@@ -300,7 +298,6 @@ def _spawn_child_injection(args) -> int:
         "--seed", str(args.seed),
         "--slots", str(args.slots),
         "--sample-rate", str(args.sample_rate),
-        "--quarantine-min", str(args.quarantine_min),
         "--format", args.format,
     ]
     if args.distance is not None:

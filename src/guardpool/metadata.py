@@ -8,12 +8,14 @@ deltas zigzag-mapped then ULEB128-encoded, trading decode time on the
 rare error path for a large resident-memory reduction on every sampled
 allocation.
 
-The record store is a fixed ring: new allocations overwrite the oldest
-record.  Readers on the fault path take no lock; instead every record
-carries a version counter written odd-before / even-after mutation
-(seqlock protocol) plus a monotonically increasing allocation sequence
-number, so a reader can tell both torn reads and records that were
-recycled for a newer allocation.
+The record store keeps one record per pool slot, indexed by the slot
+index as in GWP-ASan's Metadata[SlotIndex]: an allocation's evidence
+lives exactly as long as its slot holds the allocation or its
+quarantine.  Readers on the fault path take no lock; instead every
+record carries a version counter written odd-before / even-after
+mutation (seqlock protocol) plus a monotonically increasing allocation
+sequence number, so a reader can tell both torn reads and records that
+were recycled when the slot was reused.
 """
 
 from __future__ import annotations
@@ -171,12 +173,11 @@ def decompress_trace(trace: CompressedTrace) -> list[int]:
 
 
 class AllocationMetadata:
-    """One recycled record in the ring; fields valid when version is even."""
+    """One slot's record, recycled on slot reuse; fields valid when version is even."""
 
     __slots__ = (
         "version",
         "alloc_seq",
-        "slot_index",
         "user_size",
         "alloc_thread",
         "alloc_trace",
@@ -186,8 +187,9 @@ class AllocationMetadata:
 
     def __init__(self) -> None:
         self.version = 0
-        self.alloc_seq = -1
-        self.slot_index = -1
+        # 0, never a slot's initial metadata_seq (-1): a slot acquired
+        # without a stored record snapshots as lost, not as a match.
+        self.alloc_seq = 0
         self.user_size = 0
         self.alloc_thread = 0
         self.alloc_trace = CompressedTrace(0, 0, b"")
@@ -209,35 +211,29 @@ class MetadataSnapshot:
 
 
 class MetadataStore:
-    """Fixed-capacity ring of allocation records.
+    """One allocation record per pool slot.
 
     Writers (allocation and deallocation paths) serialize externally on
     the pool lock; the fault path reads records without any lock via
-    the per-record seqlock.  A record is addressed by (index, alloc_seq);
-    a stale sequence number means the record was recycled and the
-    evidence is gone.
+    the per-record seqlock.  A record is addressed by (slot_index,
+    alloc_seq); a stale sequence number means the slot was reused and
+    the evidence is gone.
     """
 
     def __init__(self, capacity: int, max_frames: int = DEFAULT_MAX_FRAMES):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+        self.capacity = capacity  # the pool's slot count
         self.max_frames = max_frames
         self._records = [AllocationMetadata() for _ in range(capacity)]
-        self._cursor = 0
         self._next_seq = 1
         self._trace_bytes = 0
 
     def store_alloc(
         self, slot_index: int, size: int, thread_id: int, trace: Sequence[int]
-    ) -> tuple[int, int]:
-        """Record an allocation; returns (metadata_index, alloc_seq).
-
-        Overwrites the oldest record when full (FIFO eviction).
-        """
-        record = self._records[self._cursor]
-        index = self._cursor
-        self._cursor = (self._cursor + 1) % self.capacity
+    ) -> int:
+        """Record an allocation in slot_index's record; returns its alloc_seq."""
+        record = self._records[slot_index]
         seq = self._next_seq
         self._next_seq += 1
 
@@ -246,7 +242,6 @@ class MetadataStore:
 
         record.version += 1  # odd: readers retry
         record.alloc_seq = seq
-        record.slot_index = slot_index
         record.user_size = size
         record.alloc_thread = thread_id
         record.alloc_trace = compressed
@@ -255,23 +250,17 @@ class MetadataStore:
         record.version += 1  # even: readers may proceed
 
         self._trace_bytes += self._record_trace_bytes(record)
-        return index, seq
+        return seq
 
     def store_dealloc(
-        self,
-        metadata_index: Optional[int],
-        alloc_seq: int,
-        thread_id: int,
-        trace: Sequence[int],
+        self, slot_index: int, alloc_seq: int, thread_id: int, trace: Sequence[int]
     ) -> bool:
         """Attach deallocation evidence if the record still matches.
 
-        Returns False (no-op) when the record was recycled for a newer
-        allocation or the index is the evicted sentinel.
+        Returns False (no-op) when the slot's record was recycled for a
+        newer allocation.
         """
-        if metadata_index is None:
-            return False
-        record = self._records[metadata_index]
+        record = self._records[slot_index]
         if record.alloc_seq != alloc_seq:
             return False
         compressed = compress_trace(list(trace)[: self.max_frames])
@@ -284,7 +273,7 @@ class MetadataStore:
         return True
 
     def snapshot(
-        self, metadata_index: Optional[int], alloc_seq: int, retries: int = 8
+        self, slot_index: int, alloc_seq: int, retries: int = 8
     ) -> Optional[MetadataSnapshot]:
         """Lock-free consistent read of a record, or None if unavailable.
 
@@ -292,16 +281,16 @@ class MetadataStore:
         a concurrent writer kept it torn for every retry; callers treat
         both as lost evidence, never as grounds to block.
         """
-        if metadata_index is None or not 0 <= metadata_index < self.capacity:
+        if not 0 <= slot_index < self.capacity:
             return None
-        record = self._records[metadata_index]
+        record = self._records[slot_index]
         for _ in range(retries):
             before = record.version
             if before % 2:
                 continue
             snap = MetadataSnapshot(
                 alloc_seq=record.alloc_seq,
-                slot_index=record.slot_index,
+                slot_index=slot_index,
                 user_size=record.user_size,
                 alloc_thread=record.alloc_thread,
                 alloc_trace=record.alloc_trace,

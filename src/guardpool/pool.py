@@ -10,14 +10,16 @@ hit a guard page immediately.  Released slots are re-protected and
 quarantined: the page stays inaccessible until the slot is reused, so
 use-after-free accesses fault too.
 
-Reuse order is FIFO over the free list, maximizing time-in-quarantine.
-quarantine_min_slots additionally keeps a released slot out of service
-until that many later acquisitions have happened, at the cost of
-acquire failures when every free slot is still aging.
+The free list is a FIFO queue: never-used slots first, in a seeded
+shuffle, then released slots in release order.  acquire takes the
+front, so every never-used slot is served before any quarantined one,
+and a quarantined slot is reused only after every slot released before
+it, maximizing time-in-quarantine.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 import threading
 from dataclasses import dataclass
@@ -68,7 +70,6 @@ class PoolUnavailableError(Exception):
 class PoolConfig:
     slot_count: int = 16
     max_live: Optional[int] = None  # defaults to slot_count
-    quarantine_min_slots: int = 0
     seed: Optional[int] = None
     force_alignment_side: Optional[AlignmentSide] = None
 
@@ -79,8 +80,6 @@ class PoolConfig:
             raise ValueError(
                 f"max_live must be in [1, {self.slot_count}], got {self.max_live}"
             )
-        if self.quarantine_min_slots < 0:
-            raise ValueError("quarantine_min_slots must be >= 0")
         if page_size <= 0 or page_size & (page_size - 1):
             raise ValueError(f"page size must be a power of two, got {page_size}")
 
@@ -100,18 +99,18 @@ class SlotRecord:
         "alignment_side",
         "metadata_index",
         "metadata_seq",
-        "released_at",
         "coverage_source",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, slot_index: int) -> None:
         self.state = SlotState.FREE
         self.user_offset = 0
         self.user_size = 0
         self.alignment_side = AlignmentSide.LEFT
-        self.metadata_index: Optional[int] = None
+        # Always the slot's own index (the metadata record's index); kept
+        # only because perfbench/workloads.py (sampled) reads it.
+        self.metadata_index = slot_index
         self.metadata_seq = -1
-        self.released_at = 0
         self.coverage_source: Optional[int] = None
 
 
@@ -139,7 +138,7 @@ class GuardedPool:
             raise PoolUnavailableError(f"pool reservation failed: {exc}") from exc
         self.region_length = (2 * self.slot_count + 1) * self.page_size
 
-        self.slots = [SlotRecord() for _ in range(self.slot_count)]
+        self.slots = [SlotRecord(i) for i in range(self.slot_count)]
         seed = config.seed if config.seed is not None else 0
         self._rng = Xorshift64Star(splitmix64(seed ^ 0x706F6F6C))
         order = list(range(self.slot_count))
@@ -148,7 +147,7 @@ class GuardedPool:
         for i in range(self.slot_count - 1, 0, -1):
             j = self._rng.below(i + 1)
             order[i], order[j] = order[j], order[i]
-        self._free_list: list[int] = order  # FIFO: pop from front, append at back
+        self._free_list = collections.deque(order)  # FIFO: take front, append back
 
         self.live_count = 0
         self.acquire_count = 0
@@ -192,10 +191,9 @@ class GuardedPool:
             if self.live_count >= self.max_live:
                 self.unavailable_count += 1
                 return None
-            slot_index = self._pick_slot()
-            if slot_index is None:
-                self.unavailable_count += 1
-                return None
+            # live_count < max_live <= slot_count == len(free list) +
+            # live_count, so the free list is not empty.
+            slot_index = self._free_list.popleft()
 
             slot = self.slots[slot_index]
             page = self.slot_page_addr(slot_index)
@@ -203,7 +201,7 @@ class GuardedPool:
                 self.vm.protect(page, self.page_size, PROT_READ | PROT_WRITE)
             except (OSError, ValueError):
                 self.protect_failure_count += 1
-                self._free_list.insert(0, slot_index)
+                self._free_list.appendleft(slot_index)
                 return None
             # Scrub before handing out: releases leave page contents in
             # place for the quarantine window, so reuse must not leak.
@@ -221,7 +219,6 @@ class GuardedPool:
             slot.user_offset = offset
             slot.user_size = size
             slot.alignment_side = side
-            slot.metadata_index = None
             slot.metadata_seq = -1
             slot.coverage_source = None
             slot.state = SlotState.ALLOCATED  # last: fault path sees full geometry
@@ -238,27 +235,8 @@ class GuardedPool:
             page = self.slot_page_addr(slot_index)
             self.vm.protect(page, self.page_size, PROT_NONE)
             slot.state = SlotState.QUARANTINED
-            slot.released_at = self.acquire_count
             self.live_count -= 1
             self._free_list.append(slot_index)
-
-    def _pick_slot(self) -> Optional[int]:
-        """Front-most eligible free-list entry; front-most overall if none aged out.
-
-        A quarantined slot is eligible once quarantine_min_slots
-        acquisitions have happened since its release.  Falling back to
-        the oldest entry keeps a tiny pool usable rather than failing.
-        """
-        if not self._free_list:
-            return None
-        threshold = self.config.quarantine_min_slots
-        for pos, slot_index in enumerate(self._free_list):
-            slot = self.slots[slot_index]
-            if slot.state is SlotState.FREE:
-                return self._free_list.pop(pos)
-            if self.acquire_count - slot.released_at >= threshold:
-                return self._free_list.pop(pos)
-        return self._free_list.pop(0)
 
     # -- classification ------------------------------------------------
 

@@ -476,7 +476,7 @@ class Reporter:
             return ErrorReport(kind=kind, metadata_lost=True, **access)
         slot = self._pool.slots[slot_index]
         allocation_address = self._pool.slot_page_addr(slot_index) + slot.user_offset
-        snapshot = self._store.snapshot(slot.metadata_index, slot.metadata_seq)
+        snapshot = self._store.snapshot(slot_index, slot.metadata_seq)
         if snapshot is None:
             return ErrorReport(
                 kind=kind,

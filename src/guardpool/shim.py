@@ -131,8 +131,8 @@ class GuardianConfig:
 
     slot_count: int = 16
     max_live: Optional[int] = None
-    quarantine_min_slots: int = 0
-    metadata_capacity: Optional[int] = None  # defaults to slot_count
+    quarantine_min_slots: int = 0  # unread; perfbench/workloads.py (sampled) passes it
+    metadata_capacity: Optional[int] = None  # unread; perfbench/workloads.py (sampled) passes it
     max_frames: int = 64
     policy: str = "counter"  # "counter" or "timer"
     sample_rate: int = 5000
@@ -157,8 +157,6 @@ class GuardianConfig:
             raise ValueError(f"sample_interval must be positive, got {self.sample_interval}")
         if self.min_alignment < 1 or self.min_alignment & (self.min_alignment - 1):
             raise ValueError(f"min_alignment must be a power of two, got {self.min_alignment}")
-        if self.metadata_capacity is not None and self.metadata_capacity < 1:
-            raise ValueError("metadata_capacity must be >= 1")
 
 
 @dataclass
@@ -215,13 +213,11 @@ class GuardianAllocator:
         pool_config = PoolConfig(
             slot_count=cfg.slot_count,
             max_live=cfg.max_live,
-            quarantine_min_slots=cfg.quarantine_min_slots,
             seed=cfg.seed,
             force_alignment_side=cfg.force_alignment_side,
         )
         self.pool = GuardedPool(pool_config, self.vm)
-        capacity = cfg.metadata_capacity if cfg.metadata_capacity is not None else cfg.slot_count
-        self.store = MetadataStore(capacity, cfg.max_frames)
+        self.store = MetadataStore(cfg.slot_count, cfg.max_frames)
         if cfg.coverage_enabled:
             self.coverage = CoverageFilter(utilization_threshold=cfg.coverage_threshold)
         self.reporter = Reporter(
@@ -357,9 +353,7 @@ class GuardianAllocator:
                 return self.fallback.malloc(size, effective_alignment)
             slot_index, user_address = acquired
             slot = pool.slots[slot_index]
-            slot.metadata_index, slot.metadata_seq = self.store.store_alloc(
-                slot_index, size, thread_id, trace
-            )
+            slot.metadata_seq = self.store.store_alloc(slot_index, size, thread_id, trace)
             if self.coverage is not None:
                 slot.coverage_source = source
                 self.coverage.insert(source)
@@ -383,7 +377,7 @@ class GuardianAllocator:
                 user_address = pool.user_address(slot_index)
                 if addr == user_address:
                     self.store.store_dealloc(
-                        slot.metadata_index,
+                        slot_index,
                         slot.metadata_seq,
                         threading.get_ident(),
                         capture_trace(self.config.max_frames),

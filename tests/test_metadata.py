@@ -222,82 +222,92 @@ def test_capture_distinguishes_call_sites():
 
 def test_store_alloc_returns_index_and_sequence():
     store = MetadataStore(capacity=4)
-    index, seq = store.store_alloc(2, 41, 111, [0x10, 0x20])
-    snap = store.snapshot(index, seq)
+    seq = store.store_alloc(2, 41, 111, [0x10, 0x20])
+    snap = store.snapshot(2, seq)
     assert snap is not None
     assert snap.slot_index == 2
     assert snap.user_size == 41
     assert snap.alloc_thread == 111
     assert decompress_trace(snap.alloc_trace) == [0x10, 0x20]
     assert snap.dealloc_thread is None
+    assert store.store_alloc(0, 8, 1, [0x10]) > seq
 
 
 def test_store_dealloc_attaches_evidence():
     store = MetadataStore(capacity=4)
-    index, seq = store.store_alloc(0, 8, 1, [0x10])
-    assert store.store_dealloc(index, seq, 2, [0x30, 0x40])
-    snap = store.snapshot(index, seq)
+    seq = store.store_alloc(0, 8, 1, [0x10])
+    assert store.store_dealloc(0, seq, 2, [0x30, 0x40])
+    snap = store.snapshot(0, seq)
     assert snap.dealloc_thread == 2
     assert decompress_trace(snap.dealloc_trace) == [0x30, 0x40]
 
 
-def test_ring_evicts_oldest_record():
+def test_slot_reuse_recycles_record():
     store = MetadataStore(capacity=2)
-    first_index, first_seq = store.store_alloc(0, 8, 1, [0x10])
-    store.store_alloc(1, 8, 1, [0x20])
-    store.store_alloc(2, 8, 1, [0x30])  # recycles the first record
-    assert store.snapshot(first_index, first_seq) is None
+    first_seq = store.store_alloc(0, 8, 1, [0x10])
+    # Other slots' allocations leave slot 0's record alone...
+    for _ in range(10):
+        store.store_alloc(1, 8, 1, [0x20])
+    assert store.snapshot(0, first_seq).user_size == 8
+    # ...and only reusing slot 0 recycles it.
+    store.store_alloc(0, 16, 1, [0x30])
+    assert store.snapshot(0, first_seq) is None
 
 
 def test_store_dealloc_is_noop_after_eviction():
     store = MetadataStore(capacity=1)
-    index, seq = store.store_alloc(0, 8, 1, [0x10])
-    newer_index, newer_seq = store.store_alloc(1, 8, 1, [0x20])
-    assert not store.store_dealloc(index, seq, 2, [0x30])
-    snap = store.snapshot(newer_index, newer_seq)
+    seq = store.store_alloc(0, 8, 1, [0x10])
+    newer_seq = store.store_alloc(0, 8, 1, [0x20])  # slot 0 reused
+    assert not store.store_dealloc(0, seq, 2, [0x30])
+    snap = store.snapshot(0, newer_seq)
     assert snap.dealloc_thread is None
-
-
-def test_store_dealloc_accepts_evicted_sentinel():
-    store = MetadataStore(capacity=1)
-    assert not store.store_dealloc(None, 0, 1, [0x10])
 
 
 def test_snapshot_rejects_torn_record():
     store = MetadataStore(capacity=1)
-    index, seq = store.store_alloc(0, 8, 1, [0x10])
-    record = store._records[index]
+    seq = store.store_alloc(0, 8, 1, [0x10])
+    record = store._records[0]
     record.version += 1  # simulate a writer caught mid-update
-    assert store.snapshot(index, seq) is None
+    assert store.snapshot(0, seq) is None
     record.version += 1
-    assert store.snapshot(index, seq) is not None
+    assert store.snapshot(0, seq) is not None
 
 
 def test_snapshot_out_of_range_index():
     store = MetadataStore(capacity=1)
-    assert store.snapshot(5, 1) is None
-    assert store.snapshot(None, 1) is None
+    seq = store.store_alloc(0, 8, 1, [0x10])
+    assert store.snapshot(5, seq) is None
+    assert store.snapshot(-1, seq) is None
 
 
-def test_trace_byte_accounting_tracks_ring_contents():
+def test_snapshot_of_never_stored_slot_is_lost():
+    # A slot's metadata_seq starts at -1; an untouched record must not match it.
+    store = MetadataStore(capacity=2)
+    assert store.snapshot(1, -1) is None
+
+
+def test_trace_byte_accounting_tracks_slot_records():
     store = MetadataStore(capacity=2)
     assert store.accounted_trace_bytes() == 0
-    index, seq = store.store_alloc(0, 8, 1, [0x1000, 0x1010])
+    seq = store.store_alloc(0, 8, 1, [0x1000, 0x1010])
     one = store.accounted_trace_bytes()
     assert one == compress_trace([0x1000, 0x1010]).byte_size()
-    store.store_dealloc(index, seq, 1, [0x2000])
+    store.store_dealloc(0, seq, 1, [0x2000])
     two = store.accounted_trace_bytes()
     assert two == one + compress_trace([0x2000]).byte_size()
-    # Recycling replaces a record's contribution instead of leaking it.
+    # Another slot adds its own contribution.
     store.store_alloc(1, 8, 1, [0x3000])
-    store.store_alloc(2, 8, 1, [0x4000])
-    assert store.accounted_trace_bytes() < two + 2 * 16
+    three = two + compress_trace([0x3000]).byte_size()
+    assert store.accounted_trace_bytes() == three
+    # Reusing slot 0 replaces its contribution instead of leaking it.
+    store.store_alloc(0, 8, 1, [0x4000])
+    assert store.accounted_trace_bytes() == three - two + compress_trace([0x4000]).byte_size()
 
 
 def test_max_frames_truncates_stored_traces():
     store = MetadataStore(capacity=1, max_frames=4)
-    index, seq = store.store_alloc(0, 8, 1, list(range(100, 120)))
-    snap = store.snapshot(index, seq)
+    seq = store.store_alloc(0, 8, 1, list(range(100, 120)))
+    snap = store.snapshot(0, seq)
     assert decompress_trace(snap.alloc_trace) == [100, 101, 102, 103]
 
 

@@ -48,7 +48,7 @@ def test_acquire_makes_only_the_slot_page_accessible():
 
 
 def test_acquired_slot_is_zeroed():
-    pool = make_pool(slot_count=1, quarantine_min_slots=0)
+    pool = make_pool(slot_count=1)
     _, addr = pool.acquire(64)
     pool.vm.write(addr, b"\xff" * 64)
     pool.release(0)
@@ -139,7 +139,7 @@ def test_release_requires_allocated_state():
 
 
 def test_reuse_order_is_fifo_over_releases():
-    pool = make_pool(slot_count=4, max_live=4, quarantine_min_slots=0)
+    pool = make_pool(slot_count=4, max_live=4)
     acquired = [pool.acquire(8)[0] for _ in range(4)]
     for slot_index in acquired:
         pool.release(slot_index)
@@ -147,10 +147,10 @@ def test_reuse_order_is_fifo_over_releases():
     assert reused == acquired
 
 
-def test_quarantine_min_slots_delays_reuse():
-    # Slot released first must wait for 3 other acquisitions before
-    # becoming eligible again.
-    pool = make_pool(slot_count=4, max_live=4, quarantine_min_slots=3)
+def test_released_slot_waits_behind_free_list():
+    # The slot released first waits until every never-used slot and
+    # every slot released before it has been served again.
+    pool = make_pool(slot_count=4, max_live=4)
     victim, _ = pool.acquire(8)
     pool.release(victim)
     served = []
@@ -159,16 +159,35 @@ def test_quarantine_min_slots_delays_reuse():
         served.append(slot_index)
         pool.release(slot_index)
     assert victim not in served
-    # Eligible now: 3 acquisitions have passed since its release.
+    assert sorted(served + [victim]) == [0, 1, 2, 3]
     assert pool.acquire(8)[0] == victim
 
 
 def test_quarantine_falls_back_to_oldest_when_none_aged():
-    pool = make_pool(slot_count=1, max_live=1, quarantine_min_slots=8)
-    pool.acquire(8)
-    pool.release(0)
-    # Nothing can age with a single slot; the pool serves it anyway.
-    assert pool.acquire(8) is not None
+    # With every never-used slot taken, the oldest release is reused first.
+    pool = make_pool(slot_count=2, max_live=2)
+    a, _ = pool.acquire(8)
+    b, _ = pool.acquire(8)
+    pool.release(b)
+    pool.release(a)
+    assert pool.acquire(8)[0] == b
+    assert pool.acquire(8)[0] == a
+
+
+def test_protect_failure_returns_the_slot_to_the_front():
+    pool = make_pool(slot_count=4, max_live=4)
+    front = pool._free_list[0]
+    protect = pool.vm.protect
+
+    def failing(*args):
+        raise OSError("injected")
+
+    pool.vm.protect = failing
+    assert pool.acquire(8) is None
+    pool.vm.protect = protect
+    assert pool.protect_failure_count == 1
+    assert pool.live_count == 0
+    assert pool.acquire(8)[0] == front
 
 
 def test_initial_slot_order_is_seed_deterministic():
@@ -213,7 +232,7 @@ def test_classify_slot_states():
 
 
 def test_classify_guard_attribution_prefers_allocated():
-    pool = make_pool(slot_count=4, max_live=4, quarantine_min_slots=0)
+    pool = make_pool(slot_count=4, max_live=4)
     # Arrange: slot A allocated, slot A+1 quarantined, look at the guard
     # between them.
     a, _ = pool.acquire(8)
@@ -289,5 +308,3 @@ def test_config_validation():
         GuardedPool(PoolConfig(slot_count=0), vm)
     with pytest.raises(ValueError):
         GuardedPool(PoolConfig(slot_count=2, max_live=3), vm)
-    with pytest.raises(ValueError):
-        GuardedPool(PoolConfig(slot_count=2, quarantine_min_slots=-1), vm)

@@ -484,15 +484,13 @@ def make_env(
 def tracked_alloc(pool, store, size=41, alignment=1, thread_id=5):
     slot_index, addr = pool.acquire(size, alignment)
     slot = pool.slots[slot_index]
-    slot.metadata_index, slot.metadata_seq = store.store_alloc(
-        slot_index, size, thread_id, [0x100, 0x200]
-    )
+    slot.metadata_seq = store.store_alloc(slot_index, size, thread_id, [0x100, 0x200])
     return slot_index, addr
 
 
 def tracked_free(pool, store, slot_index, thread_id=5):
     slot = pool.slots[slot_index]
-    store.store_dealloc(slot.metadata_index, slot.metadata_seq, thread_id, [0x300])
+    store.store_dealloc(slot_index, slot.metadata_seq, thread_id, [0x300])
     pool.release(slot_index)
 
 
@@ -595,11 +593,12 @@ def test_allocated_slot_classification_is_indeterminate():
 
 
 def test_recycled_metadata_degrades_to_lost():
+    # The slot is reused (its record rewritten) between the victim's
+    # release and the fault's snapshot: the old sequence no longer matches.
     vm, pool, store, sink, reporter = make_env()
     slot_index, addr = tracked_alloc(pool, store)
     pool.release(slot_index)  # no dealloc evidence recorded
-    for burst in range(store.capacity):  # recycle the victim's record
-        store.store_alloc(99, 1, 1, [0x1])
+    store.store_alloc(slot_index, 1, 1, [0x1])
     with pytest.raises(SegmentationFault):
         vm.read(addr, 1)
     report = parse_report(sink.getvalue())
@@ -607,6 +606,18 @@ def test_recycled_metadata_degrades_to_lost():
     assert report.metadata_lost
     assert report.allocation_address == addr
     assert report.allocation_size == 41  # geometry survives on the slot
+    assert report.alloc_trace is None
+
+    # A slot acquired but never given a record reports lost evidence too.
+    vm, pool, store, sink, reporter = make_env(side=AlignmentSide.RIGHT)
+    slot_index, addr = pool.acquire(41, 1)
+    with pytest.raises(SegmentationFault):
+        vm.read(addr + 41, 1)
+    report = parse_report(sink.getvalue())
+    assert report.kind is ReportKind.BUFFER_OVERFLOW
+    assert report.metadata_lost
+    assert report.allocation_address == addr
+    assert report.allocation_size == 41
     assert report.alloc_trace is None
 
 

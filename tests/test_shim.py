@@ -406,6 +406,48 @@ def test_use_after_free_through_the_shim_has_both_traces():
     assert report.allocation_size == 41
 
 
+def test_live_allocation_keeps_its_evidence_through_churn():
+    allocator = GuardianAllocator(GuardianConfig(sample_rate=1, sink=io.StringIO()))
+    pool = allocator.pool
+    victim = guarded_malloc(allocator, 41)
+    slot_index = pool.classify_address(victim).slot_index
+    for _ in range(10 * pool.slot_count):
+        allocator.free(guarded_malloc(allocator, 32))
+    assert pool.acquire_count == 10 * pool.slot_count + 1
+    with pytest.raises(SegmentationFault):
+        allocator.vm.read(pool.slot_page_addr(slot_index) + pool.page_size, 1)
+    report = parse_report(allocator.config.sink.getvalue())
+    assert report.kind is ReportKind.BUFFER_OVERFLOW
+    assert not report.metadata_lost
+    assert report.allocation_address == victim
+    assert report.allocation_size == 41
+    assert report.alloc_thread == threading.get_ident()
+    assert report.alloc_trace
+
+
+def test_freed_allocation_keeps_both_stacks_until_its_slot_is_reused():
+    allocator = GuardianAllocator(GuardianConfig(sample_rate=1, sink=io.StringIO()))
+    pool, sink = allocator.pool, allocator.config.sink
+    victim = guarded_malloc(allocator, 41)
+    slot_index = pool.classify_address(victim).slot_index
+    seq = pool.slots[slot_index].metadata_seq
+    allocator.free(victim)
+    # FIFO: every other slot is served once before the victim's comes back.
+    for _ in range(pool.slot_count - 1):
+        allocator.free(guarded_malloc(allocator, 32))
+    assert pool.slots[slot_index].state is SlotState.QUARANTINED
+    with pytest.raises(SegmentationFault):
+        allocator.vm.read(victim, 1)
+    report = parse_report(sink.getvalue())
+    assert report.kind is ReportKind.USE_AFTER_FREE
+    assert not report.metadata_lost
+    assert report.allocation_size == 41
+    assert report.alloc_trace and report.dealloc_trace
+    allocator.free(guarded_malloc(allocator, 32))
+    assert pool.acquire_count == pool.slot_count + 1
+    assert allocator.store.snapshot(slot_index, seq) is None
+
+
 def test_overflow_through_the_shim():
     allocator, sink = make_allocator(
         force_alignment_side=AlignmentSide.RIGHT, min_alignment=1
