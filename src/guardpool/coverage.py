@@ -4,9 +4,11 @@ With a small pool, one hot allocation site can monopolize every slot
 and starve rare call sites of coverage.  The policy: while pool
 utilization is below a threshold, admit everything; at or above it,
 admit only call sites that do not already hold a slot.  Site identity
-is a 64-bit hash of the allocation stack trace, membership is tracked
-in a counting Bloom filter sized for trivial memory cost, and counters
-saturate rather than wrap so a degraded filter errs toward admitting.
+is a 64-bit hash of the allocation stack trace, and membership is
+tracked in a counting Bloom filter whose counters count exactly: a
+counter never exceeds the number of live guarded allocations, which
+the pool's max_live bounds, so it never saturates, a freed site always
+drops out, and the filter never needs a rebuild.
 
 All mutation happens under the owning allocator's pool lock; query is
 read-only and safe anywhere.
@@ -36,20 +38,20 @@ def source_of(trace: Sequence[int]) -> int:
 class CoverageFilter:
     """Counting Bloom filter keyed by allocation-site hash.
 
-    counter_bits=4 gives saturation at 15; a saturated counter is never
-    decremented (the count is no longer trustworthy), so heavy churn
-    through one site can only make the filter over-admit, never drop a
-    live site.  needs_rebuild() reports when saturation has accumulated
-    enough that the owner should rebuild from the live slots.
+    Each counter holds the exact number of live insertions that hash to
+    it, at most the pool's max_live, so remove() undoes insert() exactly: a live
+    site is never missed, and a site whose slots are all freed reads
+    absent unless another live site shares all its counters.
     """
+
+    # Always 0: counts are exact.  perfbench/tracer.py is its only reader.
+    saturated_count = 0
 
     def __init__(
         self,
         counters: int = 1024,
         hashes: int = 2,
         utilization_threshold: float = 0.75,
-        counter_bits: int = 4,
-        rebuild_saturation_fraction: float = 0.01,
     ):
         if counters < 1 or counters & (counters - 1):
             raise ValueError(f"counters must be a power of two, got {counters}")
@@ -62,10 +64,7 @@ class CoverageFilter:
         self.counters = counters
         self.hashes = hashes
         self.utilization_threshold = utilization_threshold
-        self.counter_max = (1 << counter_bits) - 1
-        self.rebuild_saturation_fraction = rebuild_saturation_fraction
         self._table = [0] * counters
-        self._saturated = 0
 
     def _indexes(self, source: int) -> list[int]:
         # Double hashing from the two 32-bit halves; the odd step makes
@@ -76,20 +75,13 @@ class CoverageFilter:
 
     def insert(self, source: int) -> None:
         for idx in self._indexes(source):
-            count = self._table[idx]
-            if count >= self.counter_max:
-                continue
-            self._table[idx] = count + 1
-            if count + 1 == self.counter_max:
-                self._saturated += 1
+            self._table[idx] += 1
 
     def remove(self, source: int) -> None:
-        """Decrement the source's counters; saturated counters stay put."""
+        """Decrement the source's counters, never below zero."""
         for idx in self._indexes(source):
-            count = self._table[idx]
-            if count >= self.counter_max or count == 0:
-                continue
-            self._table[idx] = count - 1
+            if self._table[idx]:
+                self._table[idx] -= 1
 
     def query(self, source: int) -> bool:
         """True if the source may hold a slot (no false negatives)."""
@@ -101,16 +93,12 @@ class CoverageFilter:
             return True
         return not self.query(source)
 
-    @property
-    def saturated_count(self) -> int:
-        return self._saturated
-
-    def needs_rebuild(self) -> bool:
-        return self._saturated > self.rebuild_saturation_fraction * self.counters
-
     def rebuild(self, live_sources: Iterable[int]) -> None:
-        """Reset and re-insert the given live sources (under the pool lock)."""
+        """Reset and re-insert the given live sources.
+
+        Nothing in guardpool calls it; it stays because
+        perfbench/tracer.py, its only reader, wraps it.
+        """
         self._table = [0] * self.counters
-        self._saturated = 0
         for source in live_sources:
             self.insert(source)

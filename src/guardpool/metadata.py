@@ -227,7 +227,6 @@ class MetadataStore:
         self.max_frames = max_frames
         self._records = [AllocationMetadata() for _ in range(capacity)]
         self._next_seq = 1
-        self._trace_bytes = 0
 
     def store_alloc(
         self, slot_index: int, size: int, thread_id: int, trace: Sequence[int]
@@ -238,7 +237,6 @@ class MetadataStore:
         self._next_seq += 1
 
         compressed = compress_trace(list(trace)[: self.max_frames])
-        self._trace_bytes -= self._record_trace_bytes(record)
 
         record.version += 1  # odd: readers retry
         record.alloc_seq = seq
@@ -248,8 +246,6 @@ class MetadataStore:
         record.dealloc_thread = None
         record.dealloc_trace = None
         record.version += 1  # even: readers may proceed
-
-        self._trace_bytes += self._record_trace_bytes(record)
         return seq
 
     def store_dealloc(
@@ -264,12 +260,10 @@ class MetadataStore:
         if record.alloc_seq != alloc_seq:
             return False
         compressed = compress_trace(list(trace)[: self.max_frames])
-        self._trace_bytes -= self._record_trace_bytes(record)
         record.version += 1
         record.dealloc_thread = thread_id
         record.dealloc_trace = compressed
         record.version += 1
-        self._trace_bytes += self._record_trace_bytes(record)
         return True
 
     def snapshot(
@@ -305,8 +299,12 @@ class MetadataStore:
         return None
 
     def accounted_trace_bytes(self) -> int:
-        """Total bytes currently held by compressed traces."""
-        return self._trace_bytes
+        """Total bytes currently held by compressed traces.
+
+        Sums the per-slot records, so call it where writers are excluded
+        (under the pool lock) to never see a half-written record.
+        """
+        return sum(self._record_trace_bytes(record) for record in self._records)
 
     def _record_trace_bytes(self, record: AllocationMetadata) -> int:
         # Frameless placeholders hold no trace memory worth accounting.

@@ -31,7 +31,6 @@ from .pool import (
     GuardedPool,
     PoolConfig,
     PoolUnavailableError,
-    SlotState,
 )
 from .reporter import (
     AccessType,
@@ -143,7 +142,6 @@ class GuardianConfig:
     recoverable: bool = False
     min_alignment: int = 16
     force_alignment_side: Optional[AlignmentSide] = None
-    coverage_enabled: bool = True
     coverage_threshold: float = 0.75
     sink: Optional[TextIO] = None
     enabled: bool = True  # False models running with no tool linked in
@@ -218,8 +216,7 @@ class GuardianAllocator:
         )
         self.pool = GuardedPool(pool_config, self.vm)
         self.store = MetadataStore(cfg.slot_count, cfg.max_frames)
-        if cfg.coverage_enabled:
-            self.coverage = CoverageFilter(utilization_threshold=cfg.coverage_threshold)
+        self.coverage = CoverageFilter(utilization_threshold=cfg.coverage_threshold)
         self.reporter = Reporter(
             self.pool,
             self.store,
@@ -340,13 +337,10 @@ class GuardianAllocator:
         trace = capture_trace(self.config.max_frames)
         thread_id = threading.get_ident()
         with pool.lock:
-            source = None
-            if self.coverage is not None:
-                source = source_of(trace)
-                utilization = pool.live_count / pool.max_live
-                if not self.coverage.admit(utilization, source):
-                    self.stats.coverage_rejected += 1
-                    return self.fallback.malloc(size, effective_alignment)
+            source = source_of(trace)
+            if not self.coverage.admit(pool.live_count / pool.max_live, source):
+                self.stats.coverage_rejected += 1
+                return self.fallback.malloc(size, effective_alignment)
             acquired = pool.acquire(size, effective_alignment)
             if acquired is None:
                 self.stats.pool_unavailable += 1
@@ -354,15 +348,8 @@ class GuardianAllocator:
             slot_index, user_address = acquired
             slot = pool.slots[slot_index]
             slot.metadata_seq = self.store.store_alloc(slot_index, size, thread_id, trace)
-            if self.coverage is not None:
-                slot.coverage_source = source
-                self.coverage.insert(source)
-                if self.coverage.needs_rebuild():
-                    self.coverage.rebuild(
-                        s.coverage_source
-                        for s in pool.slots
-                        if s.coverage_source is not None and s.state is SlotState.ALLOCATED
-                    )
+            slot.coverage_source = source
+            self.coverage.insert(source)
             self.stats.guarded += 1
             return user_address
 
@@ -382,8 +369,7 @@ class GuardianAllocator:
                         threading.get_ident(),
                         capture_trace(self.config.max_frames),
                     )
-                    if self.coverage is not None and slot.coverage_source is not None:
-                        self.coverage.remove(slot.coverage_source)
+                    self.coverage.remove(slot.coverage_source)
                     pool.release(slot_index)
                     return
                 report = self._free_error_report(
@@ -420,15 +406,14 @@ class GuardianAllocator:
         Guard pages and quarantined pages are reserved but never
         touched, so they cost address space, not memory.
         """
-        if self.pool is None:
+        pool = self.pool
+        if pool is None:
             return 0
-        slot_bytes = self.pool.max_live * self.pool.page_size
-        metadata_bytes = 0
-        if self.store is not None:
-            per_record_overhead = 64  # fixed fields of one record
-            metadata_bytes = (
-                self.store.capacity * per_record_overhead
-                + self.store.accounted_trace_bytes()
-            )
-        filter_bytes = self.coverage.counters // 2 if self.coverage is not None else 0
+        slot_bytes = pool.max_live * pool.page_size
+        per_record_overhead = 64  # fixed fields of one record
+        with pool.lock:
+            trace_bytes = self.store.accounted_trace_bytes()
+        metadata_bytes = self.store.capacity * per_record_overhead + trace_bytes
+        # A counter never exceeds max_live, so max_live's bit length suffices.
+        filter_bytes = -(-self.coverage.counters * pool.max_live.bit_length() // 8)
         return slot_bytes + metadata_bytes + filter_bytes

@@ -1,6 +1,7 @@
 """Allocator front end: routing, free-path validation, passthrough cost model."""
 
 import io
+import random
 import sys
 import threading
 
@@ -243,7 +244,7 @@ def test_oversized_request_is_a_wasted_sample():
 
 
 def test_pool_exhaustion_falls_back():
-    allocator, _ = make_allocator(slot_count=2, coverage_enabled=False)
+    allocator, _ = make_allocator(slot_count=2)
     live = [guarded_malloc(allocator, 16) for _ in range(2)]
     assert all(allocator.is_guarded(a) for a in live)
     for _ in range(64):
@@ -324,6 +325,38 @@ def test_freeing_reopens_coverage_for_the_site():
         allocator.free(addr)
     again = sampled_call(allocator, hot)
     assert allocator.is_guarded(again)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_coverage_counters_drain_to_zero(seed):
+    # Twelve call sites, told apart by recursion depth, churn through a
+    # 240-entry ring on a 256-slot pool at rate 1, so a site holds more
+    # than 15 slots at once.  Once everything is freed, no site may
+    # still read as holding a slot.
+    allocator, _ = make_allocator(slot_count=256, seed=seed)
+    rng = random.Random(seed)
+
+    def site(depth):
+        return site(depth - 1) if depth else allocator.malloc(16)
+
+    ring = []
+    held = [0] * 12
+    peak = 0
+    for _ in range(3000):
+        depth = rng.randrange(12)
+        addr = site(depth)
+        ring.append((addr, depth))
+        held[depth] += allocator.is_guarded(addr)
+        peak = max(peak, held[depth])
+        if len(ring) > 240:
+            addr, depth = ring.pop(0)
+            held[depth] -= allocator.is_guarded(addr)
+            allocator.free(addr)
+    for addr, _ in ring:
+        allocator.free(addr)
+    assert allocator.pool.live_count == 0
+    assert allocator.coverage._table == [0] * allocator.coverage.counters
+    assert peak > 15
 
 
 # -- free-path validation -----------------------------------------------------
