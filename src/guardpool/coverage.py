@@ -21,18 +21,29 @@ from typing import Iterable, Sequence
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+_FINAL_MULTIPLIER = 0xD6E8FEB86659FD93
 
 # Hash of the empty trace: capture failures still get a stable identity.
 EMPTY_TRACE_SOURCE = _FNV_OFFSET
 
 
 def source_of(trace: Sequence[int]) -> int:
-    """FNV-1a over the trace pcs, each folded in as 8 LE bytes."""
+    """FNV-1a over the trace pcs, one 64-bit word per pc, then a finaliser.
+
+    A word fold leaves the low bits of the hash a function of the pcs'
+    low bits alone, and _indexes probes from those bits; the
+    xor-shift-multiply finaliser mixes the high bits back down.
+    """
+    if not trace:
+        return EMPTY_TRACE_SOURCE
+    mask = _MASK64
+    prime = _FNV_PRIME
     h = _FNV_OFFSET
     for pc in trace:
-        for byte in (pc & _MASK64).to_bytes(8, "little"):
-            h = ((h ^ byte) * _FNV_PRIME) & _MASK64
-    return h
+        h = ((h ^ (pc & mask)) * prime) & mask
+    h ^= h >> 32
+    h = (h * _FINAL_MULTIPLIER) & mask
+    return h ^ (h >> 32)
 
 
 class CoverageFilter:

@@ -38,15 +38,12 @@ _TOOL_MODULES = frozenset(
 )
 
 
-def _frame_pc(frame) -> int:
-    return (id(frame.f_code) + max(frame.f_lasti, 0)) & _MASK64
-
-
 def capture_trace(max_frames: int = DEFAULT_MAX_FRAMES) -> list[int]:
     """Capture up to max_frames pcs, innermost first, skipping tool frames.
 
-    Returns an empty list when unwinding is unavailable or fails; an
-    empty trace renders as <unavailable> rather than aborting a report.
+    A frame's pc is id(f_code) + f_lasti.  Returns an empty list when
+    unwinding is unavailable or fails; an empty trace renders as
+    <unavailable> rather than aborting a report.
     """
     if max_frames <= 0:
         return []
@@ -58,9 +55,14 @@ def capture_trace(max_frames: int = DEFAULT_MAX_FRAMES) -> list[int]:
     except ValueError:
         return []
     pcs: list[int] = []
-    while frame is not None and len(pcs) < max_frames:
-        if frame.f_globals.get("__name__") not in _TOOL_MODULES:
-            pcs.append(_frame_pc(frame))
+    append = pcs.append
+    tool_modules = _TOOL_MODULES
+    while frame is not None:
+        if frame.f_globals.get("__name__") not in tool_modules:
+            lasti = frame.f_lasti
+            append((id(frame.f_code) + (lasti if lasti > 0 else 0)) & _MASK64)
+            if len(pcs) == max_frames:
+                break
         frame = frame.f_back
     return pcs
 
@@ -146,26 +148,51 @@ class CompressedTrace:
 
 
 def compress_trace(pcs: Sequence[int]) -> CompressedTrace:
+    """zigzag_encode + uleb128_encode of each delta, inlined into one loop."""
     if not pcs:
         return CompressedTrace(0, 0, b"")
     out = bytearray()
-    prev = pcs[0]
-    for pc in pcs[1:]:
-        out += uleb128_encode(zigzag_encode(pc - prev))
+    append = out.append
+    frames = iter(pcs)
+    first = prev = next(frames)
+    for pc in frames:
+        delta = pc - prev
         prev = pc
-    return CompressedTrace(len(pcs), pcs[0] & _MASK64, bytes(out))
+        # zigzag: 2d for d >= 0, -2d - 1 == ~(2d) below zero.
+        value = delta << 1 if delta >= 0 else ~(delta << 1)
+        while value > 0x7F:
+            append((value & 0x7F) | 0x80)
+            value >>= 7
+        append(value)
+    return CompressedTrace(len(pcs), first & _MASK64, bytes(out))
 
 
 def decompress_trace(trace: CompressedTrace) -> list[int]:
-    if trace.frame_count == 0:
+    """Inverse of compress_trace; ValueError on truncated or trailing deltas."""
+    count = trace.frame_count
+    if count == 0:
         return []
-    pcs = [trace.first_pc]
+    data = trace.deltas
+    end = len(data)
+    pc = trace.first_pc
+    pcs = [pc]
+    append = pcs.append
     pos = 0
-    for _ in range(trace.frame_count - 1):
-        encoded, pos = uleb128_decode(trace.deltas, pos)
-        pcs.append(pcs[-1] + zigzag_decode(encoded))
-    if pos != len(trace.deltas):
-        raise ValueError(f"{len(trace.deltas) - pos} trailing bytes after deltas")
+    for _ in range(count - 1):
+        value = shift = 0
+        while True:
+            if pos >= end:
+                raise ValueError("truncated uleb128 sequence")
+            byte = data[pos]
+            pos += 1
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                break
+            shift += 7
+        pc += ~(value >> 1) if value & 1 else value >> 1
+        append(pc)
+    if pos != end:
+        raise ValueError(f"{end - pos} trailing bytes after deltas")
     return pcs
 
 
@@ -236,7 +263,7 @@ class MetadataStore:
         seq = self._next_seq
         self._next_seq += 1
 
-        compressed = compress_trace(list(trace)[: self.max_frames])
+        compressed = compress_trace(trace[: self.max_frames])
 
         record.version += 1  # odd: readers retry
         record.alloc_seq = seq
@@ -259,7 +286,7 @@ class MetadataStore:
         record = self._records[slot_index]
         if record.alloc_seq != alloc_seq:
             return False
-        compressed = compress_trace(list(trace)[: self.max_frames])
+        compressed = compress_trace(trace[: self.max_frames])
         record.version += 1
         record.dealloc_thread = thread_id
         record.dealloc_trace = compressed

@@ -289,12 +289,16 @@ class GuardianAllocator:
 
     def usable_size(self, addr: int) -> int:
         if self._pool_lo <= addr < self._pool_hi:
-            classification = self.pool.classify_address(addr)
-            if classification.kind is AddressKind.ALLOCATED_SLOT:
+            pool = self.pool
+            classification = pool.classify_address(addr)
+            slot_index = classification.slot_index
+            if (classification.kind is AddressKind.ALLOCATED_SLOT
+                    and addr == pool.user_address(slot_index)):
                 # Requested size, not page capacity: keeps byte-exact
                 # bounds so off-by-one reads past the request still
                 # look like bugs to callers honoring usable_size.
-                return self.pool.slots[classification.slot_index].user_size
+                return pool.slots[slot_index].user_size
+            # Like the host: only the start of a live block has a size.
             raise ValueError(f"0x{addr:x} is not a live guarded allocation")
         return self.fallback.usable_size(addr)
 
@@ -326,17 +330,21 @@ class GuardianAllocator:
         return self.fallback.malloc(size, alignment or self._min_alignment)
 
     def _guarded_malloc(self, size: int, alignment: int) -> int:
-        self.stats.sampled += 1
+        # Every stats counter moves under pool.lock, so sampled always
+        # equals guarded + coverage_rejected + pool_unavailable + oversized.
         pool = self.pool
         effective_alignment = max(alignment, self._min_alignment)
         if size <= 0 or size > pool.page_size or effective_alignment > pool.page_size:
             # Wasted sample: the request cannot be guarded.
-            self.stats.oversized += 1
+            with pool.lock:
+                self.stats.sampled += 1
+                self.stats.oversized += 1
             return self.fallback.malloc(size, alignment or self._min_alignment)
 
         trace = capture_trace(self.config.max_frames)
         thread_id = threading.get_ident()
         with pool.lock:
+            self.stats.sampled += 1
             source = source_of(trace)
             if not self.coverage.admit(pool.live_count / pool.max_live, source):
                 self.stats.coverage_rejected += 1

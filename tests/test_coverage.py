@@ -26,6 +26,20 @@ def test_source_fits_64_bits():
     assert 0 <= source_of([2**64 - 1, 0, 12345]) < 2**64
 
 
+def test_single_bit_flips_spread_into_the_low_bits():
+    # _indexes probes from the low bits of a source.  A plain word fold
+    # leaves them a function of the pcs' low bits only, so two sites
+    # whose pcs differ only above bit 10 would share every first probe.
+    import random
+
+    rng = random.Random(2024)
+    xs = [rng.getrandbits(64) for _ in range(2000)]
+    for k in range(10, 61):
+        differ = sum(
+            (source_of([x]) ^ source_of([x ^ (1 << k)])) & 0x3FF != 0 for x in xs)
+        assert differ >= 0.9 * len(xs), (k, differ)
+
+
 def test_insert_then_query():
     bloom = CoverageFilter()
     source = source_of([0x10, 0x20])

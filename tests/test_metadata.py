@@ -314,3 +314,125 @@ def test_max_frames_truncates_stored_traces():
 def test_capacity_validated():
     with pytest.raises(ValueError):
         MetadataStore(capacity=0)
+
+
+# -- the one-loop coders and capture against the helper-built reference -------
+#
+# compress_trace, decompress_trace and capture_trace inline their helpers
+# into single loops.  The references below are the earlier helper-based
+# versions, kept verbatim in shape: the wire bytes are a contract, and
+# capture must keep the same pcs in the same order.
+
+
+def _reference_compress(pcs):
+    if not pcs:
+        return CompressedTrace(0, 0, b"")
+    out = bytearray()
+    prev = pcs[0]
+    for pc in pcs[1:]:
+        out += uleb128_encode(zigzag_encode(pc - prev))
+        prev = pc
+    return CompressedTrace(len(pcs), pcs[0] & ((1 << 64) - 1), bytes(out))
+
+
+def _reference_decompress(trace):
+    if trace.frame_count == 0:
+        return []
+    pcs = [trace.first_pc]
+    pos = 0
+    for _ in range(trace.frame_count - 1):
+        encoded, pos = uleb128_decode(trace.deltas, pos)
+        pcs.append(pcs[-1] + zigzag_decode(encoded))
+    if pos != len(trace.deltas):
+        raise ValueError(f"{len(trace.deltas) - pos} trailing bytes after deltas")
+    return pcs
+
+
+def _pc_lists():
+    """0-65 pcs of one width, in any order or sorted descending."""
+    widths = st.sampled_from([8, 20, 48, 64])
+    pcs = widths.flatmap(
+        lambda bits: st.lists(st.integers(0, (1 << bits) - 1), max_size=65))
+    return st.tuples(pcs, st.booleans()).map(
+        lambda drawn: sorted(drawn[0], reverse=True) if drawn[1] else drawn[0])
+
+
+@settings(max_examples=300)
+@given(_pc_lists())
+def test_compress_is_byte_equal_to_the_helper_encoding(pcs):
+    got = compress_trace(pcs)
+    want = _reference_compress(pcs)
+    assert got == want
+    assert got.to_bytes() == want.to_bytes()
+
+
+@settings(max_examples=300)
+@given(_pc_lists())
+def test_decompress_matches_the_helper_decoding(pcs):
+    trace = _reference_compress(pcs)
+    assert decompress_trace(trace) == _reference_decompress(trace) == pcs
+
+
+def _outcome(fn, trace):
+    try:
+        return fn(trace)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=300)
+@given(_pc_lists(), st.data())
+def test_decompress_raises_like_the_helpers_on_bad_deltas(pcs, data):
+    trace = _reference_compress(pcs)
+    cut = data.draw(st.integers(0, len(trace.deltas)))
+    extra = data.draw(st.binary(max_size=4))
+    truncated = CompressedTrace(trace.frame_count, trace.first_pc, trace.deltas[:cut])
+    trailing = CompressedTrace(trace.frame_count, trace.first_pc, trace.deltas + extra)
+    for bad in (truncated, trailing):
+        assert _outcome(decompress_trace, bad) == _outcome(_reference_decompress, bad)
+    if cut < len(trace.deltas):
+        with pytest.raises(ValueError, match="truncated"):
+            decompress_trace(truncated)
+    if extra and pcs:
+        with pytest.raises(ValueError, match="trailing"):
+            decompress_trace(trailing)
+
+
+def _reference_capture(max_frames=64):
+    import guardpool.metadata as metadata_module
+
+    if max_frames <= 0:
+        return []
+    frame = sys._getframe(1)
+    pcs = []
+    while frame is not None and len(pcs) < max_frames:
+        if frame.f_globals.get("__name__") not in metadata_module._TOOL_MODULES:
+            pcs.append((id(frame.f_code) + max(frame.f_lasti, 0)) & ((1 << 64) - 1))
+        frame = frame.f_back
+    return pcs
+
+
+# A frame whose module name is a tool module's: capture must skip it.
+_tool_globals = {"__name__": "guardpool.shim"}
+exec("def tool_hop(fn, *args):\n    return fn(*args)\n", _tool_globals)
+_tool_hop = _tool_globals["tool_hop"]
+
+
+@pytest.mark.parametrize("max_frames", [1, 5, 64])
+def test_capture_matches_the_frame_pc_loop(max_frames):
+    def both():
+        # One call site for both, so the caller's pc is the same for each.
+        return [capture(max_frames) for capture in (capture_trace, _reference_capture)]
+
+    def recurse(n):
+        if n == 0:
+            return both()
+        if n % 3 == 0:
+            return _tool_hop(recurse, n - 1)
+        return recurse(n - 1)
+
+    for depth in range(71):
+        got, want = recurse(depth)
+        assert got == want, depth
+        assert 0 < len(got) <= max_frames
+    assert len(got) == max_frames  # depth 70 is deeper than every cap

@@ -205,6 +205,79 @@ def test_unlocked_countdown_keeps_sampling_under_threads():
     assert allocator.stats.sampled > sampled
 
 
+def _sampled_outcomes_add_up(stats):
+    return stats.sampled == (
+        stats.guarded + stats.coverage_rejected + stats.pool_unavailable + stats.oversized)
+
+
+def _sampling_churn(allocator, rounds, seed):
+    # Rate 1 on a small pool: every sampled call ends as guarded,
+    # coverage-rejected, pool-unavailable or oversized (every 7th asks
+    # for more than a page).  Four sites keep coverage admission busy.
+    rng = random.Random(seed)
+    live = []
+
+    def site(depth, size):
+        return site(depth - 1, size) if depth else allocator.malloc(size)
+
+    for i in range(rounds):
+        live.append(site(rng.randrange(4), 4097 if i % 7 == 0 else 16))
+        if len(live) > 6:
+            allocator.free(live.pop(rng.randrange(len(live))))
+    for addr in live:
+        allocator.free(addr)
+
+
+def test_sampled_counts_add_up_on_one_thread():
+    allocator, _ = make_allocator(slot_count=8, max_live=4)
+    _sampling_churn(allocator, 3000, seed=1)
+    stats = allocator.stats
+    assert stats.guarded and stats.coverage_rejected and stats.oversized
+    assert stats.pool_unavailable
+    assert _sampled_outcomes_add_up(stats)
+
+
+def test_sampled_counts_add_up_under_threads():
+    # Four churning threads, and an observer that reads the counters
+    # under pool.lock the whole time: the identity must hold at every
+    # moment the lock is free, not only once the threads are done.
+    allocator, _ = make_allocator(slot_count=8, max_live=4)
+    errors = []
+    torn = [0]
+    done = threading.Event()
+
+    def worker(seed):
+        try:
+            _sampling_churn(allocator, 3000, seed)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    def observer():
+        stats = allocator.stats
+        while not done.is_set():
+            with allocator.pool.lock:
+                torn[0] += not _sampled_outcomes_add_up(stats)
+
+    workers = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+    watcher = threading.Thread(target=observer)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        watcher.start()
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=120)
+    finally:
+        done.set()
+        watcher.join(timeout=120)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in workers + [watcher])
+    assert errors == []
+    assert torn == [0], "observer saw sampled out of step with its outcomes"
+    assert _sampled_outcomes_add_up(allocator.stats), allocator.stats
+
+
 # -- routing ------------------------------------------------------------------
 
 
@@ -557,6 +630,20 @@ def test_usable_size_is_the_requested_size():
     allocator.free(addr)
     with pytest.raises(ValueError):
         allocator.usable_size(addr)
+
+
+def test_usable_size_of_an_interior_guarded_pointer_is_a_value_error():
+    # The host only sizes the start of a live block; a guarded one must
+    # answer the same way for any other address in its slot.
+    allocator, _ = make_allocator(slot_count=4)
+    addr = guarded_malloc(allocator, 32)
+    for inside in (addr + 1, addr + 16, addr + 31):
+        with pytest.raises(ValueError):
+            allocator.usable_size(inside)
+    assert allocator.usable_size(addr) == 32
+    host_ptr = allocator.fallback.malloc(32, 16)
+    with pytest.raises(ValueError):
+        allocator.fallback.usable_size(host_ptr + 1)
 
 
 def test_destroy_detaches_but_keeps_the_reservation():
