@@ -18,15 +18,12 @@ from .pool import (
     AddressKind,
     AlignmentSide,
     GuardedPool,
-    PoolConfig,
     PoolUnavailableError,
     SlotState,
 )
 from .reporter import (
-    AccessType,
     ErrorReport,
     Reporter,
-    ReporterConfig,
     ReportKind,
     ReportParseError,
     parse_report,
@@ -34,14 +31,13 @@ from .reporter import (
 )
 from .sampler import (
     CounterSampler,
-    ProcessSampleConfig,
     TimerGate,
     Xorshift64Star,
     process_sampling_decision,
 )
 from .shim import AllocatorStats, FallbackAllocator, GuardianAllocator, GuardianConfig
 from .vmem import (
-    AccessKind,
+    AccessType,
     FaultAction,
     FaultInfo,
     PROT_NONE,
@@ -54,7 +50,6 @@ from .vmem import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccessKind",
     "AccessType",
     "AddressClassification",
     "AddressKind",
@@ -71,14 +66,11 @@ __all__ = [
     "GuardianAllocator",
     "GuardianConfig",
     "MetadataStore",
-    "PoolConfig",
     "PoolUnavailableError",
-    "ProcessSampleConfig",
     "PROT_NONE",
     "PROT_READ",
     "PROT_WRITE",
     "Reporter",
-    "ReporterConfig",
     "ReportKind",
     "ReportParseError",
     "SegmentationFault",

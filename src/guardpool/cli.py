@@ -37,37 +37,17 @@ EXIT_OK = 0
 EXIT_UNDETECTED = 2
 EXIT_CONFIG = 3
 
-_INJECT_KINDS = {
-    "uaf": ReportKind.USE_AFTER_FREE,
-    "overflow": ReportKind.BUFFER_OVERFLOW,
-    "underflow": ReportKind.BUFFER_UNDERFLOW,
-    "double-free": ReportKind.DOUBLE_FREE,
-    "invalid-free": ReportKind.INVALID_FREE,
-}
-
-# Scenario defaults chosen to reproduce the canonical report wording:
-# a write 8 bytes into a freed 41-byte allocation, a read 2 bytes left
-# of a live one.
-_DEFAULT_ACCESS = {
-    "uaf": "write",
-    "overflow": "read",
-    "underflow": "read",
-    "double-free": None,
-    "invalid-free": None,
-}
-_DEFAULT_BYTES = {
-    "uaf": 8,
-    "overflow": 1,
-    "underflow": 2,
-    "double-free": 0,
-    "invalid-free": 1,
-}
-_DEFAULT_SIDE = {
-    "uaf": "left",
-    "overflow": "right",
-    "underflow": "left",
-    "double-free": "left",
-    "invalid-free": "left",
+# Each injection's expected report and its scenario defaults, chosen to
+# reproduce the canonical report wording: a write 8 bytes into a freed
+# 41-byte allocation, a read 2 bytes left of a live one.  The free
+# scenarios make no access.
+_INJECTIONS = {
+    # kind: (expected report, --access, --bytes, --align-side)
+    "uaf": (ReportKind.USE_AFTER_FREE, "write", 8, "left"),
+    "overflow": (ReportKind.BUFFER_OVERFLOW, "read", 1, "right"),
+    "underflow": (ReportKind.BUFFER_UNDERFLOW, "read", 2, "left"),
+    "double-free": (ReportKind.DOUBLE_FREE, None, 0, "left"),
+    "invalid-free": (ReportKind.INVALID_FREE, None, 1, "left"),
 }
 
 
@@ -100,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     inject = sub.add_parser("inject", parents=[common], help="trigger one bug class")
-    inject.add_argument("kind", choices=sorted(_INJECT_KINDS))
+    inject.add_argument("kind", choices=sorted(_INJECTIONS))
     inject.add_argument("--size", type=int, default=41, help="victim allocation size")
     inject.add_argument(
         "--bytes", type=int, default=None, dest="distance",
@@ -147,9 +127,7 @@ def _allocator_config(args, **overrides) -> GuardianConfig:
         recoverable=args.recoverable,
     )
     kwargs.update(overrides)
-    config = GuardianConfig(**kwargs)
-    config.validate()
-    return config
+    return GuardianConfig(**kwargs)
 
 
 # -- inject ------------------------------------------------------------
@@ -214,15 +192,14 @@ def cmd_inject(args) -> int:
     if not args.in_process:
         return _spawn_child_injection(args)
 
-    distance = args.distance if args.distance is not None else _DEFAULT_BYTES[args.kind]
-    access = args.access or _DEFAULT_ACCESS[args.kind] or "write"
-    side_word = args.align_side or _DEFAULT_SIDE[args.kind]
-    side = AlignmentSide.LEFT if side_word == "left" else AlignmentSide.RIGHT
+    expected, access, distance, side = _INJECTIONS[args.kind]
+    access = args.access or access
+    distance = args.distance if args.distance is not None else distance
 
     sink = io.StringIO()
     config = _allocator_config(
         args,
-        force_alignment_side=side,
+        force_alignment_side=AlignmentSide(args.align_side or side),
         sample_rate=1,
         policy="counter",
         min_alignment=1,
@@ -239,7 +216,6 @@ def cmd_inject(args) -> int:
     text = sink.getvalue()
     sys.stdout.write(text)
     report = _first_report(text)
-    expected = _INJECT_KINDS[args.kind]
     detected = report is not None and report.kind is expected
 
     continuation = None
@@ -290,27 +266,12 @@ def _verify_recovery(alloc, context, size) -> bool:
 
 
 def _spawn_child_injection(args) -> int:
-    # Rebuilt from parsed flags (not sys.argv) so programmatic callers
-    # of main() spawn the right child too.
-    argv = [
-        sys.executable, "-m", "guardpool", "inject", args.kind, "--in-process",
-        "--size", str(args.size),
-        "--seed", str(args.seed),
-        "--slots", str(args.slots),
-        "--sample-rate", str(args.sample_rate),
-        "--format", args.format,
-    ]
-    if args.distance is not None:
-        argv += ["--bytes", str(args.distance)]
-    if args.access is not None:
-        argv += ["--access", args.access]
-    if args.align_side is not None:
-        argv += ["--align-side", args.align_side]
-    if args.max_live is not None:
-        argv += ["--max-live", str(args.max_live)]
-    if args.recoverable:
-        argv.append("--recoverable")
-    child = subprocess.run(argv, capture_output=True, text=True)
+    # main's argv, not sys.argv, so programmatic callers of main() spawn
+    # the right child too.
+    child = subprocess.run(
+        [sys.executable, "-m", "guardpool", *args.argv, "--in-process"],
+        capture_output=True, text=True,
+    )
     sys.stdout.write(child.stdout)
     sys.stderr.write(child.stderr)
     return child.returncode
@@ -561,8 +522,8 @@ _COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return _COMMANDS[args.command](args)
     except ValueError as exc:

@@ -66,24 +66,6 @@ class PoolUnavailableError(Exception):
     """Raised when the pool's reservation cannot be made at init."""
 
 
-@dataclass
-class PoolConfig:
-    slot_count: int = 16
-    max_live: Optional[int] = None  # defaults to slot_count
-    seed: Optional[int] = None
-    force_alignment_side: Optional[AlignmentSide] = None
-
-    def validate(self, page_size: int) -> None:
-        if self.slot_count < 1:
-            raise ValueError(f"slot_count must be >= 1, got {self.slot_count}")
-        if self.max_live is not None and not 1 <= self.max_live <= self.slot_count:
-            raise ValueError(
-                f"max_live must be in [1, {self.slot_count}], got {self.max_live}"
-            )
-        if page_size <= 0 or page_size & (page_size - 1):
-            raise ValueError(f"page size must be a power of two, got {page_size}")
-
-
 class SlotRecord:
     """Mutable per-slot bookkeeping; guarded by the pool lock for writes.
 
@@ -120,16 +102,23 @@ class GuardedPool:
     acquire/release mutate under self.lock (an RLock so the owning
     allocator can hold it across composite operations);
     classify_address is lock-free and safe to call from a fault
-    handler.
+    handler.  max_live (default slot_count) caps the live slots; the
+    caller validates both counts.
     """
 
-    def __init__(self, config: PoolConfig, vm: VirtualMemory):
-        config.validate(vm.page_size)
-        self.config = config
+    def __init__(
+        self,
+        vm: VirtualMemory,
+        slot_count: int = 16,
+        max_live: Optional[int] = None,
+        seed: Optional[int] = None,
+        force_alignment_side: Optional[AlignmentSide] = None,
+    ):
         self.vm = vm
         self.page_size = vm.page_size
-        self.slot_count = config.slot_count
-        self.max_live = config.max_live if config.max_live is not None else config.slot_count
+        self.slot_count = slot_count
+        self.max_live = max_live if max_live is not None else slot_count
+        self.force_alignment_side = force_alignment_side
         self.lock = threading.RLock()
 
         try:
@@ -139,8 +128,7 @@ class GuardedPool:
         self.region_length = (2 * self.slot_count + 1) * self.page_size
 
         self.slots = [SlotRecord(i) for i in range(self.slot_count)]
-        seed = config.seed if config.seed is not None else 0
-        self._rng = Xorshift64Star(splitmix64(seed ^ 0x706F6F6C))
+        self._rng = Xorshift64Star(splitmix64((seed or 0) ^ 0x706F6F6C))
         order = list(range(self.slot_count))
         # Fisher-Yates with the pool rng: slot order is unpredictable to
         # the application but reproducible under a fixed seed.
@@ -165,10 +153,6 @@ class GuardedPool:
 
     def user_address(self, slot_index: int) -> int:
         return self.slot_page_addr(slot_index) + self.slots[slot_index].user_offset
-
-    def contains(self, addr: int) -> bool:
-        """Wait-free region membership test (the is_guarded fast check)."""
-        return self.base <= addr < self.base + self.region_length
 
     # -- lifecycle ---------------------------------------------------
 
@@ -207,9 +191,8 @@ class GuardedPool:
             # place for the quarantine window, so reuse must not leak.
             self.vm.fill(page, self.page_size, 0)
 
-            if self.config.force_alignment_side is not None:
-                side = self.config.force_alignment_side
-            else:
+            side = self.force_alignment_side
+            if side is None:
                 side = AlignmentSide.LEFT if self._rng.below(2) == 0 else AlignmentSide.RIGHT
             if side is AlignmentSide.LEFT:
                 offset = 0
@@ -250,7 +233,7 @@ class GuardedPool:
         overflows are the more common linear-walk failure.  A guard
         with both neighbors Free cannot be attributed.
         """
-        if not self.contains(addr):
+        if not self.base <= addr < self.base + self.region_length:
             return AddressClassification(AddressKind.NOT_OURS)
         page_index, _ = divmod(addr - self.base, self.page_size)
         if page_index % 2 == 1:

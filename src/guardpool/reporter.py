@@ -28,7 +28,7 @@ from typing import Optional, TextIO
 from .metadata import MetadataStore, capture_trace, decompress_trace
 from .pool import AddressClassification, AddressKind, GuardedPool, SlotState
 from .vmem import (
-    AccessKind,
+    AccessType,
     FaultAction,
     FaultInfo,
     PROT_READ,
@@ -62,12 +62,6 @@ _KIND_HEADLINES = {
 }
 
 
-class AccessType(enum.Enum):
-    READ = "read"
-    WRITE = "write"
-    UNKNOWN = "unknown"
-
-
 @dataclass(frozen=True)
 class ErrorReport:
     """Everything a rendered report carries, in structured form.
@@ -97,21 +91,6 @@ class ErrorReport:
         if self.allocation_address is None:
             return None
         return self.access_address - self.allocation_address
-
-
-@dataclass
-class ReporterConfig:
-    recoverable: bool = False
-    sink: Optional[TextIO] = None  # defaults to sys.stderr
-
-
-def determine_access_kind(fault: FaultInfo) -> AccessType:
-    """Decode read/write from the fault context; Unknown when not exposed."""
-    if fault.access is AccessKind.READ:
-        return AccessType.READ
-    if fault.access is AccessKind.WRITE:
-        return AccessType.WRITE
-    return AccessType.UNKNOWN
 
 
 # -- rendering ---------------------------------------------------------
@@ -397,13 +376,14 @@ class Reporter:
         self,
         pool: GuardedPool,
         store: MetadataStore,
-        config: Optional[ReporterConfig] = None,
+        recoverable: bool = False,
+        sink: Optional[TextIO] = None,
         on_disable=None,
     ):
-        self.config = config or ReporterConfig()
         self._pool = pool
         self._store = store
-        self._sink = self.config.sink if self.config.sink is not None else sys.stderr
+        self.recoverable = recoverable
+        self._sink = sink if sink is not None else sys.stderr
         self._on_disable = on_disable
         # Spin permit, not a blocking wait: a holder only formats and
         # writes, never faults, so spinning cannot deadlock with the
@@ -442,7 +422,7 @@ class Reporter:
             return FaultAction.RESUME
         report = self._build_report(fault, classification)
         self._emit(report)
-        if self.config.recoverable:
+        if self.recoverable:
             self._make_page_accessible(fault.address)
             self._disable()
             return FaultAction.RESUME
@@ -457,11 +437,11 @@ class Reporter:
         if self._disabled:
             return
         self._emit(report)
-        if self.config.recoverable:
+        if self.recoverable:
             self._disable()
             return
         raise SegmentationFault(
-            FaultInfo(report.access_address, None, report.faulting_thread),
+            FaultInfo(report.access_address, report.access_kind, report.faulting_thread),
             f"fatal {report.kind.value} report at 0x{report.access_address:x}",
         )
 
@@ -503,7 +483,7 @@ class Reporter:
     def _build_report(self, fault: FaultInfo, cls: AddressClassification) -> ErrorReport:
         access = dict(
             access_address=fault.address,
-            access_kind=determine_access_kind(fault),
+            access_kind=fault.access,
             faulting_thread=fault.thread_id,
             access_trace=capture_trace(self._store.max_frames),
         )

@@ -12,17 +12,15 @@ Three independent gates exist in a deployment:
 
 The countdown fast path is a single decrement and compare; the RNG only
 runs when a sample fires.  GuardianAllocator keeps one countdown per
-allocator, unlocked, and calls next_skip() when it expires: a thread
-race can lose a decrement or take one extra sample, but never stores a
-countdown below 1, so sampling never stops.
+allocator, shared by all threads and unlocked, and calls next_skip()
+when it expires: a thread race can lose a decrement or take one extra
+sample, but never stores a countdown below 1, so sampling never stops.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 _MASK64 = (1 << 64) - 1
@@ -70,14 +68,14 @@ class Xorshift64Star:
 
 
 class CounterSampler:
-    """Thread-local countdown sampler.
+    """Countdown sampler over one seeded stream of skip lengths.
 
-    Each thread draws skip lengths uniformly from [1, 2*sample_rate];
-    the mean and median gap between samples is then sample_rate, and
-    sample points stay unpredictable to the application.  Thread RNG
-    streams are seeded from the base seed plus a per-thread index
-    assigned in thread-arrival order, so single-threaded runs are fully
-    reproducible under a fixed seed.
+    Skip lengths are drawn uniformly from [1, 2*sample_rate]; the mean
+    and median gap between samples is then sample_rate, and sample
+    points stay unpredictable to the application.  All threads share
+    the countdown and the stream, unlocked, like the allocator's own
+    countdown, so runs on one thread are fully reproducible under a
+    fixed seed.
     """
 
     def __init__(self, sample_rate: int, seed: Optional[int] = None):
@@ -85,41 +83,26 @@ class CounterSampler:
             raise ValueError(f"sample_rate must be >= 1, got {sample_rate}")
         self.sample_rate = sample_rate
         self._span = 2 * sample_rate
-        if seed is None:
-            seed = time.time_ns()
-        self._seed = seed & _MASK64
-        self._thread_ids = itertools.count()
-        sampler = self
-
-        class _State(threading.local):
-            # threading.local subclass: __init__ reruns in each thread
-            # on first attribute access, giving per-thread rng + skip.
-            def __init__(self) -> None:
-                index = next(sampler._thread_ids)
-                self.rng = Xorshift64Star((sampler._seed + index) & _MASK64)
-                self.skip = 1 + self.rng.below(sampler._span)
-
-        self._tls = _State()
+        self._rng = Xorshift64Star(time.time_ns() if seed is None else seed)
+        self._skip = 1 + self._rng.below(self._span)
 
     def want_to_sample(self) -> bool:
         """Fast path: decrement; redraw only when the countdown fires."""
-        state = self._tls
-        remaining = state.skip - 1
+        remaining = self._skip - 1
         if remaining > 0:
-            state.skip = remaining
+            self._skip = remaining
             return False
         self.next_skip()
         return True
 
     def next_skip(self) -> int:
-        """Calls up to and including the thread's next sample, then redraw.
+        """Calls up to and including the next sample, then redraw.
 
         Counting down this many calls per next_skip() samples exactly
         the calls on which want_to_sample() would return True.
         """
-        state = self._tls
-        skip = state.skip
-        state.skip = 1 + state.rng.below(self._span)
+        skip = self._skip
+        self._skip = 1 + self._rng.below(self._span)
         return skip
 
 
@@ -139,7 +122,7 @@ class TimerGate:
         clock: Callable[[], float] = time.monotonic,
         armed: bool = False,
     ):
-        if interval <= 0:
+        if not interval > 0:  # also rejects NaN
             raise ValueError(f"interval must be positive, got {interval}")
         self.interval = interval
         self._clock = clock
@@ -167,28 +150,13 @@ class TimerGate:
             return True
 
 
-@dataclass
-class ProcessSampleConfig:
-    """Per-launch enablement: probability of turning the tool on at all."""
+def process_sampling_decision(probability: float, rng: Xorshift64Star) -> bool:
+    """Decide once per process whether the tool is enabled this launch.
 
-    probability: float = 1.0
-    seed: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {self.probability}")
-
-
-def process_sampling_decision(
-    config: ProcessSampleConfig, rng: Optional[Xorshift64Star] = None
-) -> bool:
-    """Decide once per process whether the tool is enabled this launch."""
-    if config.probability <= 0.0:
+    The tool is on with the given probability; 0 and 1 draw nothing.
+    """
+    if probability <= 0.0:
         return False
-    if config.probability >= 1.0:
+    if probability >= 1.0:
         return True
-    if rng is None:
-        seed = config.seed if config.seed is not None else time.time_ns()
-        rng = Xorshift64Star(seed)
-    threshold = int(config.probability * (1 << 64))
-    return rng.next_u64() < threshold
+    return rng.next_u64() < int(probability * (1 << 64))

@@ -19,35 +19,23 @@ tool at all.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
-from typing import Optional, TextIO
+from typing import Callable, Optional, TextIO
 
 from .coverage import CoverageFilter, source_of
 from .metadata import MetadataStore, capture_trace
 from .metadata import decompress_trace  # noqa: F401  perfbench/tracer.py wraps it here
-from .pool import (
-    AddressKind,
-    AlignmentSide,
-    GuardedPool,
-    PoolConfig,
-    PoolUnavailableError,
-)
-from .reporter import (
-    AccessType,
-    ErrorReport,
-    Reporter,
-    ReporterConfig,
-    ReportKind,
-)
+from .pool import AddressKind, AlignmentSide, GuardedPool, PoolUnavailableError
+from .reporter import Reporter, ReportKind
 from .sampler import (
     CounterSampler,
-    ProcessSampleConfig,
     TimerGate,
     Xorshift64Star,
     process_sampling_decision,
     splitmix64,
 )
-from .vmem import PROT_READ, PROT_WRITE, VirtualMemory
+from .vmem import PROT_READ, PROT_WRITE, AccessType, VirtualMemory
 
 _MASK64 = (1 << 64) - 1
 
@@ -126,7 +114,11 @@ class FallbackAllocator:
 
 @dataclass
 class GuardianConfig:
-    """Everything a deployment tunes, with small-test-friendly defaults."""
+    """Everything a deployment tunes, with small-test-friendly defaults.
+
+    The allocator checks the whole config before its launch decision,
+    so a bad value is rejected on every launch, enabled or not.
+    """
 
     slot_count: int = 16
     max_live: Optional[int] = None
@@ -136,7 +128,7 @@ class GuardianConfig:
     policy: str = "counter"  # "counter" or "timer"
     sample_rate: int = 5000
     sample_interval: float = 0.1
-    timer_clock: Optional[object] = None  # injectable clock for the timer policy
+    timer_clock: Callable[[], float] = time.monotonic  # the timer policy's clock
     process_sample_probability: float = 1.0
     seed: Optional[int] = None
     recoverable: bool = False
@@ -147,11 +139,26 @@ class GuardianConfig:
     enabled: bool = True  # False models running with no tool linked in
 
     def validate(self) -> None:
+        if self.slot_count < 1:
+            raise ValueError(f"slot_count must be >= 1, got {self.slot_count}")
+        if self.max_live is not None and not 1 <= self.max_live <= self.slot_count:
+            raise ValueError(
+                f"max_live must be in [1, {self.slot_count}], got {self.max_live}"
+            )
+        if not 0.0 <= self.process_sample_probability <= 1.0:
+            raise ValueError(
+                "process_sample_probability must be in [0, 1],"
+                f" got {self.process_sample_probability}"
+            )
+        if not 0.0 < self.coverage_threshold <= 1.0:
+            raise ValueError(
+                f"coverage_threshold must be in (0, 1], got {self.coverage_threshold}"
+            )
         if self.policy not in ("counter", "timer"):
             raise ValueError(f"policy must be 'counter' or 'timer', got {self.policy!r}")
         if self.sample_rate < 1:
             raise ValueError(f"sample_rate must be >= 1, got {self.sample_rate}")
-        if self.sample_interval <= 0:
+        if not self.sample_interval > 0:  # also rejects NaN
             raise ValueError(f"sample_interval must be positive, got {self.sample_interval}")
         if self.min_alignment < 1 or self.min_alignment & (self.min_alignment - 1):
             raise ValueError(f"min_alignment must be a power of two, got {self.min_alignment}")
@@ -188,14 +195,11 @@ class GuardianAllocator:
         self._sampling_off = False
         self._pool_lo = self._pool_hi = 0  # pool bounds: empty until enabled
 
-        seed = self.config.seed
-        launch_rng = None
-        if seed is not None:
-            launch_rng = Xorshift64Star(splitmix64((seed ^ 0x70726F63) & _MASK64))
-        decision = self.config.enabled and process_sampling_decision(
-            ProcessSampleConfig(self.config.process_sample_probability), launch_rng
-        )
-        if decision:
+        seed = self.config.seed if self.config.seed is not None else time.time_ns()
+        launch_rng = Xorshift64Star(splitmix64((seed ^ 0x70726F63) & _MASK64))
+        if self.config.enabled and process_sampling_decision(
+            self.config.process_sample_probability, launch_rng
+        ):
             try:
                 self._enable()
             except PoolUnavailableError:
@@ -208,20 +212,13 @@ class GuardianAllocator:
 
     def _enable(self) -> None:
         cfg = self.config
-        pool_config = PoolConfig(
-            slot_count=cfg.slot_count,
-            max_live=cfg.max_live,
-            seed=cfg.seed,
-            force_alignment_side=cfg.force_alignment_side,
+        self.pool = GuardedPool(
+            self.vm, cfg.slot_count, cfg.max_live, cfg.seed, cfg.force_alignment_side
         )
-        self.pool = GuardedPool(pool_config, self.vm)
         self.store = MetadataStore(cfg.slot_count, cfg.max_frames)
         self.coverage = CoverageFilter(utilization_threshold=cfg.coverage_threshold)
         self.reporter = Reporter(
-            self.pool,
-            self.store,
-            ReporterConfig(recoverable=cfg.recoverable, sink=cfg.sink),
-            on_disable=self._stop_sampling,
+            self.pool, self.store, cfg.recoverable, cfg.sink, self._stop_sampling
         )
         self.reporter.install(self.vm)
         self._min_alignment = cfg.min_alignment
@@ -229,11 +226,7 @@ class GuardianAllocator:
             self._sampler = CounterSampler(cfg.sample_rate, cfg.seed)
             self._skip = self._sampler.next_skip()
         else:
-            clock = cfg.timer_clock
-            self._sampler = (
-                TimerGate(cfg.sample_interval, clock) if clock is not None
-                else TimerGate(cfg.sample_interval)
-            )
+            self._sampler = TimerGate(cfg.sample_interval, cfg.timer_clock)
             self._skip = 1
         self._pool_lo = self.pool.base
         self._pool_hi = self.pool.base + self.pool.region_length
@@ -363,48 +356,34 @@ class GuardianAllocator:
 
     def _guarded_free(self, addr: int) -> None:
         pool = self.pool
-        report = None
         with pool.lock:
             classification = pool.classify_address(addr)
-            if classification.kind is AddressKind.ALLOCATED_SLOT:
-                slot_index = classification.slot_index
+            slot_index = classification.slot_index
+            if (classification.kind is AddressKind.ALLOCATED_SLOT
+                    and addr == pool.user_address(slot_index)):
                 slot = pool.slots[slot_index]
-                user_address = pool.user_address(slot_index)
-                if addr == user_address:
-                    self.store.store_dealloc(
-                        slot_index,
-                        slot.metadata_seq,
-                        threading.get_ident(),
-                        capture_trace(self.config.max_frames),
-                    )
-                    self.coverage.remove(slot.coverage_source)
-                    pool.release(slot_index)
-                    return
-                report = self._free_error_report(
-                    ReportKind.INVALID_FREE, addr, slot_index
+                self.store.store_dealloc(
+                    slot_index,
+                    slot.metadata_seq,
+                    threading.get_ident(),
+                    capture_trace(self.config.max_frames),
                 )
-                self.stats.invalid_free += 1
-            elif classification.kind is AddressKind.QUARANTINED_SLOT:
-                report = self._free_error_report(
-                    ReportKind.DOUBLE_FREE, addr, classification.slot_index
-                )
+                self.coverage.remove(slot.coverage_source)
+                pool.release(slot_index)
+                return
+            if classification.kind is AddressKind.QUARANTINED_SLOT:
+                kind = ReportKind.DOUBLE_FREE
                 self.stats.double_free += 1
             else:
-                # Guard page or free slot: never a valid pointer.
-                report = self._free_error_report(
-                    ReportKind.INVALID_FREE, addr, classification.slot_index
-                )
+                # Interior pointer, guard page or free slot: never valid.
+                kind = ReportKind.INVALID_FREE
                 self.stats.invalid_free += 1
+            report = self.reporter.slot_report(
+                kind, slot_index, access_address=addr, access_kind=AccessType.UNKNOWN,
+                faulting_thread=threading.get_ident(),
+                access_trace=capture_trace(self.config.max_frames))
         # Emitting outside the pool lock: the reporter may terminate.
         self.reporter.emit_synthetic(report)
-
-    def _free_error_report(
-        self, kind: ReportKind, addr: int, slot_index: Optional[int]
-    ) -> ErrorReport:
-        return self.reporter.slot_report(
-            kind, slot_index, access_address=addr, access_kind=AccessType.UNKNOWN,
-            faulting_thread=threading.get_ident(),
-            access_trace=capture_trace(self.config.max_frames))
 
     # -- introspection ---------------------------------------------------------
 

@@ -48,9 +48,10 @@ _BASE_CURSOR_START = 0x2000_0000_0000
 _MAX_FAULT_RETRIES = 64
 
 
-class AccessKind(enum.Enum):
+class AccessType(enum.Enum):
     READ = "read"
     WRITE = "write"
+    UNKNOWN = "unknown"
 
 
 class FaultAction(enum.Enum):
@@ -64,13 +65,13 @@ class FaultAction(enum.Enum):
 class FaultInfo:
     """Snapshot of a faulting access, as a signal handler would see it.
 
-    ``access`` is None when the platform was configured to not expose
+    ``access`` is UNKNOWN when the platform was configured to not expose
     the read/write flag, matching hardware where the fault status does
     not distinguish loads from stores.
     """
 
     address: int
-    access: Optional[AccessKind]
+    access: AccessType
     thread_id: int
 
 
@@ -103,7 +104,7 @@ class VirtualMemory:
 
     page_size must be a power of two.  expose_access_kind mirrors
     whether the fault path can tell reads from writes; when False every
-    FaultInfo carries access=None.
+    FaultInfo carries access=AccessType.UNKNOWN.
     """
 
     page_size: int = DEFAULT_PAGE_SIZE
@@ -206,7 +207,7 @@ class VirtualMemory:
             return region.mem[off : off + length]
         return b"".join(
             region.mem[lo - region.base : hi - region.base]
-            for region, lo, hi in self._runs(addr, end, AccessKind.READ)
+            for region, lo, hi in self._runs(addr, end, AccessType.READ)
         )
 
     def write(self, addr: int, data: bytes) -> None:
@@ -225,7 +226,7 @@ class VirtualMemory:
             region.mem[off : off + length] = data
             return
         view = memoryview(data)
-        for region, lo, hi in self._runs(addr, end, AccessKind.WRITE):
+        for region, lo, hi in self._runs(addr, end, AccessType.WRITE):
             region.mem[lo - region.base : hi - region.base] = view[lo - addr : hi - addr]
 
     def fill(self, addr: int, length: int, value: int = 0) -> None:
@@ -274,7 +275,7 @@ class VirtualMemory:
                 return region, base + (page << shift)
         return region, stop
 
-    def _runs(self, pos: int, end: int, kind: AccessKind) -> Iterator[tuple[_Region, int, int]]:
+    def _runs(self, pos: int, end: int, kind: AccessType) -> Iterator[tuple[_Region, int, int]]:
         """Yield the accessible runs (region, lo, hi) of [pos, end) in order.
 
         Between runs, delivers a fault at the first inaccessible byte and
@@ -282,7 +283,7 @@ class VirtualMemory:
         without making progress trips the retry bound.  The caller moves
         each run's bytes before the next fault is delivered.
         """
-        needed = PROT_READ if kind is AccessKind.READ else PROT_WRITE
+        needed = PROT_READ if kind is AccessType.READ else PROT_WRITE
         faults = 0
         while pos < end:
             region, stop = self._accessible_run(pos, end, needed)
@@ -299,11 +300,11 @@ class VirtualMemory:
                     "without making it accessible"
                 )
 
-    def _deliver_fault(self, addr: int, kind: AccessKind) -> None:
+    def _deliver_fault(self, addr: int, kind: AccessType) -> None:
         self.fault_count += 1
         fault = FaultInfo(
             address=addr,
-            access=kind if self.expose_access_kind else None,
+            access=kind if self.expose_access_kind else AccessType.UNKNOWN,
             thread_id=threading.get_ident(),
         )
         handler = self._handler

@@ -14,6 +14,7 @@ from guardpool.cli import (
     build_parser,
     main,
 )
+from guardpool.reporter import REPORT_TRAILER, parse_report
 
 from test_reporter import OOB_EXAMPLE, UAF_EXAMPLE
 
@@ -160,6 +161,24 @@ def test_inject_spawns_child_by_default():
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "detected=1" in proc.stdout
     assert "*** End GWP-ASan report ***" in proc.stdout
+
+
+def test_child_injection_receives_every_flag(capsys):
+    code, out, err = run_cli(
+        capsys, "inject", "uaf", "--size", "100", "--bytes", "30",
+        "--align-side", "right", "--max-live", "1", "--format", "records",
+    )
+    assert code == EXIT_OK, err
+    assert "inject kind=uaf detected=1" in out
+    report = parse_report(out[: out.index(REPORT_TRAILER) + len(REPORT_TRAILER)])
+    assert report.allocation_size == 100
+    assert report.offset == 30
+    # Right-aligned: the allocation ends flush against its slot's end.
+    assert (report.allocation_address + 100) % 4096 == 0
+    # An out-of-range --max-live must reach the child's config check.
+    code, _, err = run_cli(capsys, "inject", "uaf", "--max-live", "17")
+    assert code == EXIT_CONFIG
+    assert "max_live" in err
 
 
 # -- sample-stats -------------------------------------------------------------

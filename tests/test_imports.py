@@ -35,3 +35,11 @@ def test_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def test_every_export_resolves_once():
+    import guardpool
+
+    assert len(guardpool.__all__) == len(set(guardpool.__all__)), "an export is listed twice"
+    missing = [name for name in guardpool.__all__ if not hasattr(guardpool, name)]
+    assert missing == []

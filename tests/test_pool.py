@@ -6,7 +6,6 @@ from guardpool.pool import (
     AddressKind,
     AlignmentSide,
     GuardedPool,
-    PoolConfig,
     SlotState,
 )
 from guardpool.vmem import PROT_NONE, SegmentationFault, VirtualMemory
@@ -16,8 +15,7 @@ PAGE = 4096
 
 def make_pool(**kwargs) -> GuardedPool:
     vm = kwargs.pop("vm", None) or VirtualMemory(page_size=PAGE)
-    config = PoolConfig(**{"slot_count": 4, "seed": 0, **kwargs})
-    return GuardedPool(config, vm)
+    return GuardedPool(vm, **{"slot_count": 4, "seed": 0, **kwargs})
 
 
 def test_region_spans_alternating_guard_and_slot_pages():
@@ -301,10 +299,3 @@ def test_classification_matches_brute_force_page_map():
                 AddressKind.UNATTRIBUTED_GUARD,
             )
 
-
-def test_config_validation():
-    vm = VirtualMemory(page_size=PAGE)
-    with pytest.raises(ValueError):
-        GuardedPool(PoolConfig(slot_count=0), vm)
-    with pytest.raises(ValueError):
-        GuardedPool(PoolConfig(slot_count=2, max_live=3), vm)

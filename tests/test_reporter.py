@@ -10,22 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guardpool.metadata import MetadataStore
-from guardpool.pool import AlignmentSide, GuardedPool, PoolConfig
+from guardpool.pool import AlignmentSide, GuardedPool
 from guardpool.reporter import (
     REPORT_HEADER,
     REPORT_TRAILER,
     AccessType,
     ErrorReport,
     Reporter,
-    ReporterConfig,
     ReportKind,
     ReportParseError,
-    determine_access_kind,
     parse_report,
     render_report,
 )
 from guardpool.vmem import (
-    AccessKind,
     FaultAction,
     FaultInfo,
     PROT_NONE,
@@ -443,21 +440,6 @@ def test_exception_message_carries_line_number():
         parse_report("bogus\n")
 
 
-# -- access kind decoding -------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "raw, expected",
-    [
-        (AccessKind.READ, AccessType.READ),
-        (AccessKind.WRITE, AccessType.WRITE),
-        (None, AccessType.UNKNOWN),
-    ],
-)
-def test_determine_access_kind(raw, expected):
-    assert determine_access_kind(FaultInfo(0x1000, raw, 1)) is expected
-
-
 # -- the fault handler against a live pool --------------------------------
 
 
@@ -469,13 +451,11 @@ def make_env(
     on_disable=None,
 ):
     vm = VirtualMemory(expose_access_kind=expose_access_kind)
-    pool = GuardedPool(
-        PoolConfig(slot_count=slot_count, seed=11, force_alignment_side=side), vm
-    )
+    pool = GuardedPool(vm, slot_count=slot_count, seed=11, force_alignment_side=side)
     store = MetadataStore(capacity=16)
     sink = io.StringIO()
     reporter = Reporter(
-        pool, store, ReporterConfig(recoverable=recoverable, sink=sink), on_disable
+        pool, store, recoverable=recoverable, sink=sink, on_disable=on_disable
     )
     reporter.install(vm)
     return vm, pool, store, sink, reporter
@@ -587,7 +567,7 @@ def test_allocated_slot_classification_is_indeterminate():
     # between fault and classification.  Drive the handler directly.
     vm, pool, store, sink, reporter = make_env()
     slot_index, addr = tracked_alloc(pool, store)
-    action = reporter.handle_fault(FaultInfo(addr, AccessKind.READ, 1))
+    action = reporter.handle_fault(FaultInfo(addr, AccessType.READ, 1))
     assert action is FaultAction.TERMINATE
     assert parse_report(sink.getvalue()).kind is ReportKind.INDETERMINATE_GUARD_HIT
 
@@ -630,10 +610,10 @@ def test_not_ours_chains_to_previous_handler():
         return FaultAction.TERMINATE
 
     vm.install_fault_handler(recorder)
-    pool = GuardedPool(PoolConfig(slot_count=2, seed=1), vm)
+    pool = GuardedPool(vm, slot_count=2, seed=1)
     store = MetadataStore(capacity=4)
     sink = io.StringIO()
-    reporter = Reporter(pool, store, ReporterConfig(sink=sink))
+    reporter = Reporter(pool, store, sink=sink)
     reporter.install(vm)
 
     outside = vm.reserve(1, PROT_NONE)
@@ -653,10 +633,10 @@ def test_uninstall_restores_previous_handler():
         return FaultAction.TERMINATE
 
     vm.install_fault_handler(recorder)
-    pool = GuardedPool(PoolConfig(slot_count=2, seed=1), vm)
+    pool = GuardedPool(vm, slot_count=2, seed=1)
     store = MetadataStore(capacity=4)
     sink = io.StringIO()
-    reporter = Reporter(pool, store, ReporterConfig(sink=sink))
+    reporter = Reporter(pool, store, sink=sink)
     reporter.install(vm)
     slot_index, addr = pool.acquire(16)
     pool.release(slot_index)
@@ -785,10 +765,10 @@ class _OverlapSink:
 
 def test_concurrent_emission_is_serialized():
     vm = VirtualMemory()
-    pool = GuardedPool(PoolConfig(slot_count=2, seed=3), vm)
+    pool = GuardedPool(vm, slot_count=2, seed=3)
     store = MetadataStore(capacity=4)
     sink = _OverlapSink()
-    reporter = Reporter(pool, store, ReporterConfig(sink=sink))
+    reporter = Reporter(pool, store, sink=sink)
     report = ErrorReport(
         kind=ReportKind.USE_AFTER_FREE,
         access_address=0x1000,

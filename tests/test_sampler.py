@@ -1,5 +1,6 @@
 """Sampling policy behavior: distribution shape, determinism, atomicity."""
 
+import sys
 import threading
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from guardpool.sampler import (
     CounterSampler,
-    ProcessSampleConfig,
     TimerGate,
     Xorshift64Star,
     process_sampling_decision,
@@ -114,7 +114,7 @@ def test_same_seed_same_decision_sequence():
     assert seq_a == seq_b
 
 
-def test_threads_get_independent_streams():
+def test_threads_sharing_a_sampler_each_sample_at_rate():
     sampler = CounterSampler(10, seed=9)
     per_thread = {}
 
@@ -126,11 +126,38 @@ def test_threads_get_independent_streams():
         t.start()
     for t in threads:
         t.join()
-    # Both threads sample at the configured rate; their streams are
-    # seeded differently so they are not in lockstep.
+    # Both threads sample at the configured rate; they draw from one
+    # shared stream, so they are not in lockstep.
     assert per_thread[0] != per_thread[1]
     for seq in per_thread.values():
         assert 0.05 < sum(seq) / len(seq) < 0.2
+
+
+def test_shared_countdown_keeps_sampling_under_thread_switches():
+    # Unlocked decrements may be lost or repeated across threads, but the
+    # countdown never drops below 1, so no thread ever stops sampling.
+    sampler = CounterSampler(10, seed=5)
+    counts = []
+
+    def worker():
+        counts.append(sum(sampler.want_to_sample() for _ in range(20_000)))
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(counts) == 4
+    for count in counts:
+        assert 1000 < count < 4000, counts
+    assert sampler.next_skip() >= 1
+    assert any(sampler.want_to_sample() for _ in range(21))
 
 
 # -- timer policy ------------------------------------------------------------
@@ -181,23 +208,19 @@ def test_timer_gate_consume_is_atomic_across_threads():
 
 
 def test_timer_gate_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        TimerGate(interval=0)
+    for interval in (0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            TimerGate(interval=interval)
 
 
 # -- process sampling -------------------------------------------------------
 
 
-def test_probability_bounds_validated():
-    with pytest.raises(ValueError):
-        ProcessSampleConfig(probability=1.5)
-    with pytest.raises(ValueError):
-        ProcessSampleConfig(probability=-0.1)
-
-
 def test_probability_extremes_short_circuit():
-    assert not process_sampling_decision(ProcessSampleConfig(0.0))
-    assert process_sampling_decision(ProcessSampleConfig(1.0))
+    rng = Xorshift64Star(1)
+    assert not process_sampling_decision(0.0, rng)
+    assert process_sampling_decision(1.0, rng)
+    assert rng.state == Xorshift64Star(1).state, "the extremes draw nothing"
 
 
 def test_launch_fraction_tracks_probability():
@@ -212,9 +235,7 @@ def test_launch_fraction_tracks_probability():
     )
     got = sum(
         1 for seed in range(launches)
-        if process_sampling_decision(
-            ProcessSampleConfig(probability), Xorshift64Star(seed)
-        )
+        if process_sampling_decision(probability, Xorshift64Star(seed))
     )
     assert got == expected
     assert abs(got - launches / 128) <= 0.15 * launches / 128
@@ -223,5 +244,6 @@ def test_launch_fraction_tracks_probability():
 @settings(max_examples=30)
 @given(st.integers(min_value=0, max_value=MASK64))
 def test_decision_deterministic_under_seed(seed):
-    config = ProcessSampleConfig(probability=0.5, seed=seed)
-    assert process_sampling_decision(config) == process_sampling_decision(config)
+    assert process_sampling_decision(0.5, Xorshift64Star(seed)) == process_sampling_decision(
+        0.5, Xorshift64Star(seed)
+    )

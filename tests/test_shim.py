@@ -145,6 +145,50 @@ def test_zero_probability_launch_never_enables():
     assert allocator.pool is None
 
 
+def test_config_validation():
+    with pytest.raises(ValueError, match="slot_count"):
+        GuardianAllocator(GuardianConfig(slot_count=0))
+    with pytest.raises(ValueError, match="max_live"):
+        GuardianAllocator(GuardianConfig(slot_count=2, max_live=3))
+
+
+def test_probability_bounds_validated():
+    for probability in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="process_sample_probability"):
+            GuardianConfig(process_sample_probability=probability).validate()
+
+
+def test_bad_config_rejected_whatever_the_launch_decision():
+    # Half of these launches would be sampled out; each must still fail.
+    for seed in range(40):
+        with pytest.raises(ValueError, match="slot_count"):
+            GuardianAllocator(
+                GuardianConfig(seed=seed, slot_count=0, process_sample_probability=0.5)
+            )
+
+
+@pytest.mark.parametrize("launch", [
+    {"enabled": False},
+    {"process_sample_probability": 0.0},
+    {},
+], ids=["disabled", "probability-0", "enabled"])
+@pytest.mark.parametrize("field, value", [
+    ("slot_count", 0),
+    ("slot_count", -1),
+    ("max_live", 0),
+    ("max_live", 17),
+    ("process_sample_probability", -0.1),
+    ("process_sample_probability", 1.5),
+    ("coverage_threshold", 0.0),
+    ("coverage_threshold", 1.5),
+    ("sample_interval", float("nan")),
+])
+def test_every_bad_field_is_rejected_on_every_launch(launch, field, value):
+    config = GuardianConfig(**{"seed": 3, "sink": io.StringIO(), **launch, field: value})
+    with pytest.raises(ValueError, match=field):
+        GuardianAllocator(config)
+
+
 def test_launch_decision_is_seed_deterministic():
     decisions = []
     for _ in range(2):

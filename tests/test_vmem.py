@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from guardpool import GuardianAllocator, GuardianConfig
 from guardpool.vmem import (
     _MAX_FAULT_RETRIES,
-    AccessKind,
+    AccessType,
     FaultAction,
     PROT_NONE,
     PROT_READ,
@@ -60,7 +60,7 @@ def test_read_of_protected_page_raises_by_default(vm):
     with pytest.raises(SegmentationFault) as excinfo:
         vm.read(base, 1)
     assert excinfo.value.fault.address == base
-    assert excinfo.value.fault.access is AccessKind.READ
+    assert excinfo.value.fault.access is AccessType.READ
 
 
 def test_write_needs_write_protection(vm):
@@ -69,7 +69,7 @@ def test_write_needs_write_protection(vm):
     with pytest.raises(SegmentationFault) as excinfo:
         vm.write(base + 5, b"z")
     assert excinfo.value.fault.address == base + 5
-    assert excinfo.value.fault.access is AccessKind.WRITE
+    assert excinfo.value.fault.access is AccessType.WRITE
 
 
 def test_unmapped_address_faults(vm):
@@ -206,7 +206,7 @@ def test_access_kind_hidden_when_not_exposed():
     base = vm.reserve(1)
     with pytest.raises(SegmentationFault) as excinfo:
         vm.write(base, b"x")
-    assert excinfo.value.fault.access is None
+    assert excinfo.value.fault.access is AccessType.UNKNOWN
 
 
 def test_fault_count_increments_per_delivery(vm):
@@ -255,7 +255,7 @@ def _reference_region(vm, addr):
 
 
 def _reference_check_access(vm, addr, kind):
-    needed = PROT_READ if kind is AccessKind.READ else PROT_WRITE
+    needed = PROT_READ if kind is AccessType.READ else PROT_WRITE
     for _ in range(_MAX_FAULT_RETRIES):
         region = _reference_region(vm, addr)
         if region is not None:
@@ -276,7 +276,7 @@ def _reference_read(vm, addr, length):
     remaining = length
     while remaining > 0:
         chunk = min(remaining, vm.page_size - pos % vm.page_size)
-        region = _reference_check_access(vm, pos, AccessKind.READ)
+        region = _reference_check_access(vm, pos, AccessType.READ)
         off = pos - region.base
         out += region.mem[off : off + chunk]
         pos += chunk
@@ -289,7 +289,7 @@ def _reference_write(vm, addr, data):
     view = memoryview(data)
     while view:
         chunk = min(len(view), vm.page_size - pos % vm.page_size)
-        region = _reference_check_access(vm, pos, AccessKind.WRITE)
+        region = _reference_check_access(vm, pos, AccessType.WRITE)
         off = pos - region.base
         region.mem[off : off + chunk] = view[:chunk]
         pos += chunk
@@ -318,7 +318,7 @@ def _make_handler(vm, mode, log):
         prot = vm.page_protection(fault.address)
         if prot is None:
             return FaultAction.TERMINATE
-        grant = PROT_READ if fault.access is AccessKind.READ else PROT_WRITE
+        grant = PROT_READ if fault.access is AccessType.READ else PROT_WRITE
         page = fault.address - fault.address % vm.page_size
         vm.protect(page, vm.page_size, prot | grant)
         return FaultAction.RESUME
