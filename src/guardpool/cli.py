@@ -2,10 +2,8 @@
 benchmark, report parsing, and a multi-threaded stress loop.
 
 Injection runs the requested bug against a real allocator instance with
-sampling forced on.  By default the parent spawns a child process per
-injection (the child takes the intentional crash) and relays its
-output; --in-process keeps everything in one process, which is also how
-recoverable-mode injections run.
+sampling forced on, in this process: the harness catches the fault
+itself and turns it into an exit status.
 
 Exit statuses: 0 detected-as-expected / success, 2 bug went undetected,
 3 configuration or input error.
@@ -16,7 +14,6 @@ from __future__ import annotations
 import argparse
 import io
 import statistics
-import subprocess
 import sys
 import threading
 import time
@@ -89,10 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     inject.add_argument("--access", choices=["read", "write"], default=None)
     inject.add_argument("--align-side", choices=["left", "right"], default=None)
-    inject.add_argument(
-        "--in-process", action="store_true",
-        help="run the scenario in this process instead of a child",
-    )
 
     stats = sub.add_parser("sample-stats", parents=[common],
                            help="empirical sampling rate and gap statistics")
@@ -189,9 +182,6 @@ def _first_report(text: str) -> Optional[ErrorReport]:
 
 
 def cmd_inject(args) -> int:
-    if not args.in_process:
-        return _spawn_child_injection(args)
-
     expected, access, distance, side = _INJECTIONS[args.kind]
     access = args.access or access
     distance = args.distance if args.distance is not None else distance
@@ -263,18 +253,6 @@ def _verify_recovery(alloc, context, size) -> bool:
     again = alloc.vm.read(victim, size)
     no_new_reports = alloc.reporter.reports_emitted == reports_before
     return clean and no_new_reports and len(again) == size
-
-
-def _spawn_child_injection(args) -> int:
-    # main's argv, not sys.argv, so programmatic callers of main() spawn
-    # the right child too.
-    child = subprocess.run(
-        [sys.executable, "-m", "guardpool", *args.argv, "--in-process"],
-        capture_output=True, text=True,
-    )
-    sys.stdout.write(child.stdout)
-    sys.stderr.write(child.stderr)
-    return child.returncode
 
 
 # -- sample-stats --------------------------------------------------------
@@ -520,10 +498,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
-    args.argv = argv
     try:
         return _COMMANDS[args.command](args)
     except ValueError as exc:

@@ -11,11 +11,12 @@ allocation.
 The record store keeps one record per pool slot, indexed by the slot
 index as in GWP-ASan's Metadata[SlotIndex]: an allocation's evidence
 lives exactly as long as its slot holds the allocation or its
-quarantine.  Readers on the fault path take no lock; instead every
-record carries a version counter written odd-before / even-after
-mutation (seqlock protocol) plus a monotonically increasing allocation
-sequence number, so a reader can tell both torn reads and records that
-were recycled when the slot was reused.
+quarantine.  Readers on the fault path take no lock: a record is never
+changed once stored, and writers publish a new one with a single list
+store, so a reader gets either the whole old record or the whole new
+one.  Each record carries a monotonically increasing allocation
+sequence number, so a reader can tell a record that was recycled when
+the slot was reused.
 """
 
 from __future__ import annotations
@@ -199,52 +200,31 @@ def decompress_trace(trace: CompressedTrace) -> list[int]:
 # -- record store ------------------------------------------------------
 
 
+@dataclass(slots=True)
 class AllocationMetadata:
-    """One slot's record, recycled on slot reuse; fields valid when version is even."""
+    """One allocation's evidence: what a slot's snapshot returns.
 
-    __slots__ = (
-        "version",
-        "alloc_seq",
-        "user_size",
-        "alloc_thread",
-        "alloc_trace",
-        "dealloc_thread",
-        "dealloc_trace",
-    )
-
-    def __init__(self) -> None:
-        self.version = 0
-        # 0, never a slot's initial metadata_seq (-1): a slot acquired
-        # without a stored record snapshots as lost, not as a match.
-        self.alloc_seq = 0
-        self.user_size = 0
-        self.alloc_thread = 0
-        self.alloc_trace = CompressedTrace(0, 0, b"")
-        self.dealloc_thread: Optional[int] = None
-        self.dealloc_trace: Optional[CompressedTrace] = None
-
-
-@dataclass(frozen=True)
-class MetadataSnapshot:
-    """Consistent copy of one record, taken lock-free on the fault path."""
+    A record is never changed once stored.  Deallocation evidence is
+    attached by storing a new record in its place, so a lock-free
+    reader never sees a half-written one.
+    """
 
     alloc_seq: int
     slot_index: int
     user_size: int
     alloc_thread: int
     alloc_trace: CompressedTrace
-    dealloc_thread: Optional[int]
-    dealloc_trace: Optional[CompressedTrace]
+    dealloc_thread: Optional[int] = None
+    dealloc_trace: Optional[CompressedTrace] = None
 
 
 class MetadataStore:
     """One allocation record per pool slot.
 
     Writers (allocation and deallocation paths) serialize externally on
-    the pool lock; the fault path reads records without any lock via
-    the per-record seqlock.  A record is addressed by (slot_index,
-    alloc_seq); a stale sequence number means the slot was reused and
-    the evidence is gone.
+    the pool lock; the fault path reads records without any lock.  A
+    record is addressed by (slot_index, alloc_seq); a stale sequence
+    number means the slot was reused and the evidence is gone.
     """
 
     def __init__(self, capacity: int, max_frames: int = DEFAULT_MAX_FRAMES):
@@ -252,90 +232,67 @@ class MetadataStore:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity  # the pool's slot count
         self.max_frames = max_frames
-        self._records = [AllocationMetadata() for _ in range(capacity)]
+        self._records: list[Optional[AllocationMetadata]] = [None] * capacity
         self._next_seq = 1
 
     def store_alloc(
         self, slot_index: int, size: int, thread_id: int, trace: Sequence[int]
     ) -> int:
-        """Record an allocation in slot_index's record; returns its alloc_seq."""
-        record = self._records[slot_index]
+        """Store a new record for an allocation in slot_index; returns its alloc_seq."""
         seq = self._next_seq
-        self._next_seq += 1
-
-        compressed = compress_trace(trace[: self.max_frames])
-
-        record.version += 1  # odd: readers retry
-        record.alloc_seq = seq
-        record.user_size = size
-        record.alloc_thread = thread_id
-        record.alloc_trace = compressed
-        record.dealloc_thread = None
-        record.dealloc_trace = None
-        record.version += 1  # even: readers may proceed
+        max_frames = self.max_frames
+        compressed = compress_trace(trace if len(trace) <= max_frames else trace[:max_frames])
+        self._records[slot_index] = AllocationMetadata(
+            seq, slot_index, size, thread_id, compressed
+        )
+        self._next_seq = seq + 1
         return seq
 
     def store_dealloc(
         self, slot_index: int, alloc_seq: int, thread_id: int, trace: Sequence[int]
     ) -> bool:
-        """Attach deallocation evidence if the record still matches.
+        """Replace the record with one carrying deallocation evidence.
 
         Returns False (no-op) when the slot's record was recycled for a
         newer allocation.
         """
         record = self._records[slot_index]
-        if record.alloc_seq != alloc_seq:
+        if record is None or record.alloc_seq != alloc_seq:
             return False
-        compressed = compress_trace(trace[: self.max_frames])
-        record.version += 1
-        record.dealloc_thread = thread_id
-        record.dealloc_trace = compressed
-        record.version += 1
+        max_frames = self.max_frames
+        compressed = compress_trace(trace if len(trace) <= max_frames else trace[:max_frames])
+        self._records[slot_index] = AllocationMetadata(
+            alloc_seq, slot_index, record.user_size, record.alloc_thread,
+            record.alloc_trace, thread_id, compressed,
+        )
         return True
 
-    def snapshot(
-        self, slot_index: int, alloc_seq: int, retries: int = 8
-    ) -> Optional[MetadataSnapshot]:
-        """Lock-free consistent read of a record, or None if unavailable.
+    def snapshot(self, slot_index: int, alloc_seq: int) -> Optional[AllocationMetadata]:
+        """Lock-free read of the stored record, or None if it is lost.
 
-        None means either the record was recycled (sequence mismatch) or
-        a concurrent writer kept it torn for every retry; callers treat
-        both as lost evidence, never as grounds to block.
+        None means the slot is out of range, never held a record, or was
+        reused for a newer allocation (sequence mismatch); callers treat
+        all three as lost evidence, never as grounds to block.
         """
         if not 0 <= slot_index < self.capacity:
             return None
         record = self._records[slot_index]
-        for _ in range(retries):
-            before = record.version
-            if before % 2:
-                continue
-            snap = MetadataSnapshot(
-                alloc_seq=record.alloc_seq,
-                slot_index=slot_index,
-                user_size=record.user_size,
-                alloc_thread=record.alloc_thread,
-                alloc_trace=record.alloc_trace,
-                dealloc_thread=record.dealloc_thread,
-                dealloc_trace=record.dealloc_trace,
-            )
-            if record.version != before:
-                continue
-            if snap.alloc_seq != alloc_seq:
-                return None
-            return snap
-        return None
+        if record is None or record.alloc_seq != alloc_seq:
+            return None
+        return record
 
     def accounted_trace_bytes(self) -> int:
-        """Total bytes currently held by compressed traces.
+        """Total bytes held by stored compressed traces; frameless ones count 0.
 
-        Sums the per-slot records, so call it where writers are excluded
-        (under the pool lock) to never see a half-written record.
+        Needs no lock: each record it reads is a whole stored one.
         """
-        return sum(self._record_trace_bytes(record) for record in self._records)
-
-    def _record_trace_bytes(self, record: AllocationMetadata) -> int:
-        # Frameless placeholders hold no trace memory worth accounting.
-        total = record.alloc_trace.byte_size() if record.alloc_trace.frame_count else 0
-        if record.dealloc_trace is not None and record.dealloc_trace.frame_count:
-            total += record.dealloc_trace.byte_size()
+        total = 0
+        for record in self._records:
+            if record is None:
+                continue
+            if record.alloc_trace.frame_count:
+                total += record.alloc_trace.byte_size()
+            dealloc_trace = record.dealloc_trace
+            if dealloc_trace is not None and dealloc_trace.frame_count:
+                total += dealloc_trace.byte_size()
         return total

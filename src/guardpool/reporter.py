@@ -10,7 +10,7 @@ carrying symbolizer text before the bracketed address.
 
 The handler itself follows signal-handler discipline in modeled form:
 it takes no lock any interrupted thread could hold (pool state is read
-via the lock-free classification and seqlock snapshot paths) and
+via the lock-free classification and record snapshot paths) and
 serializes whole reports to the sink with a spin permit whose holders
 never fault and never block.
 """
@@ -69,7 +69,7 @@ class ErrorReport:
     allocation fields are None when the fault could not be attributed
     to any allocation (wild hit on an unattributed guard or free slot).
     metadata_lost means the slot was attributed but its record had been
-    recycled or was torn, so only geometry survives.
+    recycled, so only geometry survives.
     """
 
     kind: ReportKind
@@ -451,7 +451,7 @@ class Reporter:
         """A report of kind against slot_index's allocation, with its stacks.
 
         access holds ErrorReport's access fields.  No slot, or a record
-        recycled or torn since, gives a metadata_lost report."""
+        recycled since, gives a metadata_lost report."""
         if slot_index is None:
             return ErrorReport(kind=kind, metadata_lost=True, **access)
         slot = self._pool.slots[slot_index]

@@ -87,22 +87,11 @@ class FallbackAllocator:
                 raise ValueError(f"0x{addr:x} is not a live allocation") from None
             self._free.setdefault((size, alignment), []).append(addr)
 
-    def calloc(self, count: int, size: int) -> int:
-        total = count * size
-        addr = self.malloc(total)
-        if total:
-            self.vm.fill(addr, total, 0)
-        return addr
-
     def usable_size(self, addr: int) -> int:
         try:
             return self._sizes[addr][0]
         except KeyError:
             raise ValueError(f"0x{addr:x} is not a live allocation") from None
-
-    def owns(self, addr: int) -> bool:
-        with self._lock:
-            return addr in self._sizes
 
     def _grow(self, need: int) -> None:
         pages = max(self._grow_pages, -(-need // self.vm.page_size))
@@ -141,6 +130,8 @@ class GuardianConfig:
     def validate(self) -> None:
         if self.slot_count < 1:
             raise ValueError(f"slot_count must be >= 1, got {self.slot_count}")
+        if self.max_frames < 1:
+            raise ValueError(f"max_frames must be >= 1, got {self.max_frames}")
         if self.max_live is not None and not 1 <= self.max_live <= self.slot_count:
             raise ValueError(
                 f"max_live must be in [1, {self.slot_count}], got {self.max_live}"
@@ -184,6 +175,11 @@ class GuardianAllocator:
         self.config = config or GuardianConfig()
         self.config.validate()
         self.vm = vm if vm is not None else VirtualMemory()
+        if self.config.min_alignment > self.vm.page_size:
+            raise ValueError(
+                f"min_alignment must be at most the page size ({self.vm.page_size}),"
+                f" got {self.config.min_alignment}"
+            )
         self.fallback = FallbackAllocator(self.vm)
         self.stats = AllocatorStats()
 
@@ -398,8 +394,7 @@ class GuardianAllocator:
             return 0
         slot_bytes = pool.max_live * pool.page_size
         per_record_overhead = 64  # fixed fields of one record
-        with pool.lock:
-            trace_bytes = self.store.accounted_trace_bytes()
+        trace_bytes = self.store.accounted_trace_bytes()
         metadata_bytes = self.store.capacity * per_record_overhead + trace_bytes
         # A counter never exceeds max_live, so max_live's bit length suffices.
         filter_bytes = -(-self.coverage.counters * pool.max_live.bit_length() // 8)

@@ -30,7 +30,7 @@ import enum
 import mmap
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 PROT_NONE = 0
@@ -98,7 +98,6 @@ class _Region:
         self.prots = prots  # one byte per page
 
 
-@dataclass
 class VirtualMemory:
     """One modeled address space.
 
@@ -107,23 +106,21 @@ class VirtualMemory:
     FaultInfo carries access=AccessType.UNKNOWN.
     """
 
-    page_size: int = DEFAULT_PAGE_SIZE
-    expose_access_kind: bool = True
-    fault_count: int = 0
-    # Regions in address order, with their bases alongside for bisect.
-    # reserve appends to _regions before _bases, so a lock-free lookup
-    # that finds a base always finds its region.
-    _regions: list[_Region] = field(default_factory=list)
-    _bases: list[int] = field(default_factory=list)
-    _cursor: int = _BASE_CURSOR_START
-    _handler: Optional[FaultHandler] = None
-    _lock: threading.Lock = field(default_factory=threading.Lock)
-    _page_shift: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.page_size <= 0 or self.page_size & (self.page_size - 1):
-            raise ValueError(f"page_size must be a power of two, got {self.page_size}")
-        self._page_shift = self.page_size.bit_length() - 1
+    def __init__(self, page_size: int = DEFAULT_PAGE_SIZE, expose_access_kind: bool = True):
+        if page_size <= 0 or page_size & (page_size - 1):
+            raise ValueError(f"page_size must be a power of two, got {page_size}")
+        self.page_size = page_size
+        self.expose_access_kind = expose_access_kind
+        self.fault_count = 0
+        self._page_shift = page_size.bit_length() - 1
+        # Regions in address order, with their bases alongside for bisect.
+        # reserve appends to _regions before _bases, so a lock-free lookup
+        # that finds a base always finds its region.
+        self._regions: list[_Region] = []
+        self._bases: list[int] = []
+        self._cursor = _BASE_CURSOR_START
+        self._handler: Optional[FaultHandler] = None
+        self._lock = threading.Lock()
 
     # -- reservation / protection ------------------------------------
 

@@ -147,8 +147,7 @@ def test_every_page_adjacent_oob_access_is_detected():
 @pytest.mark.acceptance("1c left-aligned overflow slack is a documented false negative")
 def test_left_aligned_overflow_goes_undetected_with_distinct_exit():
     code, out = run_main(
-        "inject", "overflow", "--align-side", "left", "--in-process",
-        "--format", "records",
+        "inject", "overflow", "--align-side", "left", "--format", "records",
     )
     assert code == EXIT_UNDETECTED
     assert "detected=0" in out
@@ -440,7 +439,7 @@ def test_recoverable_uaf_write_continues_cleanly():
 
     # The CLI wraps the same flow and must agree end to end.
     code, out = run_main(
-        "inject", "uaf", "--in-process", "--recoverable", "--format", "records"
+        "inject", "uaf", "--recoverable", "--format", "records"
     )
     assert code == EXIT_OK
     assert "recovered_ok=1" in out

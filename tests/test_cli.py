@@ -36,7 +36,6 @@ def test_parser_defaults():
     assert args.seed == 0
     assert args.sample_rate == 5000
     assert args.policy == "counter"
-    assert not args.in_process
     assert args.format == "human"
 
 
@@ -80,7 +79,7 @@ def test_invalid_config_value_exits_config_status(capsys):
 )
 def test_inject_detects_every_kind_in_process(capsys, kind, expected):
     code, out, _ = run_cli(
-        capsys, "inject", kind, "--in-process", "--format", "records"
+        capsys, "inject", kind, "--format", "records"
     )
     assert code == EXIT_OK
     assert "*** GWP-ASan detected a memory error ***" in out
@@ -88,13 +87,13 @@ def test_inject_detects_every_kind_in_process(capsys, kind, expected):
 
 
 def test_inject_human_output(capsys):
-    code, out, _ = run_cli(capsys, "inject", "uaf", "--in-process")
+    code, out, _ = run_cli(capsys, "inject", "uaf")
     assert code == EXIT_OK
     assert "detected: USE_AFTER_FREE report emitted" in out
 
 
 def test_inject_report_shape_matches_canonical_example(capsys):
-    code, out, _ = run_cli(capsys, "inject", "uaf", "--in-process")
+    code, out, _ = run_cli(capsys, "inject", "uaf")
     assert code == EXIT_OK
     assert re.search(
         r"Use-after-free write at 0x[0-9a-f]+ by thread \d+:", out
@@ -107,7 +106,7 @@ def test_inject_report_shape_matches_canonical_example(capsys):
 
 
 def test_inject_underflow_report_says_left(capsys):
-    code, out, _ = run_cli(capsys, "inject", "underflow", "--in-process")
+    code, out, _ = run_cli(capsys, "inject", "underflow")
     assert code == EXIT_OK
     assert re.search(r"Out-of-bounds read at 0x[0-9a-f]+", out)
     assert re.search(r"The access is 2B left of 41B allocation", out)
@@ -118,7 +117,7 @@ def test_inject_overflow_against_slack_goes_undetected(capsys):
     # overflow lands in writable padding and no report fires.
     code, out, _ = run_cli(
         capsys, "inject", "overflow", "--align-side", "left",
-        "--in-process", "--format", "records",
+        "--format", "records",
     )
     assert code == EXIT_UNDETECTED
     assert "detected=0" in out
@@ -127,7 +126,7 @@ def test_inject_overflow_against_slack_goes_undetected(capsys):
 
 def test_inject_custom_distance_and_access(capsys):
     code, out, _ = run_cli(
-        capsys, "inject", "uaf", "--in-process", "--bytes", "0",
+        capsys, "inject", "uaf", "--bytes", "0",
         "--access", "read", "--format", "records",
     )
     assert code == EXIT_OK
@@ -137,7 +136,7 @@ def test_inject_custom_distance_and_access(capsys):
 
 def test_inject_recoverable_verifies_continuation(capsys):
     code, out, _ = run_cli(
-        capsys, "inject", "uaf", "--in-process", "--recoverable",
+        capsys, "inject", "uaf", "--recoverable",
         "--format", "records",
     )
     assert code == EXIT_OK
@@ -146,12 +145,12 @@ def test_inject_recoverable_verifies_continuation(capsys):
 
 
 def test_inject_recoverable_human_mentions_continuation(capsys):
-    code, out, _ = run_cli(capsys, "inject", "uaf", "--in-process", "--recoverable")
+    code, out, _ = run_cli(capsys, "inject", "uaf", "--recoverable")
     assert code == EXIT_OK
     assert "recovery: process continued" in out
 
 
-def test_inject_spawns_child_by_default():
+def test_inject_runs_as_a_module():
     proc = subprocess.run(
         [sys.executable, "-m", "guardpool", "inject", "uaf", "--format", "records"],
         capture_output=True,
@@ -163,7 +162,7 @@ def test_inject_spawns_child_by_default():
     assert "*** End GWP-ASan report ***" in proc.stdout
 
 
-def test_child_injection_receives_every_flag(capsys):
+def test_inject_honours_every_flag(capsys):
     code, out, err = run_cli(
         capsys, "inject", "uaf", "--size", "100", "--bytes", "30",
         "--align-side", "right", "--max-live", "1", "--format", "records",
@@ -175,7 +174,7 @@ def test_child_injection_receives_every_flag(capsys):
     assert report.offset == 30
     # Right-aligned: the allocation ends flush against its slot's end.
     assert (report.allocation_address + 100) % 4096 == 0
-    # An out-of-range --max-live must reach the child's config check.
+    # An out-of-range --max-live must reach the config check.
     code, _, err = run_cli(capsys, "inject", "uaf", "--max-live", "17")
     assert code == EXIT_CONFIG
     assert "max_live" in err
@@ -314,7 +313,7 @@ def test_parse_report_missing_file(capsys):
 
 
 def test_inject_output_round_trips_through_parse_report(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "inject", "uaf", "--in-process")
+    code, out, _ = run_cli(capsys, "inject", "uaf")
     assert code == EXIT_OK
     path = tmp_path / "report.txt"
     path.write_text(out[: out.index("*** End GWP-ASan report ***") + 27] + "\n")

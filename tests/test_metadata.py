@@ -1,4 +1,4 @@
-"""Trace capture, varint compression, and the seqlock record store."""
+"""Trace capture, varint compression, and the per-slot record store."""
 
 import sys
 
@@ -263,14 +263,24 @@ def test_store_dealloc_is_noop_after_eviction():
     assert snap.dealloc_thread is None
 
 
-def test_snapshot_rejects_torn_record():
+def test_stored_records_are_never_changed():
     store = MetadataStore(capacity=1)
     seq = store.store_alloc(0, 8, 1, [0x10])
-    record = store._records[0]
-    record.version += 1  # simulate a writer caught mid-update
-    assert store.snapshot(0, seq) is None
-    record.version += 1
-    assert store.snapshot(0, seq) is not None
+    before_free = store.snapshot(0, seq)
+    assert store.store_dealloc(0, seq, 2, [0x30])
+    after_free = store.snapshot(0, seq)
+    assert before_free.dealloc_thread is None
+    assert before_free.dealloc_trace is None
+    assert after_free is not before_free
+    assert store.snapshot(0, seq) is after_free
+    assert after_free.dealloc_thread == 2
+    # Reusing the slot leaves earlier snapshots as they were.
+    store.store_alloc(0, 16, 3, [0x50])
+    for snap in (before_free, after_free):
+        assert snap.user_size == 8
+        assert snap.alloc_thread == 1
+        assert decompress_trace(snap.alloc_trace) == [0x10]
+    assert decompress_trace(after_free.dealloc_trace) == [0x30]
 
 
 def test_snapshot_out_of_range_index():

@@ -55,6 +55,15 @@ def test_invalid_page_size_rejected(page_size):
         VirtualMemory(page_size=page_size)
 
 
+@pytest.mark.parametrize(
+    "name", ["fault_count", "_regions", "_bases", "_cursor", "_handler", "_lock"]
+)
+def test_internal_state_is_not_a_constructor_argument(name):
+    # VirtualMemory(_cursor=0) once placed a reservation at the null pointer.
+    with pytest.raises(TypeError):
+        VirtualMemory(**{name: 0})
+
+
 def test_read_of_protected_page_raises_by_default(vm):
     base = vm.reserve(1)  # PROT_NONE
     with pytest.raises(SegmentationFault) as excinfo:
