@@ -4,7 +4,8 @@ With a small pool, one hot allocation site can monopolize every slot
 and starve rare call sites of coverage.  The policy: while pool
 utilization is below a threshold, admit everything; at or above it,
 admit only call sites that do not already hold a slot.  Site identity
-is a 64-bit hash of the allocation stack trace, and membership is
+is a 64-bit hash of the allocation stack trace, computed once per
+distinct stack and kept in a bounded memo, and membership is
 tracked in a counting Bloom filter whose counters count exactly: a
 counter never exceeds the number of live guarded allocations, which
 the pool's max_live bounds, so it never saturates, a freed site always
@@ -16,6 +17,7 @@ read-only and safe anywhere.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -27,7 +29,19 @@ _FINAL_MULTIPLIER = 0xD6E8FEB86659FD93
 EMPTY_TRACE_SOURCE = _FNV_OFFSET
 
 
+# Allocation stacks repeat, so each distinct one is hashed once.  One
+# memo entry holds its key tuple and the pcs' int objects: at most about
+# 3 KB for a 64-frame stack.
+_SOURCE_MEMO_SIZE = 256
+
+
 def source_of(trace: Sequence[int]) -> int:
+    """The site id of a trace; equal traces hash once."""
+    return _site_hash(tuple(trace))
+
+
+@functools.lru_cache(maxsize=_SOURCE_MEMO_SIZE)
+def _site_hash(trace: tuple[int, ...]) -> int:
     """FNV-1a over the trace pcs, one 64-bit word per pc, then a finaliser.
 
     A word fold leaves the low bits of the hash a function of the pcs'

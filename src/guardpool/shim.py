@@ -262,7 +262,14 @@ class GuardianAllocator:
         """Move-based realloc: fresh sampling decision for the new block."""
         if not addr:
             return self.malloc(size)
-        old_size = self.usable_size(addr)
+        if self._pool_lo <= addr < self._pool_hi:
+            old_size, live = self._guarded_size(addr)
+            if not live:
+                # Reported and recovered: the freed block is neither
+                # read nor freed again.
+                return self.malloc(size)
+        else:
+            old_size = self.fallback.usable_size(addr)
         new_addr = self.malloc(size)
         copy = min(old_size, size)
         if copy:
@@ -278,17 +285,7 @@ class GuardianAllocator:
 
     def usable_size(self, addr: int) -> int:
         if self._pool_lo <= addr < self._pool_hi:
-            pool = self.pool
-            classification = pool.classify_address(addr)
-            slot_index = classification.slot_index
-            if (classification.kind is AddressKind.ALLOCATED_SLOT
-                    and addr == pool.user_address(slot_index)):
-                # Requested size, not page capacity: keeps byte-exact
-                # bounds so off-by-one reads past the request still
-                # look like bugs to callers honoring usable_size.
-                return pool.slots[slot_index].user_size
-            # Like the host: only the start of a live block has a size.
-            raise ValueError(f"0x{addr:x} is not a live guarded allocation")
+            return self._guarded_size(addr)[0]
         return self.fallback.usable_size(addr)
 
     def is_guarded(self, addr: int) -> bool:
@@ -349,6 +346,35 @@ class GuardianAllocator:
             self.coverage.insert(source)
             self.stats.guarded += 1
             return user_address
+
+    def _guarded_size(self, addr: int) -> tuple[int, bool]:
+        """(requested size, still live) of the guarded block starting at addr.
+
+        Requested size, not page capacity: keeps byte-exact bounds so
+        off-by-one reads past the request still look like bugs to
+        callers honoring usable_size.  A freed block is a use-after-free,
+        reported with both stacks as free reports a double free; only a
+        recoverable reporter lets the call return.
+        """
+        pool = self.pool
+        with pool.lock:
+            classification = pool.classify_address(addr)
+            kind = classification.kind
+            slot_index = classification.slot_index
+            if (kind not in (AddressKind.ALLOCATED_SLOT, AddressKind.QUARANTINED_SLOT)
+                    or addr != pool.user_address(slot_index)):
+                # Like the host: only the start of a block has a size.
+                raise ValueError(f"0x{addr:x} is not a live guarded allocation")
+            size = pool.slots[slot_index].user_size
+            if kind is AddressKind.ALLOCATED_SLOT:
+                return size, True
+            report = self.reporter.slot_report(
+                ReportKind.USE_AFTER_FREE, slot_index, access_address=addr,
+                access_kind=AccessType.UNKNOWN, faulting_thread=threading.get_ident(),
+                access_trace=capture_trace(self.config.max_frames))
+        # Emitting outside the pool lock: the reporter may terminate.
+        self.reporter.emit_synthetic(report)
+        return size, False
 
     def _guarded_free(self, addr: int) -> None:
         pool = self.pool

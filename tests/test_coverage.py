@@ -1,10 +1,27 @@
 """Counting Bloom filter properties and the admission policy."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guardpool import coverage
 from guardpool.coverage import EMPTY_TRACE_SOURCE, CoverageFilter, source_of
+
+_M = (1 << 64) - 1
+
+
+def _reference_source(trace):
+    """The site hash computed afresh: FNV-1a words, then the finaliser."""
+    if not trace:
+        return 0xCBF29CE484222325
+    h = 0xCBF29CE484222325
+    for pc in trace:
+        h = ((h ^ (pc & _M)) * 0x100000001B3) & _M
+    h ^= h >> 32
+    h = (h * 0xD6E8FEB86659FD93) & _M
+    return h ^ (h >> 32)
 
 
 def test_source_is_deterministic_and_trace_sensitive():
@@ -20,6 +37,31 @@ def test_source_order_sensitive():
 
 def test_empty_trace_has_stable_sentinel_source():
     assert source_of([]) == EMPTY_TRACE_SOURCE
+    # Also once the memo holds it, and from a tuple.
+    assert source_of([]) == source_of(()) == EMPTY_TRACE_SOURCE
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=65))
+def test_source_matches_the_reference_for_lists_and_tuples(trace):
+    want = _reference_source(trace)
+    assert source_of(trace) == want
+    assert source_of(tuple(trace)) == want
+    assert source_of(list(trace)) == want
+
+
+def test_memoized_source_matches_the_reference_after_eviction():
+    bound = coverage._SOURCE_MEMO_SIZE
+    rng = random.Random(23)
+    traces = [[rng.getrandbits(48) for _ in range(rng.randrange(1, 65))]
+              for _ in range(3 * bound)]
+    for trace in traces:
+        assert source_of(trace) == _reference_source(trace)
+    # The first traces were evicted long ago; hashing them again still
+    # gives the reference, and the memo never holds more than its bound.
+    for trace in traces[:bound]:
+        assert source_of(tuple(trace)) == _reference_source(trace)
+    assert coverage._site_hash.cache_info().currsize <= bound
 
 
 def test_source_fits_64_bits():

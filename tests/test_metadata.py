@@ -1,22 +1,77 @@
 """Trace capture, varint compression, and the per-slot record store."""
 
+import random
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guardpool import metadata
 from guardpool.metadata import (
     CompressedTrace,
     MetadataStore,
     capture_trace,
     compress_trace,
     decompress_trace,
-    uleb128_decode,
-    uleb128_encode,
-    zigzag_decode,
-    zigzag_encode,
 )
+
+# -- the reference encoder ---------------------------------------------------
+#
+# The program stores CompressedTrace objects and never serializes them,
+# but byte_size() counts the bytes of this encoding: a uleb128 frame
+# count, the first pc as 8 little-endian bytes, then one uleb128 zigzag
+# delta per remaining frame.  The helpers below build those bytes one
+# step at a time; the one-loop coders are checked against them.
+
+
+def zigzag_encode(value):
+    """Map signed to unsigned: 0,-1,1,-2,... -> 0,1,2,3,..."""
+    return value * 2 if value >= 0 else -value * 2 - 1
+
+
+def zigzag_decode(value):
+    if value < 0:
+        raise ValueError("zigzag values are non-negative")
+    return value // 2 if value % 2 == 0 else -(value // 2) - 1
+
+
+def uleb128_encode(value):
+    """Unsigned LEB128: 7 bits per byte, high bit marks continuation."""
+    if value < 0:
+        raise ValueError("uleb128 encodes non-negative integers")
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
+
+
+def uleb128_decode(data, pos=0):
+    """Decode one value starting at pos; returns (value, next_pos)."""
+    result = 0
+    shift = 0
+    while True:
+        if pos >= len(data):
+            raise ValueError("truncated uleb128 sequence")
+        byte = data[pos]
+        pos += 1
+        result |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return result, pos
+        shift += 7
+
+
+def reference_bytes(trace):
+    """The encoded bytes of a CompressedTrace, whose length byte_size() gives."""
+    if trace.frame_count == 0:
+        return uleb128_encode(0)
+    return (uleb128_encode(trace.frame_count) + trace.first_pc.to_bytes(8, "little")
+            + trace.deltas)
 
 
 # Independent oracle: encodes a non-negative integer to ULEB128 by
@@ -112,16 +167,6 @@ def test_trace_round_trip(trace):
 
 
 @given(
-    st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), min_size=0, max_size=40)
-)
-def test_trace_wire_format_round_trip(trace):
-    compressed = compress_trace(trace)
-    wire = compressed.to_bytes()
-    assert CompressedTrace.from_bytes(wire) == compressed
-    assert compressed.byte_size() == len(wire)
-
-
-@given(
     st.integers(min_value=0, max_value=1 << 30),
     st.integers(min_value=0, max_value=(1 << 64) - 1),
     st.binary(max_size=64),
@@ -129,17 +174,13 @@ def test_trace_wire_format_round_trip(trace):
 def test_byte_size_counts_the_wire_bytes(frame_count, first_pc, deltas):
     # Frame counts past 127 need a multi-byte uleb128 head.
     trace = CompressedTrace(frame_count, first_pc, deltas)
-    assert trace.byte_size() == len(trace.to_bytes())
+    assert trace.byte_size() == len(reference_bytes(trace))
 
 
 def test_empty_trace_wire_format_is_one_byte():
-    assert compress_trace([]).to_bytes() == b"\x00"
-
-
-def test_from_bytes_rejects_truncation():
-    wire = compress_trace([1, 2, 3]).to_bytes()
-    with pytest.raises(ValueError):
-        decompress_trace(CompressedTrace.from_bytes(wire[:-1]))
+    empty = compress_trace([])
+    assert reference_bytes(empty) == b"\x00"
+    assert empty.byte_size() == 1
 
 
 def test_clustered_traces_compress_well():
@@ -326,12 +367,50 @@ def test_capacity_validated():
         MetadataStore(capacity=0)
 
 
+# -- interning ---------------------------------------------------------------
+
+
+def test_equal_traces_in_two_slots_share_one_compressed_trace():
+    store = MetadataStore(capacity=2)
+    trace = [0x7F0000400000 + i * 0x180 for i in range(5)]
+    first = store.store_alloc(0, 8, 1, trace)
+    second = store.store_alloc(1, 16, 2, list(trace))
+    shared = store.snapshot(0, first).alloc_trace
+    assert store.snapshot(1, second).alloc_trace is shared
+    assert store.store_dealloc(1, second, 2, tuple(trace))
+    assert store.snapshot(1, second).dealloc_trace is shared
+    # Accounting still counts a trace per record.
+    assert store.accounted_trace_bytes() == 3 * shared.byte_size()
+
+
+def test_interned_trace_does_not_follow_the_callers_list():
+    trace = [0x1000, 0x1010, 0x1020]
+    compressed = compress_trace(trace)
+    trace[1] = 0x9999
+    assert decompress_trace(compressed) == [0x1000, 0x1010, 0x1020]
+    assert decompress_trace(compress_trace(trace)) == trace
+
+
+def test_memo_matches_the_reference_after_eviction():
+    bound = metadata._TRACE_MEMO_SIZE
+    rng = random.Random(11)
+    traces = [[rng.getrandbits(48) for _ in range(rng.randrange(0, 65))]
+              for _ in range(3 * bound)]
+    for pcs in traces:
+        assert compress_trace(pcs) == _reference_compress(pcs)
+    # The first traces were evicted long ago: encoding them again still
+    # gives the reference, and the memo never holds more than its bound.
+    for pcs in traces[:bound]:
+        assert compress_trace(tuple(pcs)) == _reference_compress(pcs)
+    assert metadata._compress.cache_info().currsize <= bound
+
+
 # -- the one-loop coders and capture against the helper-built reference -------
 #
-# compress_trace, decompress_trace and capture_trace inline their helpers
-# into single loops.  The references below are the earlier helper-based
-# versions, kept verbatim in shape: the wire bytes are a contract, and
-# capture must keep the same pcs in the same order.
+# compress_trace, decompress_trace and capture_trace are single loops.
+# The references below build the same results from the helpers at the
+# top of this file: the encoded bytes are a contract, and capture must
+# keep the same pcs in the same order.
 
 
 def _reference_compress(pcs):
@@ -373,7 +452,10 @@ def test_compress_is_byte_equal_to_the_helper_encoding(pcs):
     got = compress_trace(pcs)
     want = _reference_compress(pcs)
     assert got == want
-    assert got.to_bytes() == want.to_bytes()
+    assert got.byte_size() == len(reference_bytes(want))
+    # Interned: the list, a tuple and a repeat give the same object.
+    assert compress_trace(tuple(pcs)) is got
+    assert compress_trace(list(pcs)) is got
 
 
 @settings(max_examples=300)

@@ -648,8 +648,8 @@ def test_realloc_copies_and_frees():
     assert bigger != addr
     assert allocator.vm.read(bigger, 16) == bytes(range(16))
     assert allocator.usable_size(bigger) == 64
-    with pytest.raises(ValueError):
-        allocator.usable_size(addr)  # the old block is gone
+    with pytest.raises(SegmentationFault):
+        allocator.usable_size(addr)  # the old block is freed: a use-after-free
 
     smaller = allocator.realloc(bigger, 8)
     assert allocator.vm.read(smaller, 8) == bytes(range(8))
@@ -665,9 +665,61 @@ def test_usable_size_is_the_requested_size():
     allocator, _ = make_allocator()
     addr = guarded_malloc(allocator, 41)
     assert allocator.usable_size(addr) == 41
+
+
+def _freed_guarded(recoverable):
+    allocator, sink = make_allocator(slot_count=4, recoverable=recoverable)
+    addr = guarded_malloc(allocator, 41)
+    allocator.vm.write(addr, b"x" * 41)
     allocator.free(addr)
-    with pytest.raises(ValueError):
-        allocator.usable_size(addr)
+    return allocator, sink, addr
+
+
+def _one_use_after_free_report(sink, addr):
+    assert sink.getvalue().count(REPORT_HEADER) == 1
+    report = parse_report(sink.getvalue())
+    assert report.kind is ReportKind.USE_AFTER_FREE
+    assert report.access_address == report.allocation_address == addr
+    assert report.allocation_size == 41
+    assert report.alloc_trace and report.dealloc_trace  # both stacks
+    return report
+
+
+@pytest.mark.parametrize("recoverable", [False, True], ids=["fatal", "recoverable"])
+def test_usable_size_of_a_freed_guarded_pointer_reports_use_after_free(recoverable):
+    allocator, sink, addr = _freed_guarded(recoverable)
+    if recoverable:
+        assert allocator.usable_size(addr) == 41  # the freed request's size
+    else:
+        with pytest.raises(SegmentationFault):
+            allocator.usable_size(addr)
+    _one_use_after_free_report(sink, addr)
+
+
+@pytest.mark.parametrize("recoverable", [False, True], ids=["fatal", "recoverable"])
+def test_realloc_of_a_freed_guarded_pointer_reports_use_after_free(recoverable):
+    allocator, sink, addr = _freed_guarded(recoverable)
+    faults = allocator.vm.fault_count
+    if recoverable:
+        moved = allocator.realloc(addr, 64)
+        assert allocator.usable_size(moved) == 64
+    else:
+        with pytest.raises(SegmentationFault):
+            allocator.realloc(addr, 64)
+    _one_use_after_free_report(sink, addr)
+    # The freed block is neither read (no fault) nor freed again.
+    assert allocator.vm.fault_count == faults
+    assert allocator.stats.double_free == 0
+
+
+@pytest.mark.parametrize("recoverable", [False, True], ids=["fatal", "recoverable"])
+def test_interior_pointer_of_a_freed_guarded_block_is_a_value_error(recoverable):
+    allocator, sink, addr = _freed_guarded(recoverable)
+    for call in (lambda: allocator.usable_size(addr + 1),
+                 lambda: allocator.realloc(addr + 1, 8)):
+        with pytest.raises(ValueError):
+            call()
+    assert sink.getvalue() == ""
 
 
 def test_usable_size_of_an_interior_guarded_pointer_is_a_value_error():
