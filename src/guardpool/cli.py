@@ -57,26 +57,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--policy", choices=["counter", "timer"], default="counter")
-    common.add_argument("--sample-rate", type=int, default=5000)
-    common.add_argument("--sample-interval-ms", type=float, default=100.0)
-    common.add_argument("--slots", type=int, default=16)
-    common.add_argument("--max-live", type=int, default=None)
-    common.add_argument("--recoverable", action="store_true")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--iterations", type=int, default=1_000_000)
-    common.add_argument("--format", choices=["human", "records"], default="human")
-    return common
+def _flag_groups() -> tuple[argparse.ArgumentParser, ...]:
+    """The shared flags, in three groups: each subcommand takes only the
+    groups its handler reads."""
+    allocator = argparse.ArgumentParser(add_help=False)
+    allocator.add_argument("--slots", type=int, default=16)
+    allocator.add_argument("--max-live", type=int, default=None)
+    allocator.add_argument("--recoverable", action="store_true")
+    allocator.add_argument("--seed", type=int, default=0)
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--policy", choices=["counter", "timer"], default="counter")
+    sampling.add_argument("--sample-rate", type=int, default=5000)
+    sampling.add_argument("--sample-interval-ms", type=float, default=100.0)
+    sampling.add_argument("--iterations", type=int, default=1_000_000)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=["human", "records"], default="human")
+    return allocator, sampling, output
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
+    allocator, sampling, output = _flag_groups()
     parser = _Parser(prog="guardpool", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    inject = sub.add_parser("inject", parents=[common], help="trigger one bug class")
+    # inject forces the counter policy at rate 1 and runs one scenario,
+    # so it takes no sampling flags.
+    inject = sub.add_parser("inject", parents=[allocator, output],
+                            help="trigger one bug class")
     inject.add_argument("kind", choices=sorted(_INJECTIONS))
     inject.add_argument("--size", type=int, default=41, help="victim allocation size")
     inject.add_argument(
@@ -87,22 +94,22 @@ def build_parser() -> argparse.ArgumentParser:
     inject.add_argument("--access", choices=["read", "write"], default=None)
     inject.add_argument("--align-side", choices=["left", "right"], default=None)
 
-    stats = sub.add_parser("sample-stats", parents=[common],
+    stats = sub.add_parser("sample-stats", parents=[allocator, sampling, output],
                            help="empirical sampling rate and gap statistics")
     stats.add_argument("--duration-ms", type=float, default=1000.0,
                        help="mock-clock span for the timer policy")
 
-    bench = sub.add_parser("bench", parents=[common],
+    bench = sub.add_parser("bench", parents=[allocator, sampling, output],
                            help="fast-path overhead vs tool-absent baseline")
     bench.add_argument("--alloc-size", type=int, default=16)
     bench.add_argument("--repeats", type=int, default=3)
 
-    parse = sub.add_parser("parse-report", parents=[common],
+    parse = sub.add_parser("parse-report", parents=[output],
                            help="parse rendered report text back to fields")
     parse.add_argument("file", nargs="?", default="-",
                        help="report file, or - for stdin")
 
-    stress = sub.add_parser("stress", parents=[common],
+    stress = sub.add_parser("stress", parents=[allocator, sampling, output],
                             help="multi-threaded malloc/free hammering")
     stress.add_argument("--threads", type=int, default=4)
 
@@ -113,12 +120,15 @@ def _allocator_config(args, **overrides) -> GuardianConfig:
     kwargs = dict(
         slot_count=args.slots,
         max_live=args.max_live,
-        policy=args.policy,
-        sample_rate=args.sample_rate,
-        sample_interval=args.sample_interval_ms / 1000.0,
         seed=args.seed,
         recoverable=args.recoverable,
     )
+    if "policy" in args:  # the subcommands that take the sampling flags
+        kwargs.update(
+            policy=args.policy,
+            sample_rate=args.sample_rate,
+            sample_interval=args.sample_interval_ms / 1000.0,
+        )
     kwargs.update(overrides)
     return GuardianConfig(**kwargs)
 
@@ -259,11 +269,17 @@ def _verify_recovery(alloc, context, size) -> bool:
 
 
 def cmd_sample_stats(args) -> int:
-    if args.policy == "timer":
-        return _timer_stats(args)
+    # The timer policy reads a mock clock that spans --duration-ms over
+    # the run; the counter policy never reads it.
+    duration_s = args.duration_ms / 1000.0
+    step = duration_s / max(args.iterations, 1)
+    now = [0.0]
 
-    config = _allocator_config(args)
-    alloc = GuardianAllocator(config)
+    def clock() -> float:
+        now[0] += step
+        return now[0]
+
+    alloc = GuardianAllocator(_allocator_config(args, timer_clock=clock))
     gaps = []
     prev = 0
     for call_no in range(1, args.iterations + 1):
@@ -272,8 +288,22 @@ def cmd_sample_stats(args) -> int:
             gaps.append(call_no - prev)
             prev = call_no
         alloc.free(ptr)
-
     samples = len(gaps)
+
+    if args.policy == "timer":
+        expected = int(duration_s / (args.sample_interval_ms / 1000.0))
+        if args.format == "records":
+            print(
+                f"sample-stats policy=timer iterations={args.iterations}"
+                f" duration_ms={args.duration_ms:g} interval_ms={args.sample_interval_ms:g}"
+                f" samples={samples} expected={expected}"
+            )
+        else:
+            print(f"policy: timer, interval {args.sample_interval_ms:g} ms,"
+                  f" mock clock spanning {args.duration_ms:g} ms")
+            print(f"samples: {samples} (expected about {expected})")
+        return EXIT_OK
+
     rate = samples / args.iterations if args.iterations else 0.0
     median_gap = statistics.median(gaps) if gaps else float("nan")
     mean_gap = statistics.fmean(gaps) if gaps else float("nan")
@@ -291,38 +321,6 @@ def cmd_sample_stats(args) -> int:
         if gaps:
             print(f"gap: median {median_gap:g}, mean {mean_gap:.2f},"
                   f" min {min(gaps)}, max {max(gaps)}")
-    return EXIT_OK
-
-
-def _timer_stats(args) -> int:
-    interval_s = args.sample_interval_ms / 1000.0
-    duration_s = args.duration_ms / 1000.0
-    step = duration_s / max(args.iterations, 1)
-    now = [0.0]
-
-    def clock() -> float:
-        now[0] += step
-        return now[0]
-
-    config = _allocator_config(args, timer_clock=clock)
-    alloc = GuardianAllocator(config)
-    samples = 0
-    for _ in range(args.iterations):
-        ptr = alloc.malloc(16)
-        if alloc.is_guarded(ptr):
-            samples += 1
-        alloc.free(ptr)
-    expected = int(duration_s / interval_s)
-    if args.format == "records":
-        print(
-            f"sample-stats policy=timer iterations={args.iterations}"
-            f" duration_ms={args.duration_ms:g} interval_ms={args.sample_interval_ms:g}"
-            f" samples={samples} expected={expected}"
-        )
-    else:
-        print(f"policy: timer, interval {args.sample_interval_ms:g} ms,"
-              f" mock clock spanning {args.duration_ms:g} ms")
-        print(f"samples: {samples} (expected about {expected})")
     return EXIT_OK
 
 

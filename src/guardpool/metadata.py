@@ -2,14 +2,15 @@
 
 Traces are lists of program-counter-like integers captured by walking
 the interpreter stack; a frame's pc is its code object address plus the
-bytecode offset, so frames of one function cluster tightly.  Stored
-traces are delta-encoded (consecutive pcs tend to be close) and the
-deltas zigzag-mapped then ULEB128-encoded, trading decode time on the
-rare error path for a large resident-memory reduction on every sampled
-allocation.  Allocation stacks repeat, so compress_trace interns them
-as sanitizer stack depots do: a bounded memo keyed by the pcs encodes
-each distinct stack once, and records of equal stacks share one
-immutable CompressedTrace.
+bytecode offset, so frames of one function cluster tightly.  Capture is
+the one place that caps a trace's length; the store keeps what it is
+given.  Stored traces are delta-encoded (consecutive pcs tend to be
+close) and the deltas zigzag-mapped then ULEB128-encoded, trading
+decode time on the rare error path for a large resident-memory
+reduction on every sampled allocation.  Allocation stacks repeat, so
+compress_trace interns them as sanitizer stack depots do: a bounded
+memo keyed by the pcs encodes each distinct stack once, and records of
+equal stacks share one immutable CompressedTrace.
 
 The record store keeps one record per pool slot, indexed by the slot
 index as in GWP-ASan's Metadata[SlotIndex]: an allocation's evidence
@@ -31,8 +32,6 @@ from typing import Optional, Sequence
 
 _MASK64 = (1 << 64) - 1
 
-DEFAULT_MAX_FRAMES = 64
-
 # Frames whose module lives here are tool internals and are skipped
 # during capture; the harness CLI is deliberately absent so injected
 # scenarios show up in their own reports.
@@ -43,7 +42,7 @@ _TOOL_MODULES = frozenset(
 )
 
 
-def capture_trace(max_frames: int = DEFAULT_MAX_FRAMES) -> list[int]:
+def capture_trace(max_frames: int) -> list[int]:
     """Capture up to max_frames pcs, innermost first, skipping tool frames.
 
     A frame's pc is id(f_code) + f_lasti.  Returns an empty list when
@@ -185,11 +184,10 @@ class MetadataStore:
     number means the slot was reused and the evidence is gone.
     """
 
-    def __init__(self, capacity: int, max_frames: int = DEFAULT_MAX_FRAMES):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity  # the pool's slot count
-        self.max_frames = max_frames
         self._records: list[Optional[AllocationMetadata]] = [None] * capacity
         self._next_seq = 1
 
@@ -198,10 +196,8 @@ class MetadataStore:
     ) -> int:
         """Store a new record for an allocation in slot_index; returns its alloc_seq."""
         seq = self._next_seq
-        max_frames = self.max_frames
-        compressed = compress_trace(trace if len(trace) <= max_frames else trace[:max_frames])
         self._records[slot_index] = AllocationMetadata(
-            seq, slot_index, size, thread_id, compressed
+            seq, slot_index, size, thread_id, compress_trace(trace)
         )
         self._next_seq = seq + 1
         return seq
@@ -217,11 +213,9 @@ class MetadataStore:
         record = self._records[slot_index]
         if record is None or record.alloc_seq != alloc_seq:
             return False
-        max_frames = self.max_frames
-        compressed = compress_trace(trace if len(trace) <= max_frames else trace[:max_frames])
         self._records[slot_index] = AllocationMetadata(
             alloc_seq, slot_index, record.user_size, record.alloc_thread,
-            record.alloc_trace, thread_id, compressed,
+            record.alloc_trace, thread_id, compress_trace(trace),
         )
         return True
 

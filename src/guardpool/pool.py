@@ -78,7 +78,6 @@ class SlotRecord:
         "state",
         "user_offset",
         "user_size",
-        "alignment_side",
         "metadata_index",
         "metadata_seq",
         "coverage_source",
@@ -88,7 +87,6 @@ class SlotRecord:
         self.state = SlotState.FREE
         self.user_offset = 0
         self.user_size = 0
-        self.alignment_side = AlignmentSide.LEFT
         # Always the slot's own index (the metadata record's index); kept
         # only because perfbench/workloads.py (sampled) reads it.
         self.metadata_index = slot_index
@@ -201,7 +199,6 @@ class GuardedPool:
 
             slot.user_offset = offset
             slot.user_size = size
-            slot.alignment_side = side
             slot.metadata_seq = -1
             slot.coverage_source = None
             slot.state = SlotState.ALLOCATED  # last: fault path sees full geometry

@@ -376,12 +376,14 @@ class Reporter:
         self,
         pool: GuardedPool,
         store: MetadataStore,
+        max_frames: int,
         recoverable: bool = False,
         sink: Optional[TextIO] = None,
         on_disable=None,
     ):
         self._pool = pool
         self._store = store
+        self._max_frames = max_frames  # access stacks' cap
         self.recoverable = recoverable
         self._sink = sink if sink is not None else sys.stderr
         self._on_disable = on_disable
@@ -391,7 +393,8 @@ class Reporter:
         self._permit = threading.Lock()
         self._prev = None
         self._vm: Optional[VirtualMemory] = None
-        self._disabled = False
+        # Set by the first recoverable report; later ones are swallowed.
+        self.disabled = False
         self.reports_emitted = 0
         self.last_report: Optional[ErrorReport] = None
 
@@ -415,7 +418,7 @@ class Reporter:
             if self._prev is not None:
                 return self._prev(fault)
             return FaultAction.TERMINATE
-        if self._disabled:
+        if self.disabled:
             # Already recovered once: keep the process alive without
             # generating a report storm.
             self._make_page_accessible(fault.address)
@@ -432,9 +435,9 @@ class Reporter:
         """Emit a shim-detected error (double/invalid free): no fault involved.
 
         Honors recoverable mode; in the default mode raises the same
-        fatal signal a guarded fault would.
+        fatal signal a guarded fault would.  Once disabled, swallows it.
         """
-        if self._disabled:
+        if self.disabled:
             return
         self._emit(report)
         if self.recoverable:
@@ -485,7 +488,7 @@ class Reporter:
             access_address=fault.address,
             access_kind=fault.access,
             faulting_thread=fault.thread_id,
-            access_trace=capture_trace(self._store.max_frames),
+            access_trace=capture_trace(self._max_frames),
         )
         if cls.kind in (AddressKind.UNATTRIBUTED_GUARD, AddressKind.FREE_SLOT,
                         AddressKind.ALLOCATED_SLOT):
@@ -527,6 +530,6 @@ class Reporter:
         vm.protect(page, self._pool.page_size, PROT_READ | PROT_WRITE)
 
     def _disable(self) -> None:
-        self._disabled = True
+        self.disabled = True
         if self._on_disable is not None:
             self._on_disable()

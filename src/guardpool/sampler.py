@@ -109,44 +109,30 @@ class CounterSampler:
 class TimerGate:
     """At most one sample per interval, kfence-style.
 
-    The gate arms itself lazily: the first query on or after the next
-    interval boundary claims the sample.  arm() force-opens the gate
-    regardless of the clock, which deployments use for the very first
-    sample.  Consumption is atomic: with many threads racing on an
-    armed gate, exactly one observes True.
+    One deadline, one interval after construction: the first query on
+    or after it claims the sample and sets the next deadline one
+    interval after that query.  Consumption is atomic: with many threads
+    racing past the deadline, exactly one observes True.
     """
 
-    def __init__(
-        self,
-        interval: float = 0.1,
-        clock: Callable[[], float] = time.monotonic,
-        armed: bool = False,
-    ):
+    def __init__(self, interval: float = 0.1, clock: Callable[[], float] = time.monotonic):
         if not interval > 0:  # also rejects NaN
             raise ValueError(f"interval must be positive, got {interval}")
         self.interval = interval
         self._clock = clock
         self._lock = threading.Lock()
-        self._armed = armed
-        self._next_arm_at = clock() + interval
-
-    def arm(self) -> None:
-        with self._lock:
-            self._armed = True
+        self._deadline = clock() + interval
 
     def want_to_sample(self) -> bool:
         now = self._clock()
-        if not self._armed and now < self._next_arm_at:
+        if now < self._deadline:
             return False
         with self._lock:
-            if not self._armed:
-                if now < self._next_arm_at:
-                    return False
-                self._armed = True
-            self._armed = False
+            if now < self._deadline:
+                return False
             # Schedule from the consumption point: one sample per
             # interval of wall time, not a fixed phase grid.
-            self._next_arm_at = now + self.interval
+            self._deadline = now + self.interval
             return True
 
 

@@ -211,10 +211,11 @@ class GuardianAllocator:
         self.pool = GuardedPool(
             self.vm, cfg.slot_count, cfg.max_live, cfg.seed, cfg.force_alignment_side
         )
-        self.store = MetadataStore(cfg.slot_count, cfg.max_frames)
+        self.store = MetadataStore(cfg.slot_count)
         self.coverage = CoverageFilter(utilization_threshold=cfg.coverage_threshold)
         self.reporter = Reporter(
-            self.pool, self.store, cfg.recoverable, cfg.sink, self._stop_sampling
+            self.pool, self.store, cfg.max_frames, cfg.recoverable, cfg.sink,
+            self._stop_sampling,
         )
         self.reporter.install(self.vm)
         self._min_alignment = cfg.min_alignment
@@ -393,13 +394,19 @@ class GuardianAllocator:
                 self.coverage.remove(slot.coverage_source)
                 pool.release(slot_index)
                 return
-            if classification.kind is AddressKind.QUARANTINED_SLOT:
+            # Count only emitted reports: a reporter disabled by an earlier
+            # recoverable report swallows this one.
+            emitted = not self.reporter.disabled
+            # The start of a block before its state, as GWP-ASan's
+            # deallocate checks: freeing p + 1 after p is an invalid free.
+            if (classification.kind is AddressKind.QUARANTINED_SLOT
+                    and addr == pool.user_address(slot_index)):
                 kind = ReportKind.DOUBLE_FREE
-                self.stats.double_free += 1
+                self.stats.double_free += emitted
             else:
                 # Interior pointer, guard page or free slot: never valid.
                 kind = ReportKind.INVALID_FREE
-                self.stats.invalid_free += 1
+                self.stats.invalid_free += emitted
             report = self.reporter.slot_report(
                 kind, slot_index, access_address=addr, access_kind=AccessType.UNKNOWN,
                 faulting_thread=threading.get_ident(),

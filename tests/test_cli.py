@@ -1,5 +1,6 @@
 """Harness behavior: flags, exit statuses, and machine-readable records."""
 
+import argparse
 import io
 import re
 import subprocess
@@ -34,9 +35,51 @@ def test_parser_defaults():
     assert args.kind == "uaf"
     assert args.size == 41
     assert args.seed == 0
+    assert args.format == "human"
+    args = build_parser().parse_args(["sample-stats"])
     assert args.sample_rate == 5000
     assert args.policy == "counter"
-    assert args.format == "human"
+
+
+_ALLOCATOR_FLAGS = {"--slots", "--max-live", "--recoverable", "--seed"}
+_SAMPLING_FLAGS = {"--policy", "--sample-rate", "--sample-interval-ms", "--iterations"}
+
+# Exactly the options each subcommand's handler reads.
+SUBCOMMAND_OPTIONS = {
+    "inject": _ALLOCATOR_FLAGS | {"--format", "--size", "--bytes", "--access",
+                                  "--align-side"},
+    "sample-stats": _ALLOCATOR_FLAGS | _SAMPLING_FLAGS | {"--format", "--duration-ms"},
+    "bench": _ALLOCATOR_FLAGS | _SAMPLING_FLAGS | {"--format", "--alloc-size", "--repeats"},
+    "parse-report": {"--format"},
+    "stress": _ALLOCATOR_FLAGS | _SAMPLING_FLAGS | {"--format", "--threads"},
+}
+
+
+def test_each_subcommand_accepts_exactly_its_options():
+    parser = build_parser()
+    (subparsers,) = (action for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction))
+    accepted = {
+        name: {option for action in sub._actions for option in action.option_strings}
+        - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert accepted == SUBCOMMAND_OPTIONS
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse-report", "report.txt", "--seed", "1"],
+    ["parse-report", "report.txt", "--slots", "0", "--policy", "timer"],
+    ["inject", "uaf", "--policy", "timer"],
+    ["inject", "uaf", "--sample-rate", "999999"],
+    ["inject", "uaf", "--sample-interval-ms", "-5"],
+    ["inject", "uaf", "--iterations", "10"],
+], ids=" ".join)
+def test_flags_a_subcommand_does_not_read_exit_config_status(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_unknown_flags_exit_config_status():

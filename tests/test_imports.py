@@ -1,5 +1,5 @@
 """Every name a guardpool module imports is used, or marked as re-exported,
-and every memo it keeps is bounded."""
+every memo it keeps is bounded, and every config field it accepts is read."""
 
 import ast
 from pathlib import Path
@@ -116,3 +116,55 @@ def test_every_export_resolves_once():
     assert len(guardpool.__all__) == len(set(guardpool.__all__)), "an export is listed twice"
     missing = [name for name in guardpool.__all__ if not hasattr(guardpool, name)]
     assert missing == []
+
+
+def unread_config_fields(sources):
+    """GuardianConfig fields that no code outside the class reads.
+
+    A read is an attribute load on a name bound to the config (cfg or
+    config) or on an attribute named config (self.config); validate()
+    and the class's other methods do not count, since a field that is
+    only checked is still ignored.
+    """
+    fields, reads = [], set()
+    for source in sources:
+        tree = ast.parse(source)
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "GuardianConfig":
+                fields += [stmt.target.id for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)]
+                inside.update(id(sub) for sub in ast.walk(node))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and id(node) not in inside
+                    and (isinstance(node.value, ast.Name) and node.value.id in ("cfg", "config")
+                         or isinstance(node.value, ast.Attribute)
+                         and node.value.attr == "config")):
+                reads.add(node.attr)
+    return [name for name in fields if name not in reads]
+
+
+# The only fields nothing reads; each leaves with the benchmark-only change.
+UNREAD_CONFIG_FIELDS = [
+    "quarantine_min_slots",  # perfbench still passes it (ROADMAP item 1)
+    "metadata_capacity",  # perfbench still passes it (ROADMAP item 1)
+]
+
+
+def test_every_config_field_is_read():
+    sources = [path.read_text() for path in MODULES]
+    assert unread_config_fields(sources) == UNREAD_CONFIG_FIELDS
+
+
+def test_config_check_ignores_reads_inside_the_class():
+    source = (
+        "class GuardianConfig:\n"
+        "    used: int = 1\n"
+        "    checked: int = 2\n"
+        "    def validate(self):\n"
+        "        return self.checked and self.used\n"
+        "def build(cfg):\n"
+        "    return cfg.used\n"
+    )
+    assert unread_config_fields([source]) == ["checked"]

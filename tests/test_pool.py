@@ -75,12 +75,13 @@ def test_alignment_side_geometry(size, alignment, side, expected_offset):
 
 def test_alignment_side_randomized_both_sides_occur():
     pool = make_pool(slot_count=4, max_live=4)
-    sides = set()
+    offsets = set()
     for trial in range(32):
         slot_index, _ = pool.acquire(8)
-        sides.add(pool.slots[slot_index].alignment_side)
+        offsets.add(pool.slots[slot_index].user_offset)
         pool.release(slot_index)
-    assert sides == {AlignmentSide.LEFT, AlignmentSide.RIGHT}
+    # Flush left is offset 0; flush right ends at the slot's last byte.
+    assert offsets == {0, pool.page_size - 8}
 
 
 def test_acquire_validates_arguments():

@@ -455,7 +455,7 @@ def make_env(
     store = MetadataStore(capacity=16)
     sink = io.StringIO()
     reporter = Reporter(
-        pool, store, recoverable=recoverable, sink=sink, on_disable=on_disable
+        pool, store, 64, recoverable=recoverable, sink=sink, on_disable=on_disable
     )
     reporter.install(vm)
     return vm, pool, store, sink, reporter
@@ -613,7 +613,7 @@ def test_not_ours_chains_to_previous_handler():
     pool = GuardedPool(vm, slot_count=2, seed=1)
     store = MetadataStore(capacity=4)
     sink = io.StringIO()
-    reporter = Reporter(pool, store, sink=sink)
+    reporter = Reporter(pool, store, 64, sink=sink)
     reporter.install(vm)
 
     outside = vm.reserve(1, PROT_NONE)
@@ -636,7 +636,7 @@ def test_uninstall_restores_previous_handler():
     pool = GuardedPool(vm, slot_count=2, seed=1)
     store = MetadataStore(capacity=4)
     sink = io.StringIO()
-    reporter = Reporter(pool, store, sink=sink)
+    reporter = Reporter(pool, store, 64, sink=sink)
     reporter.install(vm)
     slot_index, addr = pool.acquire(16)
     pool.release(slot_index)
@@ -768,7 +768,7 @@ def test_concurrent_emission_is_serialized():
     pool = GuardedPool(vm, slot_count=2, seed=3)
     store = MetadataStore(capacity=4)
     sink = _OverlapSink()
-    reporter = Reporter(pool, store, sink=sink)
+    reporter = Reporter(pool, store, 64, sink=sink)
     report = ErrorReport(
         kind=ReportKind.USE_AFTER_FREE,
         access_address=0x1000,

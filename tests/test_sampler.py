@@ -181,16 +181,11 @@ def test_timer_gate_emits_once_per_interval():
     assert 9 <= samples <= 11
 
 
-def test_timer_gate_arm_forces_next_sample():
-    gate = TimerGate(interval=100.0, clock=_mock_clock(0.001))
-    assert not gate.want_to_sample()
-    gate.arm()
-    assert gate.want_to_sample()
-    assert not gate.want_to_sample()
-
-
 def test_timer_gate_consume_is_atomic_across_threads():
-    gate = TimerGate(interval=1000.0, clock=_mock_clock(0.0001), armed=True)
+    # The clock reads 0 at construction and 2000 after, so every thread
+    # queries past the first deadline (1000) and before the next (3000).
+    readings = iter([0.0])
+    gate = TimerGate(interval=1000.0, clock=lambda: next(readings, 2000.0))
     barrier = threading.Barrier(8)
     winners = []
 

@@ -526,6 +526,42 @@ def test_recoverable_free_error_reports_and_continues():
     assert sink.getvalue().count(REPORT_HEADER) == 1
 
 
+@pytest.mark.parametrize("recoverable", [False, True], ids=["fatal", "recoverable"])
+def test_interior_free_of_a_freed_guarded_block_is_invalid(recoverable):
+    # The start of the block is checked before its state: freeing p + 1
+    # after p is an invalid free, not a double free.
+    allocator, sink = make_allocator(slot_count=4, recoverable=recoverable)
+    addr = guarded_malloc(allocator, 41)
+    allocator.free(addr)
+    if recoverable:
+        allocator.free(addr + 1)
+    else:
+        with pytest.raises(SegmentationFault):
+            allocator.free(addr + 1)
+    report = parse_report(sink.getvalue())
+    assert report.kind is ReportKind.INVALID_FREE
+    assert report.access_address == addr + 1
+    assert report.allocation_address == addr
+    assert (allocator.stats.invalid_free, allocator.stats.double_free) == (1, 0)
+
+
+@pytest.mark.parametrize("recoverable", [False, True], ids=["fatal", "recoverable"])
+def test_free_error_counters_count_emitted_reports(recoverable):
+    allocator, sink = make_allocator(slot_count=4, recoverable=recoverable)
+    addr = guarded_malloc(allocator, 41)
+    allocator.free(addr)
+    for bad_free in (addr, addr, allocator.pool.guard_page_addr(0)):
+        if recoverable:
+            allocator.free(bad_free)  # reports once, then swallows
+        else:
+            with pytest.raises(SegmentationFault):
+                allocator.free(bad_free)
+    emitted = allocator.reporter.reports_emitted
+    assert emitted == sink.getvalue().count(REPORT_HEADER) == (1 if recoverable else 3)
+    assert allocator.stats.double_free + allocator.stats.invalid_free == emitted
+    assert allocator.stats.double_free == (1 if recoverable else 2)
+
+
 def test_free_null_is_a_no_op():
     allocator, _ = make_allocator()
     allocator.free(0)
