@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import statistics
 import sys
 import threading
@@ -57,6 +58,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+def positive_int(text: str) -> int:
+    """A count flag: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """A span flag: a finite number above 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
 def _flag_groups() -> tuple[argparse.ArgumentParser, ...]:
     """The shared flags, in three groups: each subcommand takes only the
     groups its handler reads."""
@@ -69,7 +86,7 @@ def _flag_groups() -> tuple[argparse.ArgumentParser, ...]:
     sampling.add_argument("--policy", choices=["counter", "timer"], default="counter")
     sampling.add_argument("--sample-rate", type=int, default=5000)
     sampling.add_argument("--sample-interval-ms", type=float, default=100.0)
-    sampling.add_argument("--iterations", type=int, default=1_000_000)
+    sampling.add_argument("--iterations", type=positive_int, default=1_000_000)
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=["human", "records"], default="human")
     return allocator, sampling, output
@@ -96,13 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("sample-stats", parents=[allocator, sampling, output],
                            help="empirical sampling rate and gap statistics")
-    stats.add_argument("--duration-ms", type=float, default=1000.0,
-                       help="mock-clock span for the timer policy")
+    stats.add_argument("--duration-ms", type=positive_float, default=None,
+                       help="mock-clock span for the timer policy (default 1000)")
 
     bench = sub.add_parser("bench", parents=[allocator, sampling, output],
                            help="fast-path overhead vs tool-absent baseline")
     bench.add_argument("--alloc-size", type=int, default=16)
-    bench.add_argument("--repeats", type=int, default=3)
+    bench.add_argument("--repeats", type=positive_int, default=3)
 
     parse = sub.add_parser("parse-report", parents=[output],
                            help="parse rendered report text back to fields")
@@ -111,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stress = sub.add_parser("stress", parents=[allocator, sampling, output],
                             help="multi-threaded malloc/free hammering")
-    stress.add_argument("--threads", type=int, default=4)
+    stress.add_argument("--threads", type=positive_int, default=4)
 
     return parser
 
@@ -270,9 +287,10 @@ def _verify_recovery(alloc, context, size) -> bool:
 
 def cmd_sample_stats(args) -> int:
     # The timer policy reads a mock clock that spans --duration-ms over
-    # the run; the counter policy never reads it.
-    duration_s = args.duration_ms / 1000.0
-    step = duration_s / max(args.iterations, 1)
+    # the run; the counter policy never reads it (main rejects the flag).
+    duration_ms = 1000.0 if args.duration_ms is None else args.duration_ms
+    duration_s = duration_ms / 1000.0
+    step = duration_s / args.iterations
     now = [0.0]
 
     def clock() -> float:
@@ -295,16 +313,16 @@ def cmd_sample_stats(args) -> int:
         if args.format == "records":
             print(
                 f"sample-stats policy=timer iterations={args.iterations}"
-                f" duration_ms={args.duration_ms:g} interval_ms={args.sample_interval_ms:g}"
+                f" duration_ms={duration_ms:g} interval_ms={args.sample_interval_ms:g}"
                 f" samples={samples} expected={expected}"
             )
         else:
             print(f"policy: timer, interval {args.sample_interval_ms:g} ms,"
-                  f" mock clock spanning {args.duration_ms:g} ms")
+                  f" mock clock spanning {duration_ms:g} ms")
             print(f"samples: {samples} (expected about {expected})")
         return EXIT_OK
 
-    rate = samples / args.iterations if args.iterations else 0.0
+    rate = samples / args.iterations
     median_gap = statistics.median(gaps) if gaps else float("nan")
     mean_gap = statistics.fmean(gaps) if gaps else float("nan")
     if args.format == "records":
@@ -443,7 +461,7 @@ def cmd_parse_report(args) -> int:
 def cmd_stress(args) -> int:
     config = _allocator_config(args)
     alloc = GuardianAllocator(config)
-    iterations = max(args.iterations // max(args.threads, 1), 1)
+    iterations = max(args.iterations // args.threads, 1)
     errors: list[str] = []
 
     def worker(worker_id: int) -> None:
@@ -496,7 +514,10 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "duration_ms", None) is not None and args.policy != "timer":
+        parser.error("argument --duration-ms: only --policy timer reads it")
     try:
         return _COMMANDS[args.command](args)
     except ValueError as exc:

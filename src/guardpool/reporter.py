@@ -8,6 +8,12 @@ format is a stable contract: parse_report is the exact inverse of
 render_report for reports this module produces, and also accepts frames
 carrying symbolizer text before the bracketed address.
 
+Reports are rendered and parsed on every detection and every triage, so
+both are single passes.  render_report formats each line once and joins
+each stack block once.  parse_report walks text.splitlines() once with
+an index, matching each line against one precompiled pattern; running
+off the end of the lines is the one "unexpected end of report" error.
+
 The handler itself follows signal-handler discipline in modeled form:
 it takes no lock any interrupted thread could hold (pool state is read
 via the lock-free classification and record snapshot paths) and
@@ -60,6 +66,12 @@ _KIND_HEADLINES = {
     ReportKind.INVALID_FREE: "Invalid-free",
     ReportKind.INDETERMINATE_GUARD_HIT: "Indeterminate-guard-hit",
 }
+# Kinds whose allocation was freed: a lost record still renders a
+# deallocation block for them.
+_FREED_KINDS = (ReportKind.USE_AFTER_FREE, ReportKind.DOUBLE_FREE)
+_NO_ALLOC_LOCATOR = "The access is to a guarded pool page with no associated allocation"
+_LOST = "  <metadata lost>"
+_UNAVAILABLE = "  <unavailable>"
 
 
 @dataclass(frozen=True)
@@ -67,8 +79,10 @@ class ErrorReport:
     """Everything a rendered report carries, in structured form.
 
     allocation fields are None when the fault could not be attributed
-    to any allocation (wild hit on an unattributed guard or free slot).
-    metadata_lost means the slot was attributed but its record had been
+    to any allocation (wild hit on an unattributed guard or free slot,
+    or a free of a pointer into neither).  metadata_lost means no
+    allocation or deallocation stack survives: always so with no
+    allocation, and for an attributed slot when its record had been
     recycled, so only geometry survives.
     """
 
@@ -96,67 +110,50 @@ class ErrorReport:
 # -- rendering ---------------------------------------------------------
 
 
-def _frame_lines(trace: Optional[list[int]], lost: bool) -> list[str]:
-    if lost:
-        return ["  <metadata lost>"]
-    if not trace:
-        return ["  <unavailable>"]
-    return [f"  #{i} [0x{pc:x}]" for i, pc in enumerate(trace, start=1)]
-
-
-def _locator_line(report: ErrorReport) -> str:
-    if report.allocation_address is None:
-        return "The access is to a guarded pool page with no associated allocation"
-    size = report.allocation_size or 0
-    alloc = report.allocation_address
-    off = report.access_address - alloc
-    if 0 <= off < size:
-        return f"The access is within {size}B allocation at 0x{alloc:x}"
-    if off < 0:
-        return f"The access is {-off}B left of {size}B allocation at 0x{alloc:x}"
-    # First byte past the end is 1B right: distances are 1-based on
-    # both sides of the allocation.
-    return f"The access is {off - size + 1}B right of {size}B allocation at 0x{alloc:x}"
-
-
 def render_report(report: ErrorReport) -> str:
     """Render a report; pure function of its argument."""
-    access_word = "" if report.access_kind is AccessType.UNKNOWN else f" {report.access_kind.value}"
-    lines = [
-        REPORT_HEADER,
-        f"{_KIND_HEADLINES[report.kind]}{access_word} at 0x{report.access_address:x}"
-        f" by thread {report.faulting_thread}:",
-    ]
-    lines += _frame_lines(report.access_trace, lost=False)
-    lines.append("")
-    lines.append(_locator_line(report))
-
-    if report.allocation_address is not None:
-        alloc = report.allocation_address
-        has_dealloc = (
-            report.dealloc_trace is not None
-            or report.dealloc_thread is not None
-            or (
-                report.metadata_lost
-                and report.kind in (ReportKind.USE_AFTER_FREE, ReportKind.DOUBLE_FREE)
-            )
-        )
-        if has_dealloc:
-            lines.append("")
-            lines.append(
-                f"0x{alloc:x} was deallocated by thread {_thread_word(report.dealloc_thread)}:"
-            )
-            lines += _frame_lines(report.dealloc_trace, lost=report.metadata_lost)
-        lines.append("")
-        lines.append(f"0x{alloc:x} was allocated by thread {_thread_word(report.alloc_thread)}:")
-        lines += _frame_lines(report.alloc_trace, lost=report.metadata_lost)
-
-    lines.append(REPORT_TRAILER)
-    return "\n".join(lines) + "\n"
-
-
-def _thread_word(thread_id: Optional[int]) -> str:
-    return "<unknown>" if thread_id is None else str(thread_id)
+    access = report.access_address
+    word = "" if report.access_kind is AccessType.UNKNOWN else f" {report.access_kind.value}"
+    # (title, stack, lost) per stack block; the locator follows the first.
+    blocks = [(f"{_KIND_HEADLINES[report.kind]}{word} at 0x{access:x}"
+               f" by thread {report.faulting_thread}:", report.access_trace, False)]
+    alloc = report.allocation_address
+    if alloc is None:
+        locator = _NO_ALLOC_LOCATOR
+    else:
+        size = report.allocation_size or 0
+        off = access - alloc
+        if 0 <= off < size:
+            locator = f"The access is within {size}B allocation at 0x{alloc:x}"
+        elif off < 0:
+            locator = f"The access is {-off}B left of {size}B allocation at 0x{alloc:x}"
+        else:
+            # First byte past the end is 1B right: distances are 1-based
+            # on both sides of the allocation.
+            locator = f"The access is {off - size + 1}B right of {size}B allocation at 0x{alloc:x}"
+        lost = report.metadata_lost
+        thread = report.dealloc_thread
+        if (report.dealloc_trace is not None or thread is not None
+                or lost and report.kind in _FREED_KINDS):
+            blocks.append((f"0x{alloc:x} was deallocated by thread"
+                           f" {'<unknown>' if thread is None else thread}:",
+                           report.dealloc_trace, lost))
+        thread = report.alloc_thread
+        blocks.append((f"0x{alloc:x} was allocated by thread"
+                       f" {'<unknown>' if thread is None else thread}:",
+                       report.alloc_trace, lost))
+    parts = []
+    for title, trace, lost in blocks:
+        if lost:
+            frames = _LOST
+        elif trace:
+            # hex(pc) is 0x{pc:x} for the non-negative pcs a stack holds.
+            frames = "\n".join([f"  #{n} [{hex(pc)}]" for n, pc in enumerate(trace, 1)])
+        else:
+            frames = _UNAVAILABLE
+        parts.append(f"{title}\n{frames}\n")
+    parts[0] += f"\n{locator}\n"
+    return f"{REPORT_HEADER}\n" + "\n".join(parts) + f"{REPORT_TRAILER}\n"
 
 
 # -- parsing -----------------------------------------------------------
@@ -171,67 +168,22 @@ class ReportParseError(ValueError):
 
 
 _HEADLINE_RE = re.compile(
-    r"^(Use-after-free|Out-of-bounds|Double-free|Invalid-free|Indeterminate-guard-hit)"
-    r"(?: (read|write))? at 0x([0-9a-f]+) by thread (\d+):$"
+    r"(Use-after-free|Out-of-bounds|Double-free|Invalid-free|Indeterminate-guard-hit)"
+    r"(?: (read|write))? at 0x([0-9a-f]+) by thread (\d+):"
 )
+_HEADLINE_KINDS = {
+    headline: kind for kind, headline in _KIND_HEADLINES.items() if headline != "Out-of-bounds"
+}
+_ACCESS_WORDS = {"read": AccessType.READ, "write": AccessType.WRITE, None: AccessType.UNKNOWN}
 # Frames may carry symbolizer text between the number and the bracketed
-# address; only the address is semantic.
-_FRAME_RE = re.compile(r"^  #\d+ (?:\S.* )?\[0x([0-9a-f]+)\]$")
-_WITHIN_RE = re.compile(r"^The access is within (\d+)B allocation at 0x([0-9a-f]+)$")
-_BESIDE_RE = re.compile(
-    r"^The access is (\d+)B (left|right) of (\d+)B allocation at 0x([0-9a-f]+)$"
+# address; only the address is semantic.  The lazy ?? tries the plain
+# frame first, so this module's own frames match without backtracking.
+_FRAME_RE = re.compile(r"  #\d+ (?:\S.* )??\[0x([0-9a-f]+)\]")
+# Groups: distance and side (both None for "within"), size, address.
+_LOCATOR_RE = re.compile(
+    r"The access is (?:within |(\d+)B (left|right) of )(\d+)B allocation at 0x([0-9a-f]+)"
 )
-_NO_ALLOC_LOCATOR = "The access is to a guarded pool page with no associated allocation"
-_BLOCK_RE = re.compile(r"^0x([0-9a-f]+) was (deallocated|allocated) by thread (\d+|<unknown>):$")
-
-
-class _Cursor:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    @property
-    def line_no(self) -> int:
-        return self.pos + 1
-
-    def peek(self) -> Optional[str]:
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
-
-    def take(self) -> str:
-        line = self.peek()
-        if line is None:
-            raise ReportParseError(self.line_no, "unexpected end of report")
-        self.pos += 1
-        return line
-
-    def expect(self, literal: str, what: str) -> None:
-        line = self.take()
-        if line != literal:
-            raise ReportParseError(self.pos, f"expected {what}, got {line!r}")
-
-
-def _parse_frames(cur: _Cursor) -> tuple[Optional[list[int]], bool]:
-    """Returns (trace, lost); trace None only for the lost sentinel."""
-    line = cur.peek()
-    if line == "  <metadata lost>":
-        cur.take()
-        return None, True
-    if line == "  <unavailable>":
-        cur.take()
-        return [], False
-    pcs: list[int] = []
-    while True:
-        line = cur.peek()
-        if line is None:
-            break
-        match = _FRAME_RE.match(line)
-        if not match:
-            break
-        cur.take()
-        pcs.append(int(match.group(1), 16))
-    if not pcs:
-        raise ReportParseError(cur.line_no, "expected at least one stack frame line")
-    return pcs, False
+_BLOCK_RE = re.compile(r"0x([0-9a-f]+) was (deallocated|allocated) by thread (\d+|<unknown>):")
 
 
 def parse_report(text: str) -> ErrorReport:
@@ -241,94 +193,108 @@ def parse_report(text: str) -> ErrorReport:
     symbolized frame lines.  Raises ReportParseError naming the first
     offending line.
     """
-    cur = _Cursor(text)
-    while cur.peek() == "":
-        cur.take()
-    cur.expect(REPORT_HEADER, "report header")
+    lines = text.splitlines()
+    n = len(lines)
+    i = 0
+    try:
+        while lines[i] == "":
+            i += 1
+        if lines[i] != REPORT_HEADER:
+            raise ReportParseError(i + 1, f"expected report header, got {lines[i]!r}")
+        i += 1
+        match = _HEADLINE_RE.fullmatch(lines[i])
+        if match is None:
+            raise ReportParseError(i + 1, f"malformed headline: {lines[i]!r}")
+        headline, access_word, access_hex, faulting_thread = match.groups()
+        access_address = int(access_hex, 16)
+        i += 1
 
-    line = cur.take()
-    match = _HEADLINE_RE.match(line)
-    if not match:
-        raise ReportParseError(cur.pos, f"malformed headline: {line!r}")
-    headline_kind, access_word, addr_hex, tid = match.groups()
-    access_address = int(addr_hex, 16)
-    access_kind = AccessType(access_word) if access_word else AccessType.UNKNOWN
-    faulting_thread = int(tid)
+        access_trace = []
+        line = lines[i] if i < n else None
+        if line == _LOST:
+            raise ReportParseError(i + 1, "access frames cannot be <metadata lost>")
+        if line == _UNAVAILABLE:
+            i += 1
+        else:
+            while i < n and (match := _FRAME_RE.fullmatch(lines[i])):
+                access_trace.append(int(match[1], 16))
+                i += 1
+            if not access_trace:
+                raise ReportParseError(i + 1, "expected at least one stack frame line")
+        if lines[i] != "":
+            raise ReportParseError(i + 1, f"expected blank line before locator, got {lines[i]!r}")
+        i += 1
 
-    access_trace, access_lost = _parse_frames(cur)
-    if access_lost or access_trace is None:
-        raise ReportParseError(cur.pos, "access frames cannot be <metadata lost>")
-    cur.expect("", "blank line before locator")
-
-    locator = cur.take()
-    locator_line_no = cur.pos
-    allocation_address: Optional[int] = None
-    allocation_size: Optional[int] = None
-    if locator != _NO_ALLOC_LOCATOR:
-        match = _WITHIN_RE.match(locator)
-        if match:
-            allocation_size = int(match.group(1))
-            allocation_address = int(match.group(2), 16)
+        allocation_address = allocation_size = side = None
+        if lines[i] != _NO_ALLOC_LOCATOR:
+            match = _LOCATOR_RE.fullmatch(lines[i])
+            if match is None:
+                raise ReportParseError(i + 1, f"malformed locator: {lines[i]!r}")
+            distance, side, size, alloc_hex = match.groups()
+            allocation_size = int(size)
+            allocation_address = int(alloc_hex, 16)
             off = access_address - allocation_address
-            if not 0 <= off < allocation_size:
+            if side is None:
+                if not 0 <= off < allocation_size:
+                    raise ReportParseError(
+                        i + 1, "in-bounds locator disagrees with access address")
+            elif (int(distance) < 1 or int(distance)
+                  != (-off if side == "left" else off - allocation_size + 1)):
+                raise ReportParseError(i + 1, "locator distance disagrees with access address")
+        kind = _HEADLINE_KINDS.get(headline)
+        if kind is None:
+            # Out-of-bounds: the locator side distinguishes under- from overflow.
+            if allocation_address is None:
                 raise ReportParseError(
-                    locator_line_no, "in-bounds locator disagrees with access address"
-                )
-        else:
-            match = _BESIDE_RE.match(locator)
-            if not match:
-                raise ReportParseError(locator_line_no, f"malformed locator: {locator!r}")
-            distance = int(match.group(1))
-            side = match.group(2)
-            allocation_size = int(match.group(3))
-            allocation_address = int(match.group(4), 16)
-            if side == "left":
-                expected = allocation_address - access_address
+                    i + 1, "out-of-bounds report without an allocation locator")
+            if side is None:
+                raise ReportParseError(i + 1, "out-of-bounds report with an in-bounds locator")
+            kind = ReportKind.BUFFER_UNDERFLOW if side == "left" else ReportKind.BUFFER_OVERFLOW
+        i += 1
+
+        # A report with no allocation has no record whose stacks survive.
+        metadata_lost = allocation_address is None
+        stacks = {}  # verb -> (thread, trace)
+        while lines[i] == "":
+            i += 1
+            match = _BLOCK_RE.fullmatch(lines[i])
+            if match is None:
+                raise ReportParseError(
+                    i + 1, f"expected trace block or trailer, got {lines[i]!r}")
+            block_hex, verb, thread_word = match.groups()
+            if int(block_hex, 16) != allocation_address:
+                raise ReportParseError(i + 1, f"trace block address 0x{int(block_hex, 16):x}"
+                                              " is not the allocation address")
+            if verb in stacks:
+                raise ReportParseError(i + 1, f"duplicate {verb} block")
+            i += 1
+            trace = []
+            line = lines[i] if i < n else None
+            if line == _LOST:
+                trace = None
+                metadata_lost = True
+                i += 1
+            elif line == _UNAVAILABLE:
+                i += 1
             else:
-                expected = access_address - (allocation_address + allocation_size) + 1
-            if distance != expected or distance < 1:
-                raise ReportParseError(
-                    locator_line_no, "locator distance disagrees with access address"
-                )
+                while i < n and (match := _FRAME_RE.fullmatch(lines[i])):
+                    trace.append(int(match[1], 16))
+                    i += 1
+                if not trace:
+                    raise ReportParseError(i + 1, "expected at least one stack frame line")
+            stacks[verb] = (None if thread_word == "<unknown>" else int(thread_word), trace)
+        if lines[i] != REPORT_TRAILER:
+            raise ReportParseError(i + 1, f"expected report trailer, got {lines[i]!r}")
+    except IndexError:
+        raise ReportParseError(i + 1, "unexpected end of report") from None
 
-    kind = _resolve_kind(headline_kind, allocation_address, access_address,
-                         allocation_size, locator_line_no)
-
-    alloc_thread = dealloc_thread = None
-    alloc_trace = dealloc_trace = None
-    metadata_lost = allocation_address is None and kind is ReportKind.INDETERMINATE_GUARD_HIT
-    seen_blocks = set()
-    while cur.peek() == "":
-        cur.take()
-        line = cur.take()
-        match = _BLOCK_RE.match(line)
-        if not match:
-            raise ReportParseError(cur.pos, f"expected trace block or trailer, got {line!r}")
-        block_addr = int(match.group(1), 16)
-        verb = match.group(2)
-        if block_addr != allocation_address:
-            raise ReportParseError(
-                cur.pos, f"trace block address 0x{block_addr:x} is not the allocation address"
-            )
-        if verb in seen_blocks:
-            raise ReportParseError(cur.pos, f"duplicate {verb} block")
-        seen_blocks.add(verb)
-        thread_word = match.group(3)
-        thread_id = None if thread_word == "<unknown>" else int(thread_word)
-        trace, lost = _parse_frames(cur)
-        metadata_lost = metadata_lost or lost
-        if verb == "deallocated":
-            dealloc_thread, dealloc_trace = thread_id, trace
-        else:
-            alloc_thread, alloc_trace = thread_id, trace
-
-    cur.expect(REPORT_TRAILER, "report trailer")
-
+    alloc_thread, alloc_trace = stacks.get("allocated", (None, None))
+    dealloc_thread, dealloc_trace = stacks.get("deallocated", (None, None))
     return ErrorReport(
         kind=kind,
         access_address=access_address,
-        access_kind=access_kind,
-        faulting_thread=faulting_thread,
+        access_kind=_ACCESS_WORDS[access_word],
+        faulting_thread=int(faulting_thread),
         access_trace=access_trace,
         allocation_address=allocation_address,
         allocation_size=allocation_size,
@@ -338,32 +304,6 @@ def parse_report(text: str) -> ErrorReport:
         dealloc_trace=dealloc_trace,
         metadata_lost=metadata_lost,
     )
-
-
-def _resolve_kind(
-    headline: str,
-    allocation_address: Optional[int],
-    access_address: int,
-    allocation_size: Optional[int],
-    line_no: int,
-) -> ReportKind:
-    if headline == "Use-after-free":
-        return ReportKind.USE_AFTER_FREE
-    if headline == "Double-free":
-        return ReportKind.DOUBLE_FREE
-    if headline == "Invalid-free":
-        return ReportKind.INVALID_FREE
-    if headline == "Indeterminate-guard-hit":
-        return ReportKind.INDETERMINATE_GUARD_HIT
-    # Out-of-bounds: the locator side distinguishes under- from overflow.
-    if allocation_address is None:
-        raise ReportParseError(line_no, "out-of-bounds report without an allocation locator")
-    off = access_address - allocation_address
-    if off < 0:
-        return ReportKind.BUFFER_UNDERFLOW
-    if allocation_size is not None and off >= allocation_size:
-        return ReportKind.BUFFER_OVERFLOW
-    raise ReportParseError(line_no, "out-of-bounds report with an in-bounds locator")
 
 
 # -- the fault handler ---------------------------------------------------

@@ -100,6 +100,34 @@ def test_missing_command_exits_config_status():
     assert excinfo.value.code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sample-stats", "--iterations", "0"], "--iterations: must be at least 1"),
+    (["sample-stats", "--iterations", "-5"], "--iterations: must be at least 1"),
+    (["bench", "--iterations", "0"], "--iterations: must be at least 1"),
+    (["bench", "--repeats", "0"], "--repeats: must be at least 1"),
+    (["stress", "--threads", "0"], "--threads: must be at least 1"),
+    (["stress", "--threads", "-1"], "--threads: must be at least 1"),
+    (["stress", "--iterations", "-1"], "--iterations: must be at least 1"),
+    (["sample-stats", "--policy", "timer", "--duration-ms", "-1000"],
+     "--duration-ms: must be a positive finite number"),
+    (["sample-stats", "--policy", "timer", "--duration-ms", "0"],
+     "--duration-ms: must be a positive finite number"),
+    (["sample-stats", "--policy", "timer", "--duration-ms", "nan"],
+     "--duration-ms: must be a positive finite number"),
+    (["sample-stats", "--policy", "timer", "--duration-ms", "inf"],
+     "--duration-ms: must be a positive finite number"),
+    (["sample-stats", "--duration-ms", "500"], "--duration-ms: only --policy timer reads it"),
+    (["sample-stats", "--duration-ms", "500", "--policy", "counter"],
+     "--duration-ms: only --policy timer reads it"),
+], ids=" ".join)
+def test_bad_counts_and_spans_exit_config_status_at_parse_time(capsys, argv, message):
+    # Each is rejected before any allocator is built or thread started.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_invalid_config_value_exits_config_status(capsys):
     code, _, err = run_cli(capsys, "sample-stats", "--sample-rate", "0",
                            "--iterations", "10")
@@ -276,6 +304,16 @@ def test_timer_stats_counts_intervals(capsys):
     samples, expected = int(match.group(1)), int(match.group(2))
     assert expected == 10
     assert abs(samples - expected) <= 1
+
+
+def test_timer_stats_default_span_is_one_second(capsys):
+    code, out, _ = run_cli(
+        capsys, "sample-stats", "--policy", "timer", "--sample-interval-ms", "100",
+        "--iterations", "1000", "--format", "records",
+    )
+    assert code == EXIT_OK
+    assert "duration_ms=1000 " in out
+    assert "expected=10" in out
 
 
 # -- bench --------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Every name a guardpool module imports is used, or marked as re-exported,
-every memo it keeps is bounded, and every config field it accepts is read."""
+every memo it keeps is bounded, every config field it accepts is read, and
+every module-level private name it defines is used in that module."""
 
 import ast
 from pathlib import Path
@@ -99,6 +100,58 @@ MEMO_CASES = {
 def test_memo_check_tells_bounded_from_unbounded(case):
     source, bounded = MEMO_CASES[case]
     assert (unbounded_memos(source) == []) is bounded
+
+
+def unloaded_private_names(source, name="<source>"):
+    """Module-level _private functions, classes and constants that the
+    module never loads outside the statement that defines them."""
+    tree = ast.parse(source)
+    defined = {}  # name -> (first line, ids of the nodes defining it)
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for private in names:
+            if private.startswith("_") and not private.startswith("__"):
+                line, inside = defined.get(private, (stmt.lineno, set()))
+                inside.update(id(node) for node in ast.walk(stmt))
+                defined[private] = (line, inside)
+    loaded = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.setdefault(node.id, []).append(id(node))
+    return [f"{name}:{line}: {private}" for private, (line, inside) in defined.items()
+            if all(node in inside for node in loaded.get(private, []))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_name_is_used(path):
+    assert unloaded_private_names(path.read_text(), path.name) == []
+
+
+PRIVATE_CASES = {
+    "called": ("def _f(): pass\ndef g(): return _f()", []),
+    "uncalled": ("def _f(): pass\ndef g(): pass", ["_f"]),
+    "recursion-only": ("def _f(n): return _f(n - 1)", ["_f"]),
+    "class-as-base": ("class _Base: pass\nclass Child(_Base): pass", []),
+    "unused-class": ("class _Cursor:\n    def peek(self): pass", ["_Cursor"]),
+    "constant-read": ("_N = 4\ndef g(): return _N", []),
+    "constant-unread": ("_N = 4\n_M: int = 5\ndef g(): return 0", ["_N", "_M"]),
+    "stored-twice": ("_N = 4\n_N = 5", ["_N"]),
+    "annotation": ("class _T: pass\ndef g(x: _T): pass", []),
+    "public-and-dunder": ("def f(): pass\n__all__ = ['f']", []),
+    "method-not-module-level": ("class C:\n    def _m(self): pass", []),
+}
+
+
+@pytest.mark.parametrize("case", PRIVATE_CASES)
+def test_private_name_check_tells_used_from_unused(case):
+    source, unused = PRIVATE_CASES[case]
+    assert [entry.rsplit(" ", 1)[1] for entry in unloaded_private_names(source)] == unused
 
 
 def test_modules_are_found():

@@ -22,6 +22,7 @@ from guardpool.reporter import (
     parse_report,
     render_report,
 )
+from guardpool.shim import GuardianAllocator, GuardianConfig
 from guardpool.vmem import (
     FaultAction,
     FaultInfo,
@@ -29,6 +30,8 @@ from guardpool.vmem import (
     SegmentationFault,
     VirtualMemory,
 )
+
+import report_oracle as oracle
 
 UAF_EXAMPLE = """\
 *** GWP-ASan detected a memory error ***
@@ -290,7 +293,12 @@ def random_report(rng: random.Random) -> ErrorReport:
         faulting_thread=tid,
         access_trace=access_trace,
     )
-    if kind is ReportKind.INDETERMINATE_GUARD_HIT:
+    if kind is ReportKind.INDETERMINATE_GUARD_HIT or (
+        kind not in (ReportKind.BUFFER_OVERFLOW, ReportKind.BUFFER_UNDERFLOW)
+        and rng.random() < 0.1
+    ):
+        # No allocation to attribute (a wild guard hit, or a free of a
+        # pointer into no slot): what slot_report(kind, None) builds.
         return ErrorReport(
             access_address=rng.randrange(1 << 16, 1 << 40), metadata_lost=True, **base
         )
@@ -312,7 +320,7 @@ def random_report(rng: random.Random) -> ErrorReport:
     )
     dealloc_thread = dealloc_trace = None
     if has_dealloc:
-        dealloc_thread = rng.randrange(1, 1 << 20)
+        dealloc_thread = rng.choice([None, rng.randrange(1, 1 << 20)])
         dealloc_trace = [rng.randrange(1, 1 << 48) for _ in range(rng.randrange(0, 5))]
     return ErrorReport(
         alloc_thread=alloc_thread,
@@ -342,6 +350,152 @@ def test_round_trip_published_example():
     report = parse_report(UAF_EXAMPLE)
     # Rendering drops symbolizer text; the re-parse must be stable.
     assert parse_report(render_report(report)) == report
+
+
+def test_unattributed_invalid_free_round_trips():
+    # A free of a pointer into a guard page names no allocation, so no
+    # stacks survive: the parsed report must say so, as the built one does.
+    alloc = GuardianAllocator(GuardianConfig(
+        sample_rate=1, seed=1, recoverable=True, sink=io.StringIO()))
+    ptr = alloc.malloc(16)
+    while not alloc.is_guarded(ptr):
+        ptr = alloc.malloc(16)
+    alloc.free(alloc.pool.guard_page_addr(0) + 8)
+    report = alloc.reporter.last_report
+    assert report.kind is ReportKind.INVALID_FREE
+    assert report.allocation_address is None
+    assert report.metadata_lost
+    assert parse_report(render_report(report)) == report
+
+
+# -- differential: the one-pass parser and renderer against the oracles ----
+
+SYMBOLS = ["./test(foo+0x45)", "libc.so.6(+0x2a1ca)", "main x.c:12", "[0x1]", "a b"]
+# Characters splitlines() breaks on, or that \d accepts beyond ASCII.
+EDGE_CHARS = ["\r", "\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029",
+              "\u0663", "\uff11", "\U0001d7d9", "\u00b2", " ", "#", "[", "]", "x", "B"]
+UNICODE_DIGITS = "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669"
+
+
+def outcome(parse, text):
+    """The parsed report, or the failing line and message."""
+    try:
+        return parse(text)
+    except ReportParseError as exc:
+        return exc.line_no, str(exc)
+
+
+@st.composite
+def report_lines(draw):
+    """A rendered random report's lines: some frames symbolized, maybe
+    after leading blank lines."""
+    lines = render_report(random_report(draw(st.randoms(use_true_random=False)))).splitlines()
+    for k, line in enumerate(lines):
+        if line.startswith("  #") and draw(st.booleans()):
+            number, address = line[2:].split(" ")
+            symbol = draw(st.sampled_from(SYMBOLS) | st.text(min_size=1, max_size=8))
+            lines[k] = f"  {number} {symbol} {address}"
+    return [""] * draw(st.integers(0, 2)) + lines
+
+
+@st.composite
+def mutated_texts(draw):
+    """A report text with one line deleted, duplicated, replaced by
+    another of its lines, or altered (by inserted text, a case swap or a
+    non-ASCII digit); or cut short before a line."""
+    lines = draw(report_lines())
+    k = draw(st.integers(0, len(lines) - 1))
+    edit = draw(st.sampled_from(
+        ["delete", "duplicate", "copy", "alter", "case", "digit", "truncate"]))
+    if edit == "delete":
+        del lines[k]
+    elif edit == "truncate":
+        del lines[k:]
+    elif edit == "duplicate":
+        lines.insert(k, lines[k])
+    elif edit == "copy":
+        lines[k] = lines[draw(st.integers(0, len(lines) - 1))]
+    elif edit == "alter":
+        line = lines[k]
+        start = draw(st.integers(0, len(line)))
+        end = draw(st.integers(start, min(start + 3, len(line))))
+        inserted = draw(st.text(st.characters() | st.sampled_from(EDGE_CHARS), max_size=4))
+        lines[k] = line[:start] + inserted + line[end:]
+    elif edit == "case":
+        # Hex fields are lower-case only.
+        line = lines[k]
+        j = draw(st.integers(0, max(len(line) - 1, 0)))
+        lines[k] = line[:j] + line[j:j + 1].swapcase() + line[j + 1:]
+    else:
+        # A same-valued non-ASCII digit: \d and int() accept it, hex fields do not.
+        spots = [j for j, ch in enumerate(lines[k]) if ch in "0123456789"]
+        if spots:
+            j = draw(st.sampled_from(spots))
+            line = lines[k]
+            lines[k] = line[:j] + UNICODE_DIGITS[int(line[j])] + line[j + 1:]
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_lines())
+def test_parse_matches_oracle_on_reports(lines):
+    text = "\n".join(lines) + "\n"
+    assert outcome(parse_report, text) == outcome(oracle.parse_report, text)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(mutated_texts())
+def test_parse_matches_oracle_on_mutated_reports(text):
+    assert outcome(parse_report, text) == outcome(oracle.parse_report, text)
+
+
+# Edits that give each parse error, applied to _sample_text() or, where
+# the edit names Invalid-free, to an unattributed report:
+# ((old, new) replacements, the message they must give).
+UNATTRIBUTED = render_report(ErrorReport(
+    kind=ReportKind.INVALID_FREE, access_address=0x5008, access_kind=AccessType.UNKNOWN,
+    faulting_thread=4, access_trace=[0xAA], metadata_lost=True))
+ERROR_EDITS = {
+    "header": ([("*** GWP-ASan detected", "*** GWP-ASan found")], "expected report header"),
+    "headline": ([("write at 0x1008", "write near 0x1008")], "malformed headline"),
+    "no-frames": ([("  #1 [0xaa]\n  #2 [0xbb]\n", "")], "expected at least one stack frame"),
+    "access-lost": ([("  #1 [0xaa]\n  #2 [0xbb]", "  <metadata lost>")],
+                    "cannot be <metadata lost>"),
+    "blank": ([("\n\nThe access", "\nThe access")], "expected blank line before locator"),
+    "locator": ([("within 41B", "inside 41B")], "malformed locator"),
+    "within": ([("within 41B", "within 8B")], "in-bounds locator disagrees"),
+    "distance": ([("within 41B", "9B left of 41B")], "locator distance disagrees"),
+    # 0B left agrees with an access at the allocation start, but
+    # distances are 1-based.
+    "zero-distance": ([("write at 0x1008", "write at 0x1000"), ("within 41B", "0B left of 41B")],
+                      "locator distance disagrees"),
+    "oob-in-bounds": ([("Use-after-free", "Out-of-bounds")], "with an in-bounds locator"),
+    "oob-no-alloc": ([("Invalid-free", "Out-of-bounds")], "without an allocation locator"),
+    "block": ([("0x1000 was allocated", "0x1000 was freed")], "expected trace block or trailer"),
+    "block-address": ([("0x1000 was allocated", "0x1010 was allocated")], "not the allocation"),
+    "duplicate": ([("was deallocated", "was allocated")], "duplicate allocated block"),
+    "trailer": ([("*** End", "*** Finish")], "expected report trailer"),
+    "end": ([("*** End GWP-ASan report ***\n", "")], "unexpected end of report"),
+}
+
+
+@pytest.mark.parametrize("edit", ERROR_EDITS)
+def test_parse_errors_match_oracle(edit):
+    replacements, message = ERROR_EDITS[edit]
+    text = UNATTRIBUTED if replacements[0][0] == "Invalid-free" else _sample_text()
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new, 1)
+    expected = outcome(oracle.parse_report, text)
+    assert message in expected[1]
+    assert outcome(parse_report, text) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_render_matches_oracle(rng):
+    report = random_report(rng)
+    assert render_report(report) == oracle.render_report(report)
 
 
 # -- parse failures -------------------------------------------------------
