@@ -29,7 +29,7 @@ from .reporter import (
     parse_report,
 )
 from .shim import GuardianAllocator, GuardianConfig
-from .vmem import SegmentationFault
+from .vmem import DEFAULT_PAGE_SIZE, SegmentationFault
 
 EXIT_OK = 0
 EXIT_UNDETECTED = 2
@@ -74,6 +74,15 @@ def positive_float(text: str) -> float:
     return value
 
 
+def victim_size(text: str) -> int:
+    """inject's --size: a request the pool can guard, 1 byte to one page."""
+    value = int(text)
+    if not 1 <= value <= DEFAULT_PAGE_SIZE:
+        raise argparse.ArgumentTypeError(
+            f"must be in [1, {DEFAULT_PAGE_SIZE}] to be guarded, got {value}")
+    return value
+
+
 def _flag_groups() -> tuple[argparse.ArgumentParser, ...]:
     """The shared flags, in three groups: each subcommand takes only the
     groups its handler reads."""
@@ -102,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     inject = sub.add_parser("inject", parents=[allocator, output],
                             help="trigger one bug class")
     inject.add_argument("kind", choices=sorted(_INJECTIONS))
-    inject.add_argument("--size", type=int, default=41, help="victim allocation size")
+    inject.add_argument("--size", type=victim_size, default=41,
+                        help="victim allocation size, 1 byte to one page")
     inject.add_argument(
         "--bytes", type=int, default=None, dest="distance",
         help="access offset: into the allocation for uaf, past the edge for "
@@ -518,6 +528,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "duration_ms", None) is not None and args.policy != "timer":
         parser.error("argument --duration-ms: only --policy timer reads it")
+    if getattr(args, "distance", None) is not None:
+        # A distance that lands inside the block, or frees its own
+        # start, injects no bug.
+        if args.kind in ("overflow", "underflow") and args.distance < 1:
+            parser.error(f"argument --bytes: {args.kind} needs at least 1 byte past the edge")
+        if args.kind == "invalid-free" and args.distance == 0:
+            parser.error("argument --bytes: invalid-free needs a nonzero offset;"
+                         " 0 frees the block's own start")
     try:
         return _COMMANDS[args.command](args)
     except ValueError as exc:

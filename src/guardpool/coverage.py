@@ -9,7 +9,10 @@ distinct stack and kept in a bounded memo, and membership is
 tracked in a counting Bloom filter whose counters count exactly: a
 counter never exceeds the number of live guarded allocations, which
 the pool's max_live bounds, so it never saturates, a freed site always
-drops out, and the filter never needs a rebuild.
+drops out, and the filter never needs a rebuild.  A site's counter
+indexes are kept in a second bounded memo, keyed by the site and the
+filter's shape, so admit, insert and remove compute no probes for a
+site seen before.
 
 All mutation happens under the owning allocator's pool lock; query is
 read-only and safe anywhere.
@@ -45,7 +48,7 @@ def _site_hash(trace: tuple[int, ...]) -> int:
     """FNV-1a over the trace pcs, one 64-bit word per pc, then a finaliser.
 
     A word fold leaves the low bits of the hash a function of the pcs'
-    low bits alone, and _indexes probes from those bits; the
+    low bits alone, and _probes starts from those bits; the
     xor-shift-multiply finaliser mixes the high bits back down.
     """
     if not trace:
@@ -58,6 +61,24 @@ def _site_hash(trace: tuple[int, ...]) -> int:
     h ^= h >> 32
     h = (h * _FINAL_MULTIPLIER) & mask
     return h ^ (h >> 32)
+
+
+# Each filter probes the same few counters for a site on every admit,
+# insert and remove, so a site's probes are computed once per filter
+# shape.  One entry is a key tuple and a tuple of `hashes` small ints.
+_PROBE_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_PROBE_MEMO_SIZE)
+def _probes(source: int, counters: int, hashes: int) -> tuple[int, ...]:
+    """The counter indexes of source in a table of `counters` counters.
+
+    Double hashing from the two 32-bit halves; the odd step makes every
+    probe sequence cover the power-of-two table.
+    """
+    h1 = source & 0xFFFFFFFF
+    h2 = ((source >> 32) | 1) & 0xFFFFFFFF
+    return tuple([(h1 + i * h2) % counters for i in range(hashes)])
 
 
 class CoverageFilter:
@@ -91,26 +112,25 @@ class CoverageFilter:
         self.utilization_threshold = utilization_threshold
         self._table = [0] * counters
 
-    def _indexes(self, source: int) -> list[int]:
-        # Double hashing from the two 32-bit halves; the odd step makes
-        # every probe sequence cover the power-of-two table.
-        h1 = source & 0xFFFFFFFF
-        h2 = ((source >> 32) | 1) & 0xFFFFFFFF
-        return [(h1 + i * h2) % self.counters for i in range(self.hashes)]
-
     def insert(self, source: int) -> None:
-        for idx in self._indexes(source):
-            self._table[idx] += 1
+        table = self._table
+        for idx in _probes(source, self.counters, self.hashes):
+            table[idx] += 1
 
     def remove(self, source: int) -> None:
         """Decrement the source's counters, never below zero."""
-        for idx in self._indexes(source):
-            if self._table[idx]:
-                self._table[idx] -= 1
+        table = self._table
+        for idx in _probes(source, self.counters, self.hashes):
+            if table[idx]:
+                table[idx] -= 1
 
     def query(self, source: int) -> bool:
         """True if the source may hold a slot (no false negatives)."""
-        return all(self._table[idx] > 0 for idx in self._indexes(source))
+        table = self._table
+        for idx in _probes(source, self.counters, self.hashes):
+            if not table[idx]:
+                return False
+        return True
 
     def admit(self, pool_utilization: float, source: int) -> bool:
         """Admission decision; on True the caller inserts after acquiring."""

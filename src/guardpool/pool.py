@@ -10,6 +10,12 @@ hit a guard page immediately.  Released slots are re-protected and
 quarantined: the page stays inaccessible until the slot is reused, so
 use-after-free accesses fault too.
 
+classify_address runs on every guarded free and every fault.  It
+shifts rather than divides (the page size is a power of two), tells
+slot states apart by identity, and returns one of a fixed set of
+frozen AddressClassification instances built with the pool, so it
+allocates nothing.
+
 The free list is a FIFO queue: never-used slots first, in a seeded
 shuffle, then released slots in release order.  acquire takes the
 front, so every never-used slot is served before any quarantined one,
@@ -35,10 +41,6 @@ class SlotState(enum.Enum):
     QUARANTINED = "quarantined"
 
 
-# Which neighbour a guard page is attributed to: higher rank wins.
-_GUARD_RANK = {SlotState.ALLOCATED: 2, SlotState.QUARANTINED: 1, SlotState.FREE: 0}
-
-
 class AlignmentSide(enum.Enum):
     LEFT = "left"
     RIGHT = "right"
@@ -56,10 +58,19 @@ class AddressKind(enum.Enum):
     NOT_OURS = "not-ours"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddressClassification:
     kind: AddressKind
     slot_index: Optional[int] = None
+
+
+# classify_address compares states by identity through these names, and
+# returns one shared instance per answer.
+_ALLOCATED = SlotState.ALLOCATED
+_QUARANTINED = SlotState.QUARANTINED
+_FREE = SlotState.FREE
+_NOT_OURS = AddressClassification(AddressKind.NOT_OURS)
+_UNATTRIBUTED_GUARD = AddressClassification(AddressKind.UNATTRIBUTED_GUARD)
 
 
 class PoolUnavailableError(Exception):
@@ -114,6 +125,7 @@ class GuardedPool:
     ):
         self.vm = vm
         self.page_size = vm.page_size
+        self._page_shift = vm.page_size.bit_length() - 1
         self.slot_count = slot_count
         self.max_live = max_live if max_live is not None else slot_count
         self.force_alignment_side = force_alignment_side
@@ -135,6 +147,14 @@ class GuardedPool:
             order[i], order[j] = order[j], order[i]
         self._free_list = collections.deque(order)  # FIFO: take front, append back
 
+        # Every answer classify_address can give, built once: the fault
+        # and free paths then allocate nothing per pointer.
+        (self._as_allocated, self._as_quarantined, self._as_free, self._as_left_guard,
+         self._as_right_guard) = (
+            [AddressClassification(kind, i) for i in range(self.slot_count)]
+            for kind in (AddressKind.ALLOCATED_SLOT, AddressKind.QUARANTINED_SLOT,
+                         AddressKind.FREE_SLOT, AddressKind.LEFT_GUARD, AddressKind.RIGHT_GUARD))
+
         self.live_count = 0
         self.acquire_count = 0
         self.unavailable_count = 0
@@ -150,7 +170,8 @@ class GuardedPool:
         return self.base + 2 * guard_index * self.page_size
 
     def user_address(self, slot_index: int) -> int:
-        return self.slot_page_addr(slot_index) + self.slots[slot_index].user_offset
+        page = self.base + (2 * slot_index + 1) * self.page_size
+        return page + self.slots[slot_index].user_offset
 
     # -- lifecycle ---------------------------------------------------
 
@@ -178,7 +199,7 @@ class GuardedPool:
             slot_index = self._free_list.popleft()
 
             slot = self.slots[slot_index]
-            page = self.slot_page_addr(slot_index)
+            page = self.base + (2 * slot_index + 1) * self.page_size
             try:
                 self.vm.protect(page, self.page_size, PROT_READ | PROT_WRITE)
             except (OSError, ValueError):
@@ -191,11 +212,11 @@ class GuardedPool:
 
             side = self.force_alignment_side
             if side is None:
-                side = AlignmentSide.LEFT if self._rng.below(2) == 0 else AlignmentSide.RIGHT
-            if side is AlignmentSide.LEFT:
-                offset = 0
+                # The low bit is below(2): 2**64 is even, so no draw is rejected.
+                right = self._rng.next_u64() & 1
             else:
-                offset = ((self.page_size - size) // alignment) * alignment
+                right = side is AlignmentSide.RIGHT
+            offset = ((self.page_size - size) // alignment) * alignment if right else 0
 
             slot.user_offset = offset
             slot.user_size = size
@@ -212,7 +233,7 @@ class GuardedPool:
             slot = self.slots[slot_index]
             if slot.state is not SlotState.ALLOCATED:
                 raise ValueError(f"slot {slot_index} is {slot.state.value}, not allocated")
-            page = self.slot_page_addr(slot_index)
+            page = self.base + (2 * slot_index + 1) * self.page_size
             self.vm.protect(page, self.page_size, PROT_NONE)
             slot.state = SlotState.QUARANTINED
             self.live_count -= 1
@@ -225,32 +246,32 @@ class GuardedPool:
 
         Guard pages are attributed to an adjacent non-Free slot: an
         Allocated neighbor wins over a Quarantined one, and on a tie
-        between two Allocated neighbors the slot whose own guard this
-        would be for an overflow (the slot on the left) wins, since
-        overflows are the more common linear-walk failure.  A guard
-        with both neighbors Free cannot be attributed.
+        between two Allocated (or two Quarantined) neighbors the slot
+        whose own guard this would be for an overflow (the slot on the
+        left) wins, since overflows are the more common linear-walk
+        failure.  A guard with both neighbors Free cannot be attributed.
         """
-        if not self.base <= addr < self.base + self.region_length:
-            return AddressClassification(AddressKind.NOT_OURS)
-        page_index, _ = divmod(addr - self.base, self.page_size)
-        if page_index % 2 == 1:
-            slot_index = (page_index - 1) // 2
-            state = self.slots[slot_index].state
-            if state is SlotState.ALLOCATED:
-                return AddressClassification(AddressKind.ALLOCATED_SLOT, slot_index)
-            if state is SlotState.QUARANTINED:
-                return AddressClassification(AddressKind.QUARANTINED_SLOT, slot_index)
-            return AddressClassification(AddressKind.FREE_SLOT, slot_index)
+        offset = addr - self.base
+        if not 0 <= offset < self.region_length:
+            return _NOT_OURS
+        page_index = offset >> self._page_shift
+        slots = self.slots
+        if page_index & 1:
+            slot_index = page_index >> 1
+            state = slots[slot_index].state
+            if state is _ALLOCATED:
+                return self._as_allocated[slot_index]
+            if state is _QUARANTINED:
+                return self._as_quarantined[slot_index]
+            return self._as_free[slot_index]
 
         # Guard g fences slot g-1 on its right and slot g on its left.
-        guard_index = page_index // 2
-        left_rank = _GUARD_RANK[self.slots[guard_index - 1].state] if guard_index > 0 else 0
-        right_rank = (
-            _GUARD_RANK[self.slots[guard_index].state] if guard_index < self.slot_count else 0
-        )
-        if left_rank == 0 and right_rank == 0:
-            return AddressClassification(AddressKind.UNATTRIBUTED_GUARD)
-        if left_rank >= right_rank:
+        guard_index = page_index >> 1
+        left = slots[guard_index - 1].state if guard_index else _FREE
+        right = slots[guard_index].state if guard_index < self.slot_count else _FREE
+        if left is _ALLOCATED or (left is _QUARANTINED and right is not _ALLOCATED):
             # This guard is the right-hand fence of the slot to its left.
-            return AddressClassification(AddressKind.RIGHT_GUARD, guard_index - 1)
-        return AddressClassification(AddressKind.LEFT_GUARD, guard_index)
+            return self._as_right_guard[guard_index - 1]
+        if right is _FREE:
+            return _UNATTRIBUTED_GUARD
+        return self._as_left_guard[guard_index]

@@ -83,6 +83,8 @@ class CounterSampler:
             raise ValueError(f"sample_rate must be >= 1, got {sample_rate}")
         self.sample_rate = sample_rate
         self._span = 2 * sample_rate
+        # below(span)'s rejection bound, computed once for next_skip.
+        self._limit = (1 << 64) - ((1 << 64) % self._span)
         self._rng = Xorshift64Star(time.time_ns() if seed is None else seed)
         self._skip = 1 + self._rng.below(self._span)
 
@@ -102,7 +104,11 @@ class CounterSampler:
         the calls on which want_to_sample() would return True.
         """
         skip = self._skip
-        self._skip = 1 + self._rng.below(self._span)
+        # below(span) inlined: the same draws, so the same stream.
+        x = self._rng.next_u64()
+        while x >= self._limit:
+            x = self._rng.next_u64()
+        self._skip = 1 + x % self._span
         return skip
 
 

@@ -246,7 +246,7 @@ class GuardianAllocator:
         if skip > 0:
             self._skip = skip
             return self.fallback.malloc(size, alignment or self._min_alignment)
-        return self._countdown_expired(size, alignment)
+        return self._guarded_malloc(size, alignment)
 
     def calloc(self, count: int, size: int) -> int:
         if count < 0 or size < 0:
@@ -305,18 +305,17 @@ class GuardianAllocator:
 
     # -- slow paths ----------------------------------------------------------
 
-    def _countdown_expired(self, size: int, alignment: int) -> int:
+    def _guarded_malloc(self, size: int, alignment: int) -> int:
+        """The countdown expired: ask the policy, then guard the request."""
         sampler = self._sampler
         if isinstance(sampler, TimerGate):  # the countdown stays at 1
             sample = sampler.want_to_sample()
         else:
             self._skip = sampler.next_skip()
             sample = True
-        if sample and not self._sampling_off:
-            return self._guarded_malloc(size, alignment)
-        return self.fallback.malloc(size, alignment or self._min_alignment)
+        if not sample or self._sampling_off:
+            return self.fallback.malloc(size, alignment or self._min_alignment)
 
-    def _guarded_malloc(self, size: int, alignment: int) -> int:
         # Every stats counter moves under pool.lock, so sampled always
         # equals guarded + coverage_rejected + pool_unavailable + oversized.
         pool = self.pool
@@ -328,7 +327,8 @@ class GuardianAllocator:
                 self.stats.oversized += 1
             return self.fallback.malloc(size, alignment or self._min_alignment)
 
-        trace = capture_trace(self.config.max_frames)
+        # One tuple, hashed by source_of's memo and kept by compress_trace's.
+        trace = tuple(capture_trace(self.config.max_frames))
         thread_id = threading.get_ident()
         with pool.lock:
             self.stats.sampled += 1
@@ -382,8 +382,10 @@ class GuardianAllocator:
         with pool.lock:
             classification = pool.classify_address(addr)
             slot_index = classification.slot_index
+            # user_address inlined: on its slot's page, addr starts the
+            # block when its offset in the page is the block's.
             if (classification.kind is AddressKind.ALLOCATED_SLOT
-                    and addr == pool.user_address(slot_index)):
+                    and (addr - pool.base) % pool.page_size == pool.slots[slot_index].user_offset):
                 slot = pool.slots[slot_index]
                 self.store.store_dealloc(
                     slot_index,

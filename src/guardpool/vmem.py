@@ -159,10 +159,16 @@ class VirtualMemory:
             raise ValueError(f"0x{addr:x} is not page-aligned")
         if length <= 0:
             raise ValueError("length must be positive")
-        region = self._find_region(addr)
+        # _find_region inlined: the pool protects a page per guarded
+        # malloc and per guarded free.
+        i = bisect_right(self._bases, addr) - 1
+        region = self._regions[i] if i >= 0 else None
         if region is None or addr + length > region.end:
             raise ValueError(f"[0x{addr:x}, +{length}) is not a mapped range")
         first = (addr - region.base) >> self._page_shift
+        if length <= self.page_size:
+            region.prots[first] = prot  # one byte store: atomic on its own
+            return
         npages = -(-length // self.page_size)
         with self._lock:
             region.prots[first : first + npages] = bytes([prot]) * npages
@@ -232,8 +238,9 @@ class VirtualMemory:
         Used by the allocator to scrub pages it owns without first
         making them accessible.
         """
-        region = self._find_region(addr)
-        if region is None or addr + length > region.end:
+        i = bisect_right(self._bases, addr) - 1  # _find_region inlined
+        region = self._regions[i] if i >= 0 else None
+        if region is None or not addr < region.end or addr + length > region.end:
             raise ValueError(f"[0x{addr:x}, +{length}) is not a mapped range")
         off = addr - region.base
         region.mem[off : off + length] = bytes([value & 0xFF]) * length

@@ -5,9 +5,11 @@ import io
 import re
 import subprocess
 import sys
+import threading
 
 import pytest
 
+from guardpool import cli
 from guardpool.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -119,13 +121,43 @@ def test_missing_command_exits_config_status():
     (["sample-stats", "--duration-ms", "500"], "--duration-ms: only --policy timer reads it"),
     (["sample-stats", "--duration-ms", "500", "--policy", "counter"],
      "--duration-ms: only --policy timer reads it"),
+    (["inject", "uaf", "--size", "0"], "--size: must be in [1, 4096] to be guarded, got 0"),
+    (["inject", "uaf", "--size", "-8"], "--size: must be in [1, 4096] to be guarded, got -8"),
+    (["inject", "overflow", "--size", "4097"], "--size: must be in [1, 4096]"),
+    (["inject", "double-free", "--size", "100000"], "--size: must be in [1, 4096]"),
+    (["inject", "invalid-free", "--bytes", "0"], "--bytes: invalid-free needs a nonzero offset"),
+    (["inject", "overflow", "--bytes", "0"], "--bytes: overflow needs at least 1 byte"),
+    (["inject", "underflow", "--bytes", "0"], "--bytes: underflow needs at least 1 byte"),
+    (["inject", "overflow", "--bytes", "-3"], "--bytes: overflow needs at least 1 byte"),
 ], ids=" ".join)
-def test_bad_counts_and_spans_exit_config_status_at_parse_time(capsys, argv, message):
+def test_bad_counts_and_spans_exit_config_status_at_parse_time(capsys, monkeypatch, argv,
+                                                               message):
     # Each is rejected before any allocator is built or thread started.
+    def no_allocator(*args, **kwargs):
+        raise AssertionError("an allocator was built")
+
+    monkeypatch.setattr(cli, "GuardianAllocator", no_allocator)
+    threads = threading.active_count()
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("size", ["1", "4096"])
+def test_inject_takes_victims_from_one_byte_to_one_page(capsys, size):
+    code, out, err = run_cli(capsys, "inject", "uaf", "--size", size, "--bytes", "0",
+                             "--format", "records")
+    assert code == EXIT_OK, err
+    assert "inject kind=uaf detected=1" in out
+
+
+def test_invalid_free_below_the_block_is_still_injected(capsys):
+    code, out, err = run_cli(capsys, "inject", "invalid-free", "--bytes", "-1",
+                             "--format", "records")
+    assert code == EXIT_OK, err
+    assert "report_kind=INVALID_FREE" in out
 
 
 def test_invalid_config_value_exits_config_status(capsys):

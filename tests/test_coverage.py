@@ -69,7 +69,7 @@ def test_source_fits_64_bits():
 
 
 def test_single_bit_flips_spread_into_the_low_bits():
-    # _indexes probes from the low bits of a source.  A plain word fold
+    # coverage._probes starts from the low bits of a source.  A plain word fold
     # leaves them a function of the pcs' low bits only, so two sites
     # whose pcs differ only above bit 10 would share every first probe.
     import random
@@ -141,6 +141,36 @@ def test_no_false_negatives_against_multiset(universe, steps):
         for _ in range(count):
             bloom.remove(source)
     assert bloom._table == [0] * bloom.counters
+
+
+def _reference_probes(source, counters, hashes):
+    """Double hashing from the two 32-bit halves, with an odd step."""
+    h1 = source & 0xFFFFFFFF
+    h2 = ((source >> 32) | 1) & 0xFFFFFFFF
+    return [(h1 + i * h2) % counters for i in range(hashes)]
+
+
+def test_filters_of_two_shapes_probe_their_own_counters_through_one_memo():
+    # The memo is shared by every filter and evicts: 3x its bound of
+    # sources in two table shapes, inserted twice, must still land on
+    # exactly the reference counters.
+    bound = coverage._PROBE_MEMO_SIZE
+    rng = random.Random(31)
+    sources = [rng.getrandbits(64) for _ in range(3 * bound)]
+    for counters, hashes in ((64, 3), (1024, 2)):
+        bloom = CoverageFilter(counters=counters, hashes=hashes)
+        want = [0] * counters
+        for source in sources + sources:
+            bloom.insert(source)
+            for idx in _reference_probes(source, counters, hashes):
+                want[idx] += 1
+        assert bloom._table == want
+        for source in sources:
+            assert bloom.query(source)
+            bloom.remove(source)
+            bloom.remove(source)
+        assert bloom._table == [0] * counters
+    assert coverage._probes.cache_info().currsize <= bound
 
 
 def test_false_positive_rate_near_theory():

@@ -1,13 +1,19 @@
 """Pool geometry, slot lifecycle, quarantine ordering, classification."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guardpool.pool import (
+    AddressClassification,
     AddressKind,
     AlignmentSide,
     GuardedPool,
     SlotState,
 )
+from guardpool.sampler import Xorshift64Star, splitmix64
 from guardpool.vmem import PROT_NONE, SegmentationFault, VirtualMemory
 
 PAGE = 4096
@@ -300,3 +306,87 @@ def test_classification_matches_brute_force_page_map():
                 AddressKind.UNATTRIBUTED_GUARD,
             )
 
+
+
+# -- classification against the per-call reference ----------------------------
+
+
+_REF_RANK = {SlotState.ALLOCATED: 2, SlotState.QUARANTINED: 1, SlotState.FREE: 0}
+
+
+def _reference_classify(pool, addr):
+    """classify_address as first written: divmod, ranks, a new object per call."""
+    if not pool.base <= addr < pool.base + pool.region_length:
+        return AddressClassification(AddressKind.NOT_OURS)
+    page_index, _ = divmod(addr - pool.base, pool.page_size)
+    if page_index % 2 == 1:
+        slot_index = (page_index - 1) // 2
+        state = pool.slots[slot_index].state
+        if state is SlotState.ALLOCATED:
+            return AddressClassification(AddressKind.ALLOCATED_SLOT, slot_index)
+        if state is SlotState.QUARANTINED:
+            return AddressClassification(AddressKind.QUARANTINED_SLOT, slot_index)
+        return AddressClassification(AddressKind.FREE_SLOT, slot_index)
+    guard_index = page_index // 2
+    left_rank = _REF_RANK[pool.slots[guard_index - 1].state] if guard_index > 0 else 0
+    right_rank = _REF_RANK[pool.slots[guard_index].state] if guard_index < pool.slot_count else 0
+    if left_rank == 0 and right_rank == 0:
+        return AddressClassification(AddressKind.UNATTRIBUTED_GUARD)
+    if left_rank >= right_rank:
+        return AddressClassification(AddressKind.RIGHT_GUARD, guard_index - 1)
+    return AddressClassification(AddressKind.LEFT_GUARD, guard_index)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    page_size=st.sampled_from([256, 4096]),
+    states=st.lists(st.sampled_from(list(SlotState)), min_size=1, max_size=6),
+    offsets=st.lists(st.integers(min_value=0), min_size=1, max_size=3),
+)
+def test_classify_matches_the_reference_on_every_page(page_size, states, offsets):
+    pool = make_pool(vm=VirtualMemory(page_size=page_size), slot_count=len(states))
+    for slot, state in zip(pool.slots, states):
+        slot.state = state
+    addrs = [pool.base - 1, pool.base + pool.region_length, 0]
+    for page_index in range(2 * len(states) + 1):
+        page = pool.base + page_index * page_size
+        addrs += [page, page + page_size - 1] + [page + o % page_size for o in offsets]
+    for addr in addrs:
+        got = pool.classify_address(addr)
+        assert got == _reference_classify(pool, addr), hex(addr - pool.base)
+        assert pool.classify_address(addr) is got  # shared, not rebuilt
+
+
+def test_shared_classifications_stay_frozen():
+    pool = make_pool(slot_count=2, max_live=2)
+    slot_index, addr = pool.acquire(8)
+    live = pool.classify_address(addr)
+    guard = pool.classify_address(pool.base)
+    outside = pool.classify_address(pool.base - 1)
+    for shared in (live, guard, outside):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.kind = AddressKind.NOT_OURS
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.slot_index = 7
+    # A state change picks another instance; the one handed out earlier
+    # still says what it said.
+    pool.release(slot_index)
+    assert live == AddressClassification(AddressKind.ALLOCATED_SLOT, slot_index)
+    assert pool.classify_address(addr).kind is AddressKind.QUARANTINED_SLOT
+
+
+# -- alignment side stream --------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 77, 0xDEADBEEF])
+@pytest.mark.parametrize("slot_count", [1, 5, 16])
+def test_alignment_sides_are_the_below_based_stream(seed, slot_count):
+    pool = make_pool(slot_count=slot_count, max_live=1, seed=seed)
+    rng = Xorshift64Star(splitmix64((seed or 0) ^ 0x706F6F6C))
+    for i in range(slot_count - 1, 0, -1):  # the free-list shuffle's draws
+        rng.below(i + 1)
+    for _ in range(300):
+        slot_index, addr = pool.acquire(100)
+        right = addr - pool.slot_page_addr(slot_index) == PAGE - 100
+        assert right == (rng.below(2) == 1)
+        pool.release(slot_index)

@@ -106,6 +106,28 @@ def test_gap_lengths_cover_full_span_and_stay_in_bounds():
     assert rate * 0.9 < mean < rate * 1.1
 
 
+def _ref_below(draw, n):
+    """below(n) over a stream of 64-bit draws: rejection, then modulo."""
+    limit = (1 << 64) - ((1 << 64) % n)
+    while True:
+        x = draw()
+        if x < limit:
+            return x % n
+
+
+# The last rate makes the span about 2/3 of 2**64, so about a third of
+# the draws are rejected and the rejection loop really runs.
+@pytest.mark.parametrize("rate", [1, 3, 7, 5000, 12345, (1 << 64) // 3])
+@pytest.mark.parametrize("seed", [0, 1, 6, 0xDEADBEEF, MASK64])
+def test_skip_sequence_is_the_below_based_stream(seed, rate):
+    sampler = CounterSampler(rate, seed)
+    rng = Xorshift64Star(seed)
+    want = [1 + _ref_below(rng.next_u64, 2 * rate) for _ in range(2000)]
+    # The constructor draws the first skip; each next_skip returns the
+    # pending one and draws the next.
+    assert [sampler.next_skip() for _ in range(2000)] == want
+
+
 def test_same_seed_same_decision_sequence():
     a = CounterSampler(100, seed=123)
     b = CounterSampler(100, seed=123)

@@ -1,5 +1,6 @@
 """Allocator front end: routing, free-path validation, passthrough cost model."""
 
+import gc
 import io
 import random
 import sys
@@ -329,6 +330,55 @@ def test_sampled_allocation_routes_to_the_pool():
     allocator.free(addr)
     slot_index = allocator.pool.classify_address(addr).slot_index
     assert allocator.pool.slots[slot_index].state is SlotState.QUARANTINED
+
+
+def _python_calls(fn, *args):
+    """fn(*args) and the Python-level functions it called, fn itself included."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            calls.append(f"{code.co_filename.rsplit('/', 1)[-1]}:{code.co_name}")
+
+    # A collection inside fn could run other objects' finalisers, which
+    # the profile would count as fn's calls.
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return result, calls
+
+
+# The sampled pair's Python-level calls: malloc, _guarded_malloc,
+# next_skip, next_u64 twice (skip and side), capture_trace, source_of,
+# admit, acquire, protect, fill, store_alloc, compress_trace, the
+# record's __init__, insert; then free, _guarded_free, classify_address,
+# store_dealloc, capture_trace, compress_trace, the record's __init__,
+# remove, release, protect.
+GUARDED_PAIR_CALLS = 25
+
+
+def test_a_guarded_pair_makes_a_fixed_number_of_python_calls():
+    allocator, _ = make_allocator(slot_count=16)
+    pairs = []
+    for _ in range(60):
+        # One call site for every pair: after the first, the trace, site
+        # and probe memos all hit.
+        ptr, malloc_calls = _python_calls(allocator.malloc, 64)
+        if not allocator.is_guarded(ptr):
+            allocator.free(ptr)
+            continue
+        _, free_calls = _python_calls(allocator.free, ptr)
+        pairs.append(malloc_calls + free_calls)
+    assert len(pairs) >= 20
+    for calls in pairs[1:]:
+        assert len(calls) == GUARDED_PAIR_CALLS, " ".join(calls)
+    assert not any(name.startswith("enum.py:") for calls in pairs for name in calls)
 
 
 def test_high_rate_serves_from_fallback():
