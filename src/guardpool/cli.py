@@ -530,7 +530,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error("argument --duration-ms: only --policy timer reads it")
     if getattr(args, "distance", None) is not None:
         # A distance that lands inside the block, or frees its own
-        # start, injects no bug.
+        # start, injects no bug; a double free reads no distance.
+        if args.kind == "double-free":
+            parser.error("argument --bytes: double-free frees the block's own start;"
+                         " it takes no distance")
         if args.kind in ("overflow", "underflow") and args.distance < 1:
             parser.error(f"argument --bytes: {args.kind} needs at least 1 byte past the edge")
         if args.kind == "invalid-free" and args.distance == 0:

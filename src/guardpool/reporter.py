@@ -14,6 +14,14 @@ each stack block once.  parse_report walks text.splitlines() once with
 an index, matching each line against one precompiled pattern; running
 off the end of the lines is the one "unexpected end of report" error.
 
+Reporter builds every report: slot_report captures the access stack and
+gathers the allocation's evidence, for the fault handler and for the
+allocator's checks of a free or usable_size alike.  Reporter also owns
+recovery: disabled is the tool's one off switch.  The first recoverable
+report sets it, and so does the allocator's destroy().  From then on the
+allocator guards nothing more, its free-path errors are swallowed, and
+a fault the handler still sees is scrubbed and resumed without a report.
+
 The handler itself follows signal-handler discipline in modeled form:
 it takes no lock any interrupted thread could hold (pool state is read
 via the lock-free classification and record snapshot paths) and
@@ -319,21 +327,21 @@ class Reporter:
         max_frames: int,
         recoverable: bool = False,
         sink: Optional[TextIO] = None,
-        on_disable=None,
     ):
         self._pool = pool
         self._store = store
         self._max_frames = max_frames  # access stacks' cap
         self.recoverable = recoverable
         self._sink = sink if sink is not None else sys.stderr
-        self._on_disable = on_disable
         # Spin permit, not a blocking wait: a holder only formats and
         # writes, never faults, so spinning cannot deadlock with the
         # interrupted thread.
         self._permit = threading.Lock()
         self._prev = None
         self._vm: Optional[VirtualMemory] = None
-        # Set by the first recoverable report; later ones are swallowed.
+        # The tool's one off switch, set by the first recoverable report
+        # and by the allocator's destroy(): later errors are swallowed and
+        # the allocator guards nothing more.
         self.disabled = False
         self.reports_emitted = 0
         self.last_report: Optional[ErrorReport] = None
@@ -358,21 +366,21 @@ class Reporter:
             if self._prev is not None:
                 return self._prev(fault)
             return FaultAction.TERMINATE
-        if self.disabled:
-            # Already recovered once: keep the process alive without
-            # generating a report storm.
-            self._make_page_accessible(fault.address)
-            return FaultAction.RESUME
-        report = self._build_report(fault, classification)
-        self._emit(report)
-        if self.recoverable:
-            self._make_page_accessible(fault.address)
-            self._disable()
-            return FaultAction.RESUME
-        return FaultAction.TERMINATE
+        if not self.disabled:
+            self._emit(self._build_report(fault, classification))
+            if not self.recoverable:
+                return FaultAction.TERMINATE
+            self.disabled = True
+        # Scrub and resume.  Once the tool is off no fault is reported, so
+        # a stale pointer cannot cause a report storm.
+        page_size = self._pool.page_size
+        page = fault.address - fault.address % page_size
+        self._pool.vm.fill(page, page_size, 0)
+        self._pool.vm.protect(page, page_size, PROT_READ | PROT_WRITE)
+        return FaultAction.RESUME
 
     def emit_synthetic(self, report: ErrorReport) -> None:
-        """Emit a shim-detected error (double/invalid free): no fault involved.
+        """Emit a shim-detected error (a bad free or usable_size): no fault involved.
 
         Honors recoverable mode; in the default mode raises the same
         fatal signal a guarded fault would.  Once disabled, swallows it.
@@ -381,7 +389,7 @@ class Reporter:
             return
         self._emit(report)
         if self.recoverable:
-            self._disable()
+            self.disabled = True
             return
         raise SegmentationFault(
             FaultInfo(report.access_address, report.access_kind, report.faulting_thread),
@@ -390,64 +398,52 @@ class Reporter:
 
     # -- internals ----------------------------------------------------------
 
-    def slot_report(self, kind: ReportKind, slot_index: Optional[int], **access) -> ErrorReport:
-        """A report of kind against slot_index's allocation, with its stacks.
+    def slot_report(self, kind: ReportKind, slot_index: Optional[int], address: int,
+                    access_kind: AccessType, thread: int) -> ErrorReport:
+        """A report of kind for an access at address, with every stack.
 
-        access holds ErrorReport's access fields.  No slot, or a record
-        recycled since, gives a metadata_lost report."""
+        The access stack is captured here, for fault and free path alike.
+        No slot_index, or a slot whose record was recycled since, gives a
+        metadata_lost report."""
+        access = (kind, address, access_kind, thread, capture_trace(self._max_frames))
         if slot_index is None:
-            return ErrorReport(kind=kind, metadata_lost=True, **access)
+            return ErrorReport(*access, metadata_lost=True)
         slot = self._pool.slots[slot_index]
-        allocation_address = self._pool.slot_page_addr(slot_index) + slot.user_offset
+        allocation_address = self._pool.user_address(slot_index)
         snapshot = self._store.snapshot(slot_index, slot.metadata_seq)
         if snapshot is None:
-            return ErrorReport(
-                kind=kind,
-                allocation_address=allocation_address,
-                allocation_size=slot.user_size,
-                metadata_lost=True,
-                **access,
-            )
+            return ErrorReport(*access, allocation_address=allocation_address,
+                               allocation_size=slot.user_size, metadata_lost=True)
+        dealloc_trace = snapshot.dealloc_trace
         return ErrorReport(
-            kind=kind,
+            *access,
             allocation_address=allocation_address,
             allocation_size=snapshot.user_size,
             alloc_thread=snapshot.alloc_thread,
             alloc_trace=decompress_trace(snapshot.alloc_trace),
             dealloc_thread=snapshot.dealloc_thread,
-            dealloc_trace=(
-                decompress_trace(snapshot.dealloc_trace)
-                if snapshot.dealloc_trace is not None
-                else None
-            ),
-            **access,
+            dealloc_trace=None if dealloc_trace is None else decompress_trace(dealloc_trace),
         )
 
     def _build_report(self, fault: FaultInfo, cls: AddressClassification) -> ErrorReport:
-        access = dict(
-            access_address=fault.address,
-            access_kind=fault.access,
-            faulting_thread=fault.thread_id,
-            access_trace=capture_trace(self._max_frames),
-        )
+        slot_index = cls.slot_index
         if cls.kind in (AddressKind.UNATTRIBUTED_GUARD, AddressKind.FREE_SLOT,
                         AddressKind.ALLOCATED_SLOT):
             # No allocation to pin the access to: free pages carry stale
             # geometry and an allocated page can only fault when the
             # slot changed hands mid-delivery.
-            return self.slot_report(ReportKind.INDETERMINATE_GUARD_HIT, None, **access)
-
-        if cls.kind is AddressKind.QUARANTINED_SLOT:
-            kind = ReportKind.USE_AFTER_FREE
-        elif self._pool.slots[cls.slot_index].state is SlotState.QUARANTINED:
-            # Guard hit attributed to a freed neighbor: evidence says
-            # use-after-free, the locator carries the out-of-bounds part.
+            kind, slot_index = ReportKind.INDETERMINATE_GUARD_HIT, None
+        elif (cls.kind is AddressKind.QUARANTINED_SLOT
+              or self._pool.slots[slot_index].state is SlotState.QUARANTINED):
+            # A freed slot's page, or a guard attributed to a freed slot:
+            # evidence says use-after-free, and for a guard hit the
+            # locator carries the out-of-bounds part.
             kind = ReportKind.USE_AFTER_FREE
         elif cls.kind is AddressKind.LEFT_GUARD:
             kind = ReportKind.BUFFER_UNDERFLOW
         else:
             kind = ReportKind.BUFFER_OVERFLOW
-        return self.slot_report(kind, cls.slot_index, **access)
+        return self.slot_report(kind, slot_index, fault.address, fault.access, fault.thread_id)
 
     def _emit(self, report: ErrorReport) -> None:
         text = render_report(report)
@@ -462,14 +458,3 @@ class Reporter:
                 flush()
         finally:
             self._permit.release()
-
-    def _make_page_accessible(self, addr: int) -> None:
-        page = addr - addr % self._pool.page_size
-        vm = self._pool.vm
-        vm.fill(page, self._pool.page_size, 0)
-        vm.protect(page, self._pool.page_size, PROT_READ | PROT_WRITE)
-
-    def _disable(self) -> None:
-        self.disabled = True
-        if self._on_disable is not None:
-            self._on_disable()

@@ -188,7 +188,6 @@ class GuardianAllocator:
         self.coverage: Optional[CoverageFilter] = None
         self.reporter: Optional[Reporter] = None
         self._sampler = None
-        self._sampling_off = False
         self._pool_lo = self._pool_hi = 0  # pool bounds: empty until enabled
 
         seed = self.config.seed if self.config.seed is not None else time.time_ns()
@@ -213,10 +212,7 @@ class GuardianAllocator:
         )
         self.store = MetadataStore(cfg.slot_count)
         self.coverage = CoverageFilter(utilization_threshold=cfg.coverage_threshold)
-        self.reporter = Reporter(
-            self.pool, self.store, cfg.max_frames, cfg.recoverable, cfg.sink,
-            self._stop_sampling,
-        )
+        self.reporter = Reporter(self.pool, self.store, cfg.max_frames, cfg.recoverable, cfg.sink)
         self.reporter.install(self.vm)
         self._min_alignment = cfg.min_alignment
         if cfg.policy == "counter":
@@ -234,10 +230,6 @@ class GuardianAllocator:
         self.malloc = self.fallback.malloc
         self.free = self.fallback.free
         self.usable_size = self.fallback.usable_size
-
-    def _stop_sampling(self) -> None:
-        """Recovery hook: never route another allocation to the pool."""
-        self._sampling_off = True
 
     # -- allocation entry points ------------------------------------------
 
@@ -294,14 +286,16 @@ class GuardianAllocator:
         return self._pool_lo <= addr < self._pool_hi
 
     def destroy(self) -> None:
-        """Detach from the fault-handler chain; the reservation stays.
+        """Detach from the fault-handler chain and turn the tool off.
 
+        Nothing is guarded or reported afterwards: a bad free of a
+        guarded pointer is swallowed, as after a recoverable report.
         Guarded pointers may outlive the allocator object, so the pool
         pages are never returned to the platform.
         """
         if self.reporter is not None:
             self.reporter.uninstall()
-        self._sampling_off = True
+            self.reporter.disabled = True
 
     # -- slow paths ----------------------------------------------------------
 
@@ -313,7 +307,7 @@ class GuardianAllocator:
         else:
             self._skip = sampler.next_skip()
             sample = True
-        if not sample or self._sampling_off:
+        if not sample or self.reporter.disabled:
             return self.fallback.malloc(size, alignment or self._min_alignment)
 
         # Every stats counter moves under pool.lock, so sampled always
@@ -369,10 +363,8 @@ class GuardianAllocator:
             size = pool.slots[slot_index].user_size
             if kind is AddressKind.ALLOCATED_SLOT:
                 return size, True
-            report = self.reporter.slot_report(
-                ReportKind.USE_AFTER_FREE, slot_index, access_address=addr,
-                access_kind=AccessType.UNKNOWN, faulting_thread=threading.get_ident(),
-                access_trace=capture_trace(self.config.max_frames))
+            report = self.reporter.slot_report(ReportKind.USE_AFTER_FREE, slot_index, addr,
+                                               AccessType.UNKNOWN, threading.get_ident())
         # Emitting outside the pool lock: the reporter may terminate.
         self.reporter.emit_synthetic(report)
         return size, False
@@ -396,23 +388,22 @@ class GuardianAllocator:
                 self.coverage.remove(slot.coverage_source)
                 pool.release(slot_index)
                 return
-            # Count only emitted reports: a reporter disabled by an earlier
-            # recoverable report swallows this one.
-            emitted = not self.reporter.disabled
+            if self.reporter.disabled:
+                return  # recovered or destroyed: swallowed, and not counted
             # The start of a block before its state, as GWP-ASan's
             # deallocate checks: freeing p + 1 after p is an invalid free.
             if (classification.kind is AddressKind.QUARANTINED_SLOT
                     and addr == pool.user_address(slot_index)):
                 kind = ReportKind.DOUBLE_FREE
-                self.stats.double_free += emitted
+                self.stats.double_free += 1
             else:
                 # Interior pointer, guard page or free slot: never valid.
                 kind = ReportKind.INVALID_FREE
-                self.stats.invalid_free += emitted
-            report = self.reporter.slot_report(
-                kind, slot_index, access_address=addr, access_kind=AccessType.UNKNOWN,
-                faulting_thread=threading.get_ident(),
-                access_trace=capture_trace(self.config.max_frames))
+                self.stats.invalid_free += 1
+                if classification.kind is AddressKind.FREE_SLOT:
+                    slot_index = None  # never used: no allocation to name
+            report = self.reporter.slot_report(kind, slot_index, addr, AccessType.UNKNOWN,
+                                               threading.get_ident())
         # Emitting outside the pool lock: the reporter may terminate.
         self.reporter.emit_synthetic(report)
 

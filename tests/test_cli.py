@@ -129,6 +129,7 @@ def test_missing_command_exits_config_status():
     (["inject", "overflow", "--bytes", "0"], "--bytes: overflow needs at least 1 byte"),
     (["inject", "underflow", "--bytes", "0"], "--bytes: underflow needs at least 1 byte"),
     (["inject", "overflow", "--bytes", "-3"], "--bytes: overflow needs at least 1 byte"),
+    (["inject", "double-free", "--bytes", "123"], "--bytes: double-free frees the block's own"),
 ], ids=" ".join)
 def test_bad_counts_and_spans_exit_config_status_at_parse_time(capsys, monkeypatch, argv,
                                                                message):

@@ -1,6 +1,7 @@
 """Every name a guardpool module imports is used, or marked as re-exported,
 every memo it keeps is bounded, every config field it accepts is read, and
-every module-level private name it defines is used in that module."""
+every private name it defines (module-level, a method, or an attribute
+stored on self) is loaded in that module."""
 
 import ast
 from pathlib import Path
@@ -102,9 +103,17 @@ def test_memo_check_tells_bounded_from_unbounded(case):
     assert (unbounded_memos(source) == []) is bounded
 
 
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def unloaded_private_names(source, name="<source>"):
-    """Module-level _private functions, classes and constants that the
-    module never loads outside the statement that defines them."""
+    """Private names the module never loads outside their own definition.
+
+    Module-level _private functions, classes and constants must be loaded
+    as names; a class's _private methods, and the _private attributes its
+    methods store on self, must be loaded as attributes (on any object).
+    """
     tree = ast.parse(source)
     defined = {}  # name -> (first line, ids of the nodes defining it)
     for stmt in tree.body:
@@ -116,16 +125,35 @@ def unloaded_private_names(source, name="<source>"):
         else:
             continue
         for private in names:
-            if private.startswith("_") and not private.startswith("__"):
+            if _private(private):
                 line, inside = defined.get(private, (stmt.lineno, set()))
                 inside.update(id(node) for node in ast.walk(stmt))
                 defined[private] = (line, inside)
-    loaded = {}
+    loaded, attr_loaded = {}, {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             loaded.setdefault(node.id, []).append(id(node))
-    return [f"{name}:{line}: {private}" for private, (line, inside) in defined.items()
-            if all(node in inside for node in loaded.get(private, []))]
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attr_loaded.setdefault(node.attr, []).append(id(node))
+    unused = [f"{name}:{line}: {private}" for private, (line, inside) in defined.items()
+              if all(node in inside for node in loaded.get(private, []))]
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and _private(stmt.name):
+                inside = {id(node) for node in ast.walk(stmt)}
+                if all(node in inside for node in attr_loaded.get(stmt.name, [])):
+                    unused.append(f"{name}:{stmt.lineno}: {cls.name}.{stmt.name}")
+        stored = {}  # attribute -> first line storing it on self
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"
+                    and _private(node.attr)):
+                stored.setdefault(node.attr, node.lineno)
+        unused += [f"{name}:{line}: {cls.name}.{attr}"
+                   for attr, line in stored.items() if attr not in attr_loaded]
+    return unused
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -144,7 +172,23 @@ PRIVATE_CASES = {
     "stored-twice": ("_N = 4\n_N = 5", ["_N"]),
     "annotation": ("class _T: pass\ndef g(x: _T): pass", []),
     "public-and-dunder": ("def f(): pass\n__all__ = ['f']", []),
-    "method-not-module-level": ("class C:\n    def _m(self): pass", []),
+    "method-not-module-level": ("class C:\n    def _m(self): pass\nC()._m()", []),
+    "method-called-on-self": ("class C:\n    def _m(self): pass\n    def f(self): self._m()",
+                              []),
+    "method-uncalled": ("class C:\n    def _m(self): pass\n    def f(self): pass", ["C._m"]),
+    "method-recursion-only": ("class C:\n    def _m(self): return self._m()", ["C._m"]),
+    "method-public-and-dunder": ("class C:\n    def m(self): pass\n    def __m(self): pass",
+                                 []),
+    "attribute-read": ("class C:\n    def __init__(self): self._x = 1\n"
+                       "    def f(self): return self._x", []),
+    "attribute-read-elsewhere": ("class C:\n    def __init__(self): self._x = 1\n"
+                                 "def f(c): return c._x", []),
+    "attribute-stored-only": ("class C:\n    def __init__(self): self._x = self._y = 1\n"
+                              "    def f(self): self._x = 2\n"
+                              "    def g(self): return self._y", ["C._x"]),
+    "attribute-only-incremented": ("class C:\n    def __init__(self): self._n = 0\n"
+                                   "    def f(self): self._n += 1", ["C._n"]),
+    "attribute-unpacked": ("class C:\n    def __init__(self): self._a, self.b = 1, 2", ["C._a"]),
 }
 
 

@@ -602,15 +602,12 @@ def make_env(
     recoverable=False,
     side=None,
     expose_access_kind=True,
-    on_disable=None,
 ):
     vm = VirtualMemory(expose_access_kind=expose_access_kind)
     pool = GuardedPool(vm, slot_count=slot_count, seed=11, force_alignment_side=side)
     store = MetadataStore(capacity=16)
     sink = io.StringIO()
-    reporter = Reporter(
-        pool, store, 64, recoverable=recoverable, sink=sink, on_disable=on_disable
-    )
+    reporter = Reporter(pool, store, 64, recoverable=recoverable, sink=sink)
     reporter.install(vm)
     return vm, pool, store, sink, reporter
 
@@ -818,10 +815,7 @@ def test_fault_while_holding_pool_lock_does_not_deadlock():
 
 
 def test_recoverable_fault_scrubs_page_and_resumes():
-    disabled = []
-    vm, pool, store, sink, reporter = make_env(
-        recoverable=True, on_disable=lambda: disabled.append(True)
-    )
+    vm, pool, store, sink, reporter = make_env(recoverable=True)
     slot_index, addr = tracked_alloc(pool, store, size=64)
     vm.write(addr, b"\xaa" * 64)
     tracked_free(pool, store, slot_index)
@@ -830,7 +824,7 @@ def test_recoverable_fault_scrubs_page_and_resumes():
     assert data == b"\x00" * 64, "recovered page must be scrubbed, not leaked"
     assert reporter.reports_emitted == 1
     assert parse_report(sink.getvalue()).kind is ReportKind.USE_AFTER_FREE
-    assert disabled == [True]
+    assert reporter.disabled
 
 
 def test_second_fault_after_recovery_is_silent():
@@ -869,10 +863,7 @@ def test_emit_synthetic_fatal_by_default():
 
 
 def test_emit_synthetic_recoverable_disables_reporting():
-    disabled = []
-    vm, pool, store, sink, reporter = make_env(
-        recoverable=True, on_disable=lambda: disabled.append(True)
-    )
+    vm, pool, store, sink, reporter = make_env(recoverable=True)
     report = ErrorReport(
         kind=ReportKind.INVALID_FREE,
         access_address=0x1234,
@@ -883,7 +874,7 @@ def test_emit_synthetic_recoverable_disables_reporting():
     reporter.emit_synthetic(report)
     reporter.emit_synthetic(report)  # disabled: swallowed
     assert reporter.reports_emitted == 1
-    assert disabled == [True]
+    assert reporter.disabled
 
     # Real faults after the synthetic disable resume without reporting.
     slot_index, addr = tracked_alloc(pool, store)

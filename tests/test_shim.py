@@ -563,6 +563,38 @@ def test_free_of_guard_page_address_is_invalid():
     assert "no associated allocation" in sink.getvalue()
 
 
+def test_invalid_free_into_a_never_used_slot_names_no_allocation():
+    # A never-used slot holds no allocation, so the report names none,
+    # as a fault on that page does.
+    allocator, sink = make_allocator(slot_count=4)
+    assert allocator.pool.slots[0].state is SlotState.FREE
+    with pytest.raises(SegmentationFault):
+        allocator.free(allocator.pool.slot_page_addr(0) + 16)
+    report = parse_report(sink.getvalue())
+    assert report.kind is ReportKind.INVALID_FREE
+    assert report.allocation_address is None
+    assert report.metadata_lost
+    assert "no associated allocation" in sink.getvalue()
+    assert allocator.stats.invalid_free == 1
+
+
+@pytest.mark.parametrize("recoverable", [False, True], ids=["fatal", "recoverable"])
+def test_double_free_access_stack_is_the_free_call_site(recoverable):
+    allocator, sink = make_allocator(recoverable=recoverable)
+    addr = guarded_malloc(allocator, 41)
+    raised = 0
+    for _ in range(2):  # one call site, so both frees see the same stack
+        try:
+            allocator.free(addr)
+        except SegmentationFault:
+            raised += 1
+    assert raised == (0 if recoverable else 1)
+    report = parse_report(sink.getvalue())
+    assert report.kind is ReportKind.DOUBLE_FREE
+    assert report.access_trace
+    assert report.access_trace == report.dealloc_trace
+
+
 def test_recoverable_free_error_reports_and_continues():
     allocator, sink = make_allocator(recoverable=True)
     addr = guarded_malloc(allocator, 41)
@@ -691,12 +723,22 @@ def test_overflow_through_the_shim():
     assert "1B right of 41B allocation" in sink.getvalue()
 
 
-def test_recovered_fault_stops_future_guarding():
+# Each way a recoverable report can be raised on a freed guarded pointer.
+RECOVERABLE_SOURCES = {
+    "guard-fault": lambda allocator, addr: allocator.vm.read(addr, 8) == b"\x00" * 8,
+    "double-free": lambda allocator, addr: allocator.free(addr) is None,
+    "usable-size": lambda allocator, addr: allocator.usable_size(addr) == 41,
+}
+
+
+@pytest.mark.parametrize("source", RECOVERABLE_SOURCES)
+def test_recovered_fault_stops_future_guarding(source):
     allocator, sink = make_allocator(recoverable=True)
     addr = guarded_malloc(allocator, 41)
     allocator.free(addr)
-    assert allocator.vm.read(addr, 8) == b"\x00" * 8  # recovered
+    assert RECOVERABLE_SOURCES[source](allocator, addr)  # reported, recovered
     assert sink.getvalue().count(REPORT_HEADER) == 1
+    assert allocator.reporter.disabled
     sampled = allocator.stats.sampled
     for _ in range(100):
         assert not allocator.is_guarded(allocator.malloc(16))
@@ -834,6 +876,9 @@ def test_destroy_detaches_but_keeps_the_reservation():
     for _ in range(100):
         assert not allocator.is_guarded(allocator.malloc(16))
     assert allocator.stats.sampled == sampled
+    allocator.free(addr)  # a double free: the tool is off, so it is swallowed
+    assert sink.getvalue() == ""
+    assert allocator.stats.double_free == 0
 
 
 # -- memory accounting --------------------------------------------------------
