@@ -5,9 +5,9 @@ Three independent gates exist in a deployment:
 * a per-process launch decision (a small fraction of processes enable
   the tool at all),
 * the per-allocation policy: either a countdown whose skip lengths are
-  drawn uniformly so the long-run sampling rate is exactly
-  1/sample_rate, or a timer gate that admits at most one sampled
-  allocation per interval,
+  drawn uniformly from [1, 2*sample_rate], so the long-run sampling
+  rate is 1/(sample_rate + 1/2), or a timer gate that admits at most
+  one sampled allocation per interval,
 * the pool itself, which can still refuse (no free slot).
 
 The countdown fast path is a single decrement and compare; the RNG only
@@ -71,10 +71,10 @@ class CounterSampler:
     """Countdown sampler over one seeded stream of skip lengths.
 
     Skip lengths are drawn uniformly from [1, 2*sample_rate]; the mean
-    and median gap between samples is then sample_rate, and sample
-    points stay unpredictable to the application.  All threads share
-    the countdown and the stream, unlocked, like the allocator's own
-    countdown, so runs on one thread are fully reproducible under a
+    and median gap between samples is then sample_rate + 1/2, and
+    sample points stay unpredictable to the application.  All threads
+    share the countdown and the stream, unlocked, like the allocator's
+    own countdown, so runs on one thread are fully reproducible under a
     fixed seed.
     """
 

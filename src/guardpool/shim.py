@@ -363,6 +363,8 @@ class GuardianAllocator:
             size = pool.slots[slot_index].user_size
             if kind is AddressKind.ALLOCATED_SLOT:
                 return size, True
+            if self.reporter.disabled:
+                return size, False  # recovered or destroyed: nothing to report
             report = self.reporter.slot_report(ReportKind.USE_AFTER_FREE, slot_index, addr,
                                                AccessType.UNKNOWN, threading.get_ident())
         # Emitting outside the pool lock: the reporter may terminate.

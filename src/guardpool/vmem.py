@@ -11,10 +11,10 @@ access violations to an installable fault handler, mirroring how a
 SIGSEGV handler observes a faulting address plus (on most platforms) a
 read/write flag.
 
-An access finds its region once, checks the protections of the pages it
-spans once, and moves its bytes with one copy.  Only a span that meets
-an inaccessible page is moved run by run: the accessible prefix first,
-then a fault at the first inaccessible byte, then the rest.
+An accessible read or write is one Python frame: a bisect for its
+region, a scan of the protections of the pages it spans, and one copy.
+Any other span moves run by run: the accessible prefix first, then a
+fault at the first inaccessible byte, then the rest.
 
 Handler chaining follows sigaction semantics: installing a handler
 returns the previously installed one, and a handler that decides a
@@ -113,6 +113,7 @@ class VirtualMemory:
         self.expose_access_kind = expose_access_kind
         self.fault_count = 0
         self._page_shift = page_size.bit_length() - 1
+        self._zero_page = bytes(page_size)  # what fill stores to scrub a page
         # Regions in address order, with their bases alongside for bisect.
         # reserve appends to _regions before _bases, so a lock-free lookup
         # that finds a base always finds its region.
@@ -204,10 +205,19 @@ class VirtualMemory:
         if not length:
             return b""
         end = addr + length
-        region, stop = self._accessible_run(addr, end, PROT_READ)
-        if stop == end:
-            off = addr - region.base
-            return region.mem[off : off + length]
+        # Region lookup and page scan inlined: an accessible read is one frame.
+        i = bisect_right(self._bases, addr) - 1
+        if i >= 0:
+            region = self._regions[i]
+            if end <= region.end:
+                off = addr - region.base
+                prots = region.prots
+                page = off >> self._page_shift
+                last = (off + length - 1) >> self._page_shift
+                while page < last and prots[page] & PROT_READ:
+                    page += 1
+                if prots[page] & PROT_READ:
+                    return region.mem[off : off + length]
         return b"".join(
             region.mem[lo - region.base : hi - region.base]
             for region, lo, hi in self._runs(addr, end, AccessType.READ)
@@ -223,11 +233,19 @@ class VirtualMemory:
         if not length:
             return
         end = addr + length
-        region, stop = self._accessible_run(addr, end, PROT_WRITE)
-        if stop == end:
-            off = addr - region.base
-            region.mem[off : off + length] = data
-            return
+        i = bisect_right(self._bases, addr) - 1  # inlined, as in read
+        if i >= 0:
+            region = self._regions[i]
+            if end <= region.end:
+                off = addr - region.base
+                prots = region.prots
+                page = off >> self._page_shift
+                last = (off + length - 1) >> self._page_shift
+                while page < last and prots[page] & PROT_WRITE:
+                    page += 1
+                if prots[page] & PROT_WRITE:
+                    region.mem[off : off + length] = data
+                    return
         view = memoryview(data)
         for region, lo, hi in self._runs(addr, end, AccessType.WRITE):
             region.mem[lo - region.base : hi - region.base] = view[lo - addr : hi - addr]
@@ -243,7 +261,8 @@ class VirtualMemory:
         if region is None or not addr < region.end or addr + length > region.end:
             raise ValueError(f"[0x{addr:x}, +{length}) is not a mapped range")
         off = addr - region.base
-        region.mem[off : off + length] = bytes([value & 0xFF]) * length
+        region.mem[off : off + length] = (self._zero_page if value == 0 and length == self.page_size
+                                          else bytes([value & 0xFF]) * length)
 
     # -- internals -------------------------------------------------------
 
@@ -255,42 +274,31 @@ class VirtualMemory:
                 return region
         return None
 
-    def _accessible_run(self, pos: int, end: int, needed: int) -> tuple[Optional[_Region], int]:
-        """Return pos's region and where the run accessible from pos stops.
-
-        The run ends at end, at the region's end, or at the first page
-        without the needed bit, whichever comes first; an unmapped pos
-        gives (None, pos).
-        """
-        region = self._find_region(pos)
-        if region is None:
-            return None, pos
-        base = region.base
-        stop = end if end < region.end else region.end
-        shift = self._page_shift
-        prots = region.prots
-        page = (pos - base) >> shift
-        if not prots[page] & needed:
-            return region, pos
-        last = (stop - 1 - base) >> shift
-        while page < last:
-            page += 1
-            if not prots[page] & needed:
-                return region, base + (page << shift)
-        return region, stop
-
     def _runs(self, pos: int, end: int, kind: AccessType) -> Iterator[tuple[_Region, int, int]]:
         """Yield the accessible runs (region, lo, hi) of [pos, end) in order.
 
-        Between runs, delivers a fault at the first inaccessible byte and
-        retries once the handler resolves it; a handler that resolves
+        A run stops at end, its region's end or a page without the needed
+        bit.  Between runs, delivers a fault at the first inaccessible byte
+        and retries once the handler resolves it; a handler that resolves
         without making progress trips the retry bound.  The caller moves
         each run's bytes before the next fault is delivered.
         """
         needed = PROT_READ if kind is AccessType.READ else PROT_WRITE
+        shift = self._page_shift
         faults = 0
         while pos < end:
-            region, stop = self._accessible_run(pos, end, needed)
+            region = self._find_region(pos)
+            stop = pos
+            if region is not None:
+                base = region.base
+                prots = region.prots
+                stop = end if end < region.end else region.end
+                page = (pos - base) >> shift
+                last = (stop - 1 - base) >> shift
+                while page <= last and prots[page] & needed:
+                    page += 1
+                if page <= last:
+                    stop = base + (page << shift)
             if stop > pos:
                 yield region, pos, stop
                 pos = stop

@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from guardpool import reporter as reporter_module
 from guardpool.pool import AlignmentSide, SlotState
 from guardpool.reporter import REPORT_HEADER, AccessType, ReportKind, parse_report
 from guardpool.sampler import CounterSampler
@@ -379,6 +380,24 @@ def test_a_guarded_pair_makes_a_fixed_number_of_python_calls():
     for calls in pairs[1:]:
         assert len(calls) == GUARDED_PAIR_CALLS, " ".join(calls)
     assert not any(name.startswith("enum.py:") for calls in pairs for name in calls)
+
+
+# An accessible vm.read or vm.write runs in its own frame alone: the region
+# lookup, the protection scan and the copy are inline.
+@pytest.mark.parametrize("size", [64, 3 * 4096 + 100], ids=["one-page", "multi-page"])
+def test_an_accessible_vm_access_is_one_python_call(size):
+    host, _ = make_allocator(sample_rate=10**9)
+    blocks = [(host.vm, host.malloc(size))]
+    if size <= 4096:  # a guarded block fits in its slot's page
+        guarded, _ = make_allocator()
+        blocks.append((guarded.vm, guarded_malloc(guarded, size)))
+    data = random.Random(size).randbytes(size)
+    for vm, ptr in blocks:
+        assert ((ptr + size - 1) // vm.page_size > ptr // vm.page_size) == (size > 4096)
+        _, write_calls = _python_calls(vm.write, ptr, data)
+        result, read_calls = _python_calls(vm.read, ptr, size)
+        assert result == data
+        assert (write_calls, read_calls) == (["vmem.py:write"], ["vmem.py:read"])
 
 
 def test_high_rate_serves_from_fallback():
@@ -862,6 +881,39 @@ def test_usable_size_of_an_interior_guarded_pointer_is_a_value_error():
     host_ptr = allocator.fallback.malloc(32, 16)
     with pytest.raises(ValueError):
         allocator.fallback.usable_size(host_ptr + 1)
+
+
+def _after_recoverable_report():
+    allocator, sink = make_allocator(slot_count=4, recoverable=True)
+    first, addr = guarded_malloc(allocator, 16), guarded_malloc(allocator, 41)
+    allocator.free(first)
+    allocator.free(addr)
+    allocator.free(first)  # a double free: reported, and the tool turns off
+    return allocator, sink, addr
+
+
+def _after_destroy():
+    allocator, sink = make_allocator(slot_count=4)
+    addr = guarded_malloc(allocator, 41)
+    allocator.free(addr)
+    allocator.destroy()
+    return allocator, sink, addr
+
+
+@pytest.mark.parametrize("turned_off", [_after_recoverable_report, _after_destroy],
+                         ids=["recoverable-report", "destroy"])
+def test_usable_size_of_a_freed_guarded_pointer_is_not_reported_once_the_tool_is_off(
+        turned_off, monkeypatch):
+    allocator, sink, addr = turned_off()
+    assert allocator.reporter.disabled
+    text = sink.getvalue()
+    captures = []
+    real_capture = reporter_module.capture_trace
+    monkeypatch.setattr(reporter_module, "capture_trace",
+                        lambda *args: captures.append(args) or real_capture(*args))
+    assert allocator.usable_size(addr) == 41  # the freed request's size
+    assert captures == []
+    assert sink.getvalue() == text
 
 
 def test_destroy_detaches_but_keeps_the_reservation():

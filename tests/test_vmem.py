@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vmem_oracle
 from guardpool import GuardianAllocator, GuardianConfig
 from guardpool.vmem import (
     _MAX_FAULT_RETRIES,
@@ -370,6 +371,22 @@ def _scenarios(draw):
     return page_size, layout, mode, ops
 
 
+def _populate(vm, layout):
+    """Reserve one region per entry of layout, fill it and set its pages'
+    protections; returns the bases."""
+    page_size = vm.page_size
+    bases = []
+    for prots in layout:
+        base = vm.reserve(len(prots), RW)
+        # Distinct nonzero contents, so a copy from the wrong offset shows.
+        vm.write(base, bytes((base // page_size + i) % 251 + 1
+                             for i in range(len(prots) * page_size)))
+        for page, prot in enumerate(prots):
+            vm.protect(base + page * page_size, page_size, prot)
+        bases.append(base)
+    return bases
+
+
 @settings(max_examples=300, deadline=None)
 @given(_scenarios())
 def test_access_matches_page_by_page_reference(scenario):
@@ -378,21 +395,80 @@ def test_access_matches_page_by_page_reference(scenario):
     for read, write in ((VirtualMemory.read, VirtualMemory.write),
                         (_reference_read, _reference_write)):
         vm = VirtualMemory(page_size=page_size)
-        bases = []
-        for prots in layout:
-            base = vm.reserve(len(prots), RW)
-            # Distinct nonzero contents, so a copy from the wrong offset shows.
-            vm.write(base, bytes((base // page_size + i) % 251 + 1
-                                 for i in range(len(prots) * page_size)))
-            for page, prot in enumerate(prots):
-                vm.protect(base + page * page_size, page_size, prot)
-            bases.append(base)
+        bases = _populate(vm, layout)
         log = []
         if mode is not None:
             vm.install_fault_handler(_make_handler(vm, mode, log))
         trail = []
         for kind, region, start, arg in ops:
             addr = bases[region] + start
+            if kind == "read":
+                result = _outcome(lambda: read(vm, addr, arg))
+            else:
+                result = _outcome(lambda: write(vm, addr, arg))
+            trail.append((result, list(log), vm.fault_count, _memory(vm)))
+        sides.append(trail)
+    assert sides[0] == sides[1]
+
+
+# -- equivalence with the run-by-run oracle ------------------------------------
+#
+# tests/vmem_oracle.py keeps the access path from before read and write did
+# their lookup and protection scan inline; every span that is not one
+# accessible run must still take the same faults and copies as there.
+
+_PROTS = st.sampled_from([PROT_NONE, PROT_READ, PROT_WRITE, RW])
+
+
+@st.composite
+def _access_sequences(draw):
+    page_size = draw(st.sampled_from([16, 64, 4096]))
+    layout = draw(st.lists(st.lists(_PROTS, min_size=1, max_size=5), min_size=2, max_size=4))
+    mode = draw(st.sampled_from([None, "terminate", "unprotect", "slow", "never"]))
+    ops = []
+    for _ in range(draw(st.integers(1, 8))):
+        region = draw(st.integers(0, len(layout) - 1))
+        if draw(st.integers(0, 4)) == 0:
+            page = draw(st.integers(0, len(layout[region]) - 1))
+            ops.append(("protect", region, page, draw(_PROTS)))
+            continue
+        # The span's start or end lies near a region's base or end, so
+        # spans start below the first region and in the holes between
+        # regions, and start or end on either side of every region edge.
+        anchor = draw(st.sampled_from(["base", "end"]))
+        delta = draw(st.one_of(st.integers(-2, 2), st.integers(-2 * page_size, 2 * page_size)))
+        length = draw(st.integers(0, 3 * page_size + 2))
+        if draw(st.booleans()):
+            delta -= length  # the span ends at anchor + delta
+        if draw(st.booleans()):
+            ops.append(("read", region, anchor, delta, length))
+        else:
+            data = draw(st.binary(min_size=length, max_size=length))
+            ops.append(("write", region, anchor, delta, data))
+    return page_size, layout, mode, ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(_access_sequences())
+def test_access_matches_the_run_by_run_oracle(scenario):
+    page_size, layout, mode, ops = scenario
+    sides = []
+    for read, write in ((VirtualMemory.read, VirtualMemory.write),
+                        (vmem_oracle.read, vmem_oracle.write)):
+        vm = VirtualMemory(page_size=page_size)
+        bases = _populate(vm, layout)
+        log = []
+        if mode is not None:
+            vm.install_fault_handler(_make_handler(vm, mode, log))
+        trail = []
+        for op in ops:
+            if op[0] == "protect":
+                _, region, page, prot = op
+                vm.protect(bases[region] + page * page_size, page_size, prot)
+                continue
+            kind, region, anchor, delta, arg = op
+            edge = bases[region] + (len(layout[region]) * page_size if anchor == "end" else 0)
+            addr = edge + delta
             if kind == "read":
                 result = _outcome(lambda: read(vm, addr, arg))
             else:
