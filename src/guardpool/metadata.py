@@ -10,7 +10,10 @@ decode time on the rare error path for a large resident-memory
 reduction on every sampled allocation.  Allocation stacks repeat, so
 compress_trace interns them as sanitizer stack depots do: a bounded
 memo keyed by the pcs encodes each distinct stack once, and records of
-equal stacks share one immutable CompressedTrace.
+equal stacks share one immutable CompressedTrace.  Reports repeat the
+same stacks, so decompress_trace keeps a bounded memo of its own, keyed
+by the encoded fields: each distinct stack is decoded once, and every
+call still returns a new list.
 
 The record store keeps one record per pool slot, indexed by the slot
 index as in GWP-ASan's Metadata[SlotIndex]: an allocation's evidence
@@ -126,13 +129,27 @@ def _compress(pcs: tuple[int, ...]) -> CompressedTrace:
 
 
 def decompress_trace(trace: CompressedTrace) -> list[int]:
-    """Inverse of compress_trace; ValueError on truncated or trailing deltas."""
-    count = trace.frame_count
+    """Inverse of compress_trace; ValueError on truncated or trailing deltas.
+
+    Each call returns a new list, so a caller may change it freely.
+    """
+    return list(_decompress(trace.frame_count, trace.first_pc, trace.deltas))
+
+
+# A report decodes the same few stacks again and again.  The memo keys
+# on the trace's fields, whose hash is computed in C (the frozen
+# dataclass's own __hash__ is Python); a malformed trace raises before
+# anything is stored, so it raises on every call.  One entry holds its
+# key, the deltas and the decoded pcs: at most about 3.7 KB for a
+# 64-frame stack (measured with tracemalloc), so under 1 MB in all.
+_DECODE_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_DECODE_MEMO_SIZE)
+def _decompress(count: int, pc: int, data: bytes) -> tuple[int, ...]:
     if count == 0:
-        return []
-    data = trace.deltas
+        return ()
     end = len(data)
-    pc = trace.first_pc
     pcs = [pc]
     append = pcs.append
     pos = 0
@@ -151,7 +168,7 @@ def decompress_trace(trace: CompressedTrace) -> list[int]:
         append(pc)
     if pos != end:
         raise ValueError(f"{end - pos} trailing bytes after deltas")
-    return pcs
+    return tuple(pcs)
 
 
 # -- record store ------------------------------------------------------

@@ -162,13 +162,6 @@ class GuardedPool:
 
     # -- geometry ----------------------------------------------------
 
-    def slot_page_addr(self, slot_index: int) -> int:
-        return self.base + (2 * slot_index + 1) * self.page_size
-
-    def guard_page_addr(self, guard_index: int) -> int:
-        """Guard i is the page left of slot i; guard slot_count is the far right."""
-        return self.base + 2 * guard_index * self.page_size
-
     def user_address(self, slot_index: int) -> int:
         page = self.base + (2 * slot_index + 1) * self.page_size
         return page + self.slots[slot_index].user_offset

@@ -13,6 +13,11 @@ both are single passes.  render_report formats each line once and joins
 each stack block once.  parse_report walks text.splitlines() once with
 an index, matching each line against one precompiled pattern; running
 off the end of the lines is the one "unexpected end of report" error.
+Reports repeat a few stacks, so the per-stack work is a lookup in a
+bounded memo, as the allocation side's stack depot is: render_report
+formats each distinct stack's frame lines once, and parse_report matches
+each distinct frame line once.  Neither touches an enum property or
+Enum.__hash__, which run as Python-level calls.
 
 Reporter builds every report: slot_report captures the access stack and
 gathers the allocation's evidence, for the fault handler and for the
@@ -32,6 +37,7 @@ never fault and never block.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 import sys
 import threading
@@ -65,14 +71,16 @@ class ReportKind(enum.Enum):
 
 
 # Both out-of-bounds kinds share a headline; the locator line carries
-# which side of the allocation the access fell on.
+# which side of the allocation the access fell on.  Keyed by the kind's
+# value: reading a member's _value_ and hashing a str run in C, while
+# Enum.__hash__ and the .value property are Python-level calls.
 _KIND_HEADLINES = {
-    ReportKind.USE_AFTER_FREE: "Use-after-free",
-    ReportKind.BUFFER_OVERFLOW: "Out-of-bounds",
-    ReportKind.BUFFER_UNDERFLOW: "Out-of-bounds",
-    ReportKind.DOUBLE_FREE: "Double-free",
-    ReportKind.INVALID_FREE: "Invalid-free",
-    ReportKind.INDETERMINATE_GUARD_HIT: "Indeterminate-guard-hit",
+    ReportKind.USE_AFTER_FREE.value: "Use-after-free",
+    ReportKind.BUFFER_OVERFLOW.value: "Out-of-bounds",
+    ReportKind.BUFFER_UNDERFLOW.value: "Out-of-bounds",
+    ReportKind.DOUBLE_FREE.value: "Double-free",
+    ReportKind.INVALID_FREE.value: "Invalid-free",
+    ReportKind.INDETERMINATE_GUARD_HIT.value: "Indeterminate-guard-hit",
 }
 # Kinds whose allocation was freed: a lost record still renders a
 # deallocation block for them.
@@ -121,9 +129,9 @@ class ErrorReport:
 def render_report(report: ErrorReport) -> str:
     """Render a report; pure function of its argument."""
     access = report.access_address
-    word = "" if report.access_kind is AccessType.UNKNOWN else f" {report.access_kind.value}"
+    word = "" if report.access_kind is AccessType.UNKNOWN else f" {report.access_kind._value_}"
     # (title, stack, lost) per stack block; the locator follows the first.
-    blocks = [(f"{_KIND_HEADLINES[report.kind]}{word} at 0x{access:x}"
+    blocks = [(f"{_KIND_HEADLINES[report.kind._value_]}{word} at 0x{access:x}"
                f" by thread {report.faulting_thread}:", report.access_trace, False)]
     alloc = report.allocation_address
     if alloc is None:
@@ -155,13 +163,25 @@ def render_report(report: ErrorReport) -> str:
         if lost:
             frames = _LOST
         elif trace:
-            # hex(pc) is 0x{pc:x} for the non-negative pcs a stack holds.
-            frames = "\n".join([f"  #{n} [{hex(pc)}]" for n, pc in enumerate(trace, 1)])
+            frames = _frame_block(tuple(trace))
         else:
             frames = _UNAVAILABLE
         parts.append(f"{title}\n{frames}\n")
     parts[0] += f"\n{locator}\n"
     return f"{REPORT_HEADER}\n" + "\n".join(parts) + f"{REPORT_TRAILER}\n"
+
+
+# Reports repeat a few stacks, so each distinct stack's frame lines are
+# formatted once.  One entry holds its key tuple, the pcs' int objects
+# and the joined lines: at most about 5.0 KB for a 64-frame stack
+# (measured with tracemalloc), so about 1.3 MB in all.
+_BLOCK_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_BLOCK_MEMO_SIZE)
+def _frame_block(pcs: tuple[int, ...]) -> str:
+    # hex(pc) is 0x{pc:x} for the non-negative pcs a stack holds.
+    return "\n".join([f"  #{n} [{hex(pc)}]" for n, pc in enumerate(pcs, 1)])
 
 
 # -- parsing -----------------------------------------------------------
@@ -180,7 +200,8 @@ _HEADLINE_RE = re.compile(
     r"(?: (read|write))? at 0x([0-9a-f]+) by thread (\d+):"
 )
 _HEADLINE_KINDS = {
-    headline: kind for kind, headline in _KIND_HEADLINES.items() if headline != "Out-of-bounds"
+    headline: ReportKind(value) for value, headline in _KIND_HEADLINES.items()
+    if headline != "Out-of-bounds"
 }
 _ACCESS_WORDS = {"read": AccessType.READ, "write": AccessType.WRITE, None: AccessType.UNKNOWN}
 # Frames may carry symbolizer text between the number and the bracketed
@@ -192,6 +213,20 @@ _LOCATOR_RE = re.compile(
     r"The access is (?:within |(\d+)B (left|right) of )(\d+)B allocation at 0x([0-9a-f]+)"
 )
 _BLOCK_RE = re.compile(r"0x([0-9a-f]+) was (deallocated|allocated) by thread (\d+|<unknown>):")
+
+
+# Frame lines repeat as their stacks do, so each distinct line is
+# matched once.  One entry holds the line and its pc: at most about
+# 190 B for a line this module renders (measured with tracemalloc), so
+# under 0.8 MB in all; a symbolized line adds its own length.
+_LINE_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_LINE_MEMO_SIZE)
+def _frame_pc(line: str) -> Optional[int]:
+    """The pc of a frame line, or None when the line is not a frame."""
+    match = _FRAME_RE.fullmatch(line)
+    return None if match is None else int(match[1], 16)
 
 
 def parse_report(text: str) -> ErrorReport:
@@ -224,8 +259,8 @@ def parse_report(text: str) -> ErrorReport:
         if line == _UNAVAILABLE:
             i += 1
         else:
-            while i < n and (match := _FRAME_RE.fullmatch(lines[i])):
-                access_trace.append(int(match[1], 16))
+            while i < n and (pc := _frame_pc(lines[i])) is not None:
+                access_trace.append(pc)
                 i += 1
             if not access_trace:
                 raise ReportParseError(i + 1, "expected at least one stack frame line")
@@ -285,8 +320,8 @@ def parse_report(text: str) -> ErrorReport:
             elif line == _UNAVAILABLE:
                 i += 1
             else:
-                while i < n and (match := _FRAME_RE.fullmatch(lines[i])):
-                    trace.append(int(match[1], 16))
+                while i < n and (pc := _frame_pc(lines[i])) is not None:
+                    trace.append(pc)
                     i += 1
                 if not trace:
                     raise ReportParseError(i + 1, "expected at least one stack frame line")
@@ -393,7 +428,7 @@ class Reporter:
             return
         raise SegmentationFault(
             FaultInfo(report.access_address, report.access_kind, report.faulting_thread),
-            f"fatal {report.kind.value} report at 0x{report.access_address:x}",
+            f"fatal {report.kind._value_} report at 0x{report.access_address:x}",
         )
 
     # -- internals ----------------------------------------------------------

@@ -1,3 +1,6 @@
+import gc
+import sys
+
 import pytest
 
 
@@ -22,3 +25,47 @@ def pytest_runtest_makereport(item, call):
         return
     status = "PASS" if report.passed else "FAIL"
     terminal.write_line(f"ACCEPTANCE {marker.args[0]}: {status}")
+
+
+# -- helpers shared by the test modules ----------------------------------------
+
+
+def python_calls(fn, *args, raises=()):
+    """fn(*args) and the Python-level functions it called, fn itself included.
+
+    An exception of a type in raises is returned as the result; the
+    calls made up to it are still returned.
+    """
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            calls.append(f"{code.co_filename.rsplit('/', 1)[-1]}:{code.co_name}")
+
+    # A collection inside fn could run other objects' finalisers, which
+    # the profile would count as fn's calls.
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    except raises as exc:
+        result = exc
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return result, calls
+
+
+# The pool's documented layout: guard pages and slot pages alternate, so
+# slot i is the page right of guard i, and guard slot_count is the far
+# right.
+
+
+def slot_page_addr(pool, slot_index):
+    return pool.base + (2 * slot_index + 1) * pool.page_size
+
+
+def guard_page_addr(pool, guard_index):
+    return pool.base + 2 * guard_index * pool.page_size

@@ -16,6 +16,8 @@ from guardpool.pool import (
 from guardpool.sampler import Xorshift64Star, splitmix64
 from guardpool.vmem import PROT_NONE, SegmentationFault, VirtualMemory
 
+from conftest import guard_page_addr, slot_page_addr
+
 PAGE = 4096
 
 
@@ -25,12 +27,19 @@ def make_pool(**kwargs) -> GuardedPool:
 
 
 def test_region_spans_alternating_guard_and_slot_pages():
-    pool = make_pool(slot_count=4)
+    pool = make_pool(slot_count=4, max_live=4)
     assert pool.region_length == 9 * PAGE
+    assert sorted(pool.acquire(8)[0] for _ in range(4)) == [0, 1, 2, 3]
     for i in range(4):
-        assert pool.slot_page_addr(i) == pool.base + (2 * i + 1) * PAGE
-        assert pool.guard_page_addr(i) == pool.base + 2 * i * PAGE
-    assert pool.guard_page_addr(4) == pool.base + 8 * PAGE
+        page = slot_page_addr(pool, i)
+        assert page <= pool.user_address(i) < page + PAGE
+        assert pool.classify_address(page).slot_index == i
+    # With every slot allocated, guard 0 is slot 0's left guard and each
+    # later guard is the right guard of the slot before it.
+    for i in range(5):
+        classification = pool.classify_address(guard_page_addr(pool, i))
+        assert (classification.kind, classification.slot_index) == (
+            (AddressKind.LEFT_GUARD, 0) if i == 0 else (AddressKind.RIGHT_GUARD, i - 1))
 
 
 def test_everything_starts_inaccessible():
@@ -42,7 +51,7 @@ def test_everything_starts_inaccessible():
 def test_acquire_makes_only_the_slot_page_accessible():
     pool = make_pool()
     slot_index, addr = pool.acquire(41)
-    page = pool.slot_page_addr(slot_index)
+    page = slot_page_addr(pool, slot_index)
     assert page <= addr < page + PAGE
     pool.vm.write(addr, b"x" * 41)
     # Both neighboring guards stay lethal.
@@ -57,7 +66,7 @@ def test_acquired_slot_is_zeroed():
     pool.vm.write(addr, b"\xff" * 64)
     pool.release(0)
     _, addr2 = pool.acquire(64, alignment=1)
-    page = pool.slot_page_addr(0)
+    page = slot_page_addr(pool, 0)
     assert pool.vm.read(page, PAGE) == bytes(PAGE)
 
 
@@ -75,7 +84,7 @@ def test_alignment_side_geometry(size, alignment, side, expected_offset):
     pool = make_pool(force_alignment_side=side)
     slot_index, addr = pool.acquire(size, alignment)
     assert pool.slots[slot_index].user_offset == expected_offset
-    assert addr == pool.slot_page_addr(slot_index) + expected_offset
+    assert addr == slot_page_addr(pool, slot_index) + expected_offset
     assert addr % alignment == 0
 
 
@@ -230,7 +239,7 @@ def test_classify_slot_states():
     pool.release(slot_index)
     assert pool.classify_address(addr).kind is AddressKind.QUARANTINED_SLOT
     other = 1 - slot_index
-    free_page = pool.slot_page_addr(other)
+    free_page = slot_page_addr(pool, other)
     classification = pool.classify_address(free_page)
     assert classification.kind is AddressKind.FREE_SLOT
     assert classification.slot_index == other
@@ -246,7 +255,7 @@ def test_classify_guard_attribution_prefers_allocated():
     if right - left != 1:
         pytest.skip("free-list shuffle did not give adjacent slots")
     pool.release(right)
-    guard_between = pool.guard_page_addr(right)
+    guard_between = guard_page_addr(pool, right)
     classification = pool.classify_address(guard_between)
     assert classification.kind is AddressKind.RIGHT_GUARD
     assert classification.slot_index == left
@@ -256,7 +265,7 @@ def test_classify_guard_tie_prefers_overflow_of_left_slot():
     pool = make_pool(slot_count=4, max_live=4)
     indices = [pool.acquire(8)[0] for _ in range(4)]
     assert sorted(indices) == [0, 1, 2, 3]
-    guard = pool.guard_page_addr(2)  # between slots 1 and 2, both allocated
+    guard = guard_page_addr(pool, 2)  # between slots 1 and 2, both allocated
     classification = pool.classify_address(guard)
     assert classification.kind is AddressKind.RIGHT_GUARD
     assert classification.slot_index == 1
@@ -265,7 +274,7 @@ def test_classify_guard_tie_prefers_overflow_of_left_slot():
 def test_classify_guard_with_free_neighbors_is_unattributed():
     pool = make_pool()
     for guard_index in range(5):
-        classification = pool.classify_address(pool.guard_page_addr(guard_index))
+        classification = pool.classify_address(guard_page_addr(pool, guard_index))
         assert classification.kind is AddressKind.UNATTRIBUTED_GUARD
         assert classification.slot_index is None
 
@@ -387,6 +396,6 @@ def test_alignment_sides_are_the_below_based_stream(seed, slot_count):
         rng.below(i + 1)
     for _ in range(300):
         slot_index, addr = pool.acquire(100)
-        right = addr - pool.slot_page_addr(slot_index) == PAGE - 100
+        right = addr - slot_page_addr(pool, slot_index) == PAGE - 100
         assert right == (rng.below(2) == 1)
         pool.release(slot_index)

@@ -1,6 +1,5 @@
 """Allocator front end: routing, free-path validation, passthrough cost model."""
 
-import gc
 import io
 import random
 import sys
@@ -14,6 +13,8 @@ from guardpool.reporter import REPORT_HEADER, AccessType, ReportKind, parse_repo
 from guardpool.sampler import CounterSampler
 from guardpool.shim import FallbackAllocator, GuardianAllocator, GuardianConfig
 from guardpool.vmem import SegmentationFault, VirtualMemory
+
+from conftest import guard_page_addr, python_calls, slot_page_addr
 
 
 def make_allocator(**kwargs):
@@ -333,28 +334,6 @@ def test_sampled_allocation_routes_to_the_pool():
     assert allocator.pool.slots[slot_index].state is SlotState.QUARANTINED
 
 
-def _python_calls(fn, *args):
-    """fn(*args) and the Python-level functions it called, fn itself included."""
-    calls = []
-
-    def profile(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            calls.append(f"{code.co_filename.rsplit('/', 1)[-1]}:{code.co_name}")
-
-    # A collection inside fn could run other objects' finalisers, which
-    # the profile would count as fn's calls.
-    gc.collect()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        result = fn(*args)
-    finally:
-        sys.setprofile(None)
-        gc.enable()
-    return result, calls
-
-
 # The sampled pair's Python-level calls: malloc, _guarded_malloc,
 # next_skip, next_u64 twice (skip and side), capture_trace, source_of,
 # admit, acquire, protect, fill, store_alloc, compress_trace, the
@@ -370,11 +349,11 @@ def test_a_guarded_pair_makes_a_fixed_number_of_python_calls():
     for _ in range(60):
         # One call site for every pair: after the first, the trace, site
         # and probe memos all hit.
-        ptr, malloc_calls = _python_calls(allocator.malloc, 64)
+        ptr, malloc_calls = python_calls(allocator.malloc, 64)
         if not allocator.is_guarded(ptr):
             allocator.free(ptr)
             continue
-        _, free_calls = _python_calls(allocator.free, ptr)
+        _, free_calls = python_calls(allocator.free, ptr)
         pairs.append(malloc_calls + free_calls)
     assert len(pairs) >= 20
     for calls in pairs[1:]:
@@ -394,8 +373,8 @@ def test_an_accessible_vm_access_is_one_python_call(size):
     data = random.Random(size).randbytes(size)
     for vm, ptr in blocks:
         assert ((ptr + size - 1) // vm.page_size > ptr // vm.page_size) == (size > 4096)
-        _, write_calls = _python_calls(vm.write, ptr, data)
-        result, read_calls = _python_calls(vm.read, ptr, size)
+        _, write_calls = python_calls(vm.write, ptr, data)
+        result, read_calls = python_calls(vm.read, ptr, size)
         assert result == data
         assert (write_calls, read_calls) == (["vmem.py:write"], ["vmem.py:read"])
 
@@ -574,7 +553,7 @@ def test_invalid_interior_free_detected():
 
 def test_free_of_guard_page_address_is_invalid():
     allocator, sink = make_allocator()
-    guard = allocator.pool.guard_page_addr(1)
+    guard = guard_page_addr(allocator.pool, 1)
     with pytest.raises(SegmentationFault):
         allocator.free(guard)
     assert allocator.stats.invalid_free == 1
@@ -588,7 +567,7 @@ def test_invalid_free_into_a_never_used_slot_names_no_allocation():
     allocator, sink = make_allocator(slot_count=4)
     assert allocator.pool.slots[0].state is SlotState.FREE
     with pytest.raises(SegmentationFault):
-        allocator.free(allocator.pool.slot_page_addr(0) + 16)
+        allocator.free(slot_page_addr(allocator.pool, 0) + 16)
     report = parse_report(sink.getvalue())
     assert report.kind is ReportKind.INVALID_FREE
     assert report.allocation_address is None
@@ -651,7 +630,7 @@ def test_free_error_counters_count_emitted_reports(recoverable):
     allocator, sink = make_allocator(slot_count=4, recoverable=recoverable)
     addr = guarded_malloc(allocator, 41)
     allocator.free(addr)
-    for bad_free in (addr, addr, allocator.pool.guard_page_addr(0)):
+    for bad_free in (addr, addr, guard_page_addr(allocator.pool, 0)):
         if recoverable:
             allocator.free(bad_free)  # reports once, then swallows
         else:
@@ -696,7 +675,7 @@ def test_live_allocation_keeps_its_evidence_through_churn():
         allocator.free(guarded_malloc(allocator, 32))
     assert pool.acquire_count == 10 * pool.slot_count + 1
     with pytest.raises(SegmentationFault):
-        allocator.vm.read(pool.slot_page_addr(slot_index) + pool.page_size, 1)
+        allocator.vm.read(slot_page_addr(pool, slot_index) + pool.page_size, 1)
     report = parse_report(allocator.config.sink.getvalue())
     assert report.kind is ReportKind.BUFFER_OVERFLOW
     assert not report.metadata_lost
