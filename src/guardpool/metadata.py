@@ -10,10 +10,7 @@ decode time on the rare error path for a large resident-memory
 reduction on every sampled allocation.  Allocation stacks repeat, so
 compress_trace interns them as sanitizer stack depots do: a bounded
 memo keyed by the pcs encodes each distinct stack once, and records of
-equal stacks share one immutable CompressedTrace.  Reports repeat the
-same stacks, so decompress_trace keeps a bounded memo of its own, keyed
-by the encoded fields: each distinct stack is decoded once, and every
-call still returns a new list.
+equal stacks share one immutable CompressedTrace.
 
 The record store keeps one record per pool slot, indexed by the slot
 index as in GWP-ASan's Metadata[SlotIndex]: an allocation's evidence
@@ -129,46 +126,32 @@ def _compress(pcs: tuple[int, ...]) -> CompressedTrace:
 
 
 def decompress_trace(trace: CompressedTrace) -> list[int]:
-    """Inverse of compress_trace; ValueError on truncated or trailing deltas.
-
-    Each call returns a new list, so a caller may change it freely.
-    """
-    return list(_decompress(trace.frame_count, trace.first_pc, trace.deltas))
-
-
-# A report decodes the same few stacks again and again.  The memo keys
-# on the trace's fields, whose hash is computed in C (the frozen
-# dataclass's own __hash__ is Python); a malformed trace raises before
-# anything is stored, so it raises on every call.  One entry holds its
-# key, the deltas and the decoded pcs: at most about 3.7 KB for a
-# 64-frame stack (measured with tracemalloc), so under 1 MB in all.
-_DECODE_MEMO_SIZE = 256
-
-
-@functools.lru_cache(maxsize=_DECODE_MEMO_SIZE)
-def _decompress(count: int, pc: int, data: bytes) -> tuple[int, ...]:
+    """Inverse of compress_trace; ValueError on truncated or trailing deltas."""
+    count = trace.frame_count
     if count == 0:
-        return ()
-    end = len(data)
+        return []
+    data = trace.deltas
+    pc = trace.first_pc
     pcs = [pc]
     append = pcs.append
-    pos = 0
-    for _ in range(count - 1):
-        value = shift = 0
-        while True:
-            if pos >= end:
-                raise ValueError("truncated uleb128 sequence")
-            byte = data[pos]
-            pos += 1
-            value |= (byte & 0x7F) << shift
-            if byte < 0x80:
-                break
+    value = shift = 0
+    # One pass over the bytes: a byte below 0x80 ends a delta.
+    for byte in data:
+        value |= (byte & 0x7F) << shift
+        if byte > 0x7F:
             shift += 7
-        pc += ~(value >> 1) if value & 1 else value >> 1
-        append(pc)
-    if pos != end:
-        raise ValueError(f"{end - pos} trailing bytes after deltas")
-    return tuple(pcs)
+        else:
+            pc += ~(value >> 1) if value & 1 else value >> 1
+            append(pc)
+            value = shift = 0
+    if len(pcs) < count:
+        raise ValueError("truncated uleb128 sequence")
+    if len(pcs) > count or shift:
+        # The bytes after the end of delta count - 1 trail.
+        ends = [pos for pos, byte in enumerate(data, 1) if byte < 0x80]
+        trailing = len(data) - (ends[count - 2] if count > 1 else 0)
+        raise ValueError(f"{trailing} trailing bytes after deltas")
+    return pcs
 
 
 # -- record store ------------------------------------------------------

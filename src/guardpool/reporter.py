@@ -13,11 +13,8 @@ both are single passes.  render_report formats each line once and joins
 each stack block once.  parse_report walks text.splitlines() once with
 an index, matching each line against one precompiled pattern; running
 off the end of the lines is the one "unexpected end of report" error.
-Reports repeat a few stacks, so the per-stack work is a lookup in a
-bounded memo, as the allocation side's stack depot is: render_report
-formats each distinct stack's frame lines once, and parse_report matches
-each distinct frame line once.  Neither touches an enum property or
-Enum.__hash__, which run as Python-level calls.
+render_report and emit_synthetic read no enum property and hash no
+enum member, both of which are Python-level calls.
 
 Reporter builds every report: slot_report captures the access stack and
 gathers the allocation's evidence, for the fault handler and for the
@@ -37,7 +34,6 @@ never fault and never block.
 from __future__ import annotations
 
 import enum
-import functools
 import re
 import sys
 import threading
@@ -90,7 +86,7 @@ _LOST = "  <metadata lost>"
 _UNAVAILABLE = "  <unavailable>"
 
 
-@dataclass(frozen=True)
+@dataclass
 class ErrorReport:
     """Everything a rendered report carries, in structured form.
 
@@ -100,6 +96,10 @@ class ErrorReport:
     allocation or deallocation stack survives: always so with no
     allocation, and for an attributed slot when its record had been
     recycled, so only geometry survives.
+
+    Not frozen: the traces are lists, which freezing would not guard,
+    and a frozen __init__ sets each field through object.__setattr__,
+    once per report built or parsed.
     """
 
     kind: ReportKind
@@ -163,25 +163,13 @@ def render_report(report: ErrorReport) -> str:
         if lost:
             frames = _LOST
         elif trace:
-            frames = _frame_block(tuple(trace))
+            # hex(pc) is 0x{pc:x} for the non-negative pcs a stack holds.
+            frames = "\n".join([f"  #{n} [{hex(pc)}]" for n, pc in enumerate(trace, 1)])
         else:
             frames = _UNAVAILABLE
         parts.append(f"{title}\n{frames}\n")
     parts[0] += f"\n{locator}\n"
     return f"{REPORT_HEADER}\n" + "\n".join(parts) + f"{REPORT_TRAILER}\n"
-
-
-# Reports repeat a few stacks, so each distinct stack's frame lines are
-# formatted once.  One entry holds its key tuple, the pcs' int objects
-# and the joined lines: at most about 5.0 KB for a 64-frame stack
-# (measured with tracemalloc), so about 1.3 MB in all.
-_BLOCK_MEMO_SIZE = 256
-
-
-@functools.lru_cache(maxsize=_BLOCK_MEMO_SIZE)
-def _frame_block(pcs: tuple[int, ...]) -> str:
-    # hex(pc) is 0x{pc:x} for the non-negative pcs a stack holds.
-    return "\n".join([f"  #{n} [{hex(pc)}]" for n, pc in enumerate(pcs, 1)])
 
 
 # -- parsing -----------------------------------------------------------
@@ -215,20 +203,6 @@ _LOCATOR_RE = re.compile(
 _BLOCK_RE = re.compile(r"0x([0-9a-f]+) was (deallocated|allocated) by thread (\d+|<unknown>):")
 
 
-# Frame lines repeat as their stacks do, so each distinct line is
-# matched once.  One entry holds the line and its pc: at most about
-# 190 B for a line this module renders (measured with tracemalloc), so
-# under 0.8 MB in all; a symbolized line adds its own length.
-_LINE_MEMO_SIZE = 4096
-
-
-@functools.lru_cache(maxsize=_LINE_MEMO_SIZE)
-def _frame_pc(line: str) -> Optional[int]:
-    """The pc of a frame line, or None when the line is not a frame."""
-    match = _FRAME_RE.fullmatch(line)
-    return None if match is None else int(match[1], 16)
-
-
 def parse_report(text: str) -> ErrorReport:
     """Parse rendered report text back into an ErrorReport.
 
@@ -259,8 +233,8 @@ def parse_report(text: str) -> ErrorReport:
         if line == _UNAVAILABLE:
             i += 1
         else:
-            while i < n and (pc := _frame_pc(lines[i])) is not None:
-                access_trace.append(pc)
+            while i < n and (match := _FRAME_RE.fullmatch(lines[i])):
+                access_trace.append(int(match[1], 16))
                 i += 1
             if not access_trace:
                 raise ReportParseError(i + 1, "expected at least one stack frame line")
@@ -320,8 +294,8 @@ def parse_report(text: str) -> ErrorReport:
             elif line == _UNAVAILABLE:
                 i += 1
             else:
-                while i < n and (pc := _frame_pc(lines[i])) is not None:
-                    trace.append(pc)
+                while i < n and (match := _FRAME_RE.fullmatch(lines[i])):
+                    trace.append(int(match[1], 16))
                     i += 1
                 if not trace:
                     raise ReportParseError(i + 1, "expected at least one stack frame line")

@@ -398,37 +398,6 @@ def test_memo_matches_the_reference_after_eviction():
     assert metadata._compress.cache_info().currsize <= bound
 
 
-def test_each_decode_is_a_new_list():
-    compressed = compress_trace([0x1000, 0x1010, 0x1020])
-    first = decompress_trace(compressed)
-    first[1] = 0x9999
-    first.append(0x1)
-    second = decompress_trace(compressed)
-    assert second == [0x1000, 0x1010, 0x1020]
-    assert second is not decompress_trace(compressed)
-
-
-def test_decode_memo_matches_the_reference_after_eviction():
-    bound = metadata._DECODE_MEMO_SIZE
-    rng = random.Random(12)
-    traces = [_reference_compress([rng.getrandbits(48) for _ in range(rng.randrange(0, 65))])
-              for _ in range(3 * bound)]
-    for trace in traces + traces[:bound]:
-        assert decompress_trace(trace) == _reference_decompress(trace)
-    assert metadata._decompress.cache_info().currsize <= bound
-
-
-def test_a_malformed_trace_raises_on_every_call():
-    trace = compress_trace([0x1000, 0x1010 + 0x100000, 0x1020])
-    truncated = CompressedTrace(trace.frame_count, trace.first_pc, trace.deltas[:-1])
-    trailing = CompressedTrace(trace.frame_count, trace.first_pc, trace.deltas + b"\x00")
-    for bad, message in ((truncated, "truncated"), (trailing, "trailing")):
-        for _ in range(2):
-            with pytest.raises(ValueError, match=message):
-                decompress_trace(bad)
-    assert decompress_trace(trace) == [0x1000, 0x1010 + 0x100000, 0x1020]
-
-
 # -- the one-loop coders and capture against the helper-built reference -------
 #
 # compress_trace, decompress_trace and capture_trace are single loops.

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guardpool import reporter as reporter_module
-from guardpool.metadata import MetadataStore, compress_trace, decompress_trace
+from guardpool.metadata import MetadataStore
 from guardpool.pool import AlignmentSide, GuardedPool
 from guardpool.reporter import (
     REPORT_HEADER,
@@ -500,105 +499,44 @@ def test_render_matches_oracle(rng):
     assert render_report(report) == oracle.render_report(report)
 
 
-def test_round_trips_match_the_oracle_past_every_memo_bound():
-    # Far more distinct stacks than the frame-block memo holds, and far
-    # more distinct frame lines than the line memo holds; then the first
-    # reports again, long since evicted.
-    rng = random.Random(17)
-    reports = []
-    for _ in range(2 * reporter_module._BLOCK_MEMO_SIZE):
-        report = random_report(rng)
-        for trace in (report.access_trace, report.alloc_trace, report.dealloc_trace):
-            if trace is not None:
-                trace.extend(rng.randrange(1, 1 << 64) for _ in range(rng.randrange(8, 33)))
-        reports.append(report)
-    assert sum(len(report.access_trace) for report in reports) > reporter_module._LINE_MEMO_SIZE
-    for report in reports + reports[:64]:
-        text = render_report(report)
-        assert text == oracle.render_report(report)
-        assert parse_report(text) == report
-        # A symbolized copy of every frame line is a distinct line too.
-        symbolized = "\n".join(line.replace(" [0x", f" {rng.choice(SYMBOLS)} [0x")
-                               for line in text.splitlines()) + "\n"
-        assert outcome(parse_report, symbolized) == outcome(oracle.parse_report, symbolized)
-    assert reporter_module._frame_block.cache_info().currsize <= reporter_module._BLOCK_MEMO_SIZE
-    assert reporter_module._frame_pc.cache_info().currsize <= reporter_module._LINE_MEMO_SIZE
-
-
-def test_reports_share_no_list_with_the_memos():
-    pcs = {"access": [0xAA, 0xBB], "alloc": [0xCC, 0xCD], "dealloc": [0xDD]}
-    compressed = {name: compress_trace(trace) for name, trace in pcs.items()}
-
-    def decoded_report():
-        traces = {name: decompress_trace(trace) for name, trace in compressed.items()}
-        return ErrorReport(
-            kind=ReportKind.USE_AFTER_FREE, access_address=0x1008,
-            access_kind=AccessType.READ, faulting_thread=4,
-            access_trace=traces["access"], allocation_address=0x1000,
-            allocation_size=41, alloc_thread=4, alloc_trace=traces["alloc"],
-            dealloc_thread=4, dealloc_trace=traces["dealloc"])
-
-    report = decoded_report()
-    text = render_report(report)
-    parsed = parse_report(text)
-    assert parsed == report
-    for changed in (report, parsed):
-        for trace in (changed.access_trace, changed.alloc_trace, changed.dealloc_trace):
-            trace[0] ^= 0x1000
-            trace.append(0xEE)
-    # The same stacks decode, render and parse as before the lists changed.
-    again = decoded_report()
-    assert [again.access_trace, again.alloc_trace, again.dealloc_trace] == list(pcs.values())
-    assert render_report(again) == text
-    assert parse_report(text) == again
-    # A changed list renders as changed: the memo keys on its contents.
-    assert parse_report(render_report(report)).access_trace == [0x10AA, 0xBB, 0xEE]
-
-
 # -- the report path's cost ------------------------------------------------
 
-# A report whose stacks were all seen before decodes, formats and
-# matches each stack by a lookup in C, and reads no enum property.  The
-# use-after-free read's Python-level calls: read, the protection scan's
-# genexpr, _runs, _find_region, _deliver_fault, the FaultInfo's
-# __init__, handle_fault, classify_address, _build_report, slot_report,
-# capture_trace, user_address, snapshot, decompress_trace twice, the
-# report's __init__, _emit, render_report, the SegmentationFault's
-# __init__.
-UAF_READ_CALLS = 19
+# A report reads no enum property and hashes no enum member, both of
+# which are Python-level calls.  The use-after-free read's Python-level
+# calls: read, the protection scan's genexpr, _runs, _find_region,
+# _deliver_fault, the FaultInfo's __init__, handle_fault,
+# classify_address, _build_report, slot_report, capture_trace,
+# user_address, snapshot, decompress_trace twice, the report's __init__,
+# _emit, render_report and one <listcomp> per stack block, the
+# SegmentationFault's __init__.
+UAF_READ_CALLS = 22
 # The double free's: free, _guarded_free, classify_address,
 # user_address, slot_report, capture_trace, user_address, snapshot,
 # decompress_trace twice, the report's __init__, emit_synthetic, _emit,
-# render_report, the FaultInfo's and the SegmentationFault's __init__.
-DOUBLE_FREE_CALLS = 16
+# render_report and one <listcomp> per stack block, the FaultInfo's and
+# the SegmentationFault's __init__.
+DOUBLE_FREE_CALLS = 19
 
 
 @pytest.mark.parametrize("kind,expected", [("use-after-free read", UAF_READ_CALLS),
                                            ("double-free", DOUBLE_FREE_CALLS)])
-def test_a_repeated_stack_report_makes_a_fixed_number_of_python_calls(kind, expected):
+def test_a_report_makes_a_fixed_number_of_python_calls(kind, expected):
     alloc = GuardianAllocator(GuardianConfig(
         sample_rate=1, seed=9, slot_count=16, sink=io.StringIO()))
-    reports = []
-    for _ in range(4):
-        # One call site each for malloc, free and the bad access: from
-        # the second report on, every stack repeats.
-        for _ in range(128):
-            ptr = alloc.malloc(64)
-            if alloc.is_guarded(ptr):
-                break
-            alloc.free(ptr)
+    for _ in range(128):
+        ptr = alloc.malloc(64)
+        if alloc.is_guarded(ptr):
+            break
         alloc.free(ptr)
-        if kind == "double-free":
-            fault, calls = python_calls(alloc.free, ptr, raises=SegmentationFault)
-        else:
-            fault, calls = python_calls(alloc.vm.read, ptr, 1, raises=SegmentationFault)
-        assert isinstance(fault, SegmentationFault)
-        reports.append(calls)
-    assert alloc.reporter.reports_emitted == 4
-    for calls in reports[1:]:
-        assert len(calls) == expected, " ".join(calls)
-        assert not any(name.endswith(":<listcomp>") for name in calls), " ".join(calls)
-    assert not any(name.startswith("enum.py:") for calls in reports for name in calls)
+    alloc.free(ptr)
+    if kind == "double-free":
+        fault, calls = python_calls(alloc.free, ptr, raises=SegmentationFault)
+    else:
+        fault, calls = python_calls(alloc.vm.read, ptr, 1, raises=SegmentationFault)
+    assert isinstance(fault, SegmentationFault)
+    assert alloc.reporter.reports_emitted == 1
+    assert len(calls) == expected, " ".join(calls)
+    assert not any(name.startswith("enum.py:") for name in calls), " ".join(calls)
 
 
 # -- parse failures -------------------------------------------------------
