@@ -9,6 +9,7 @@ from .coverage import CoverageFilter, source_of
 from .metadata import (
     CompressedTrace,
     MetadataStore,
+    SlotState,
     capture_trace,
     compress_trace,
     decompress_trace,
@@ -19,7 +20,6 @@ from .pool import (
     AlignmentSide,
     GuardedPool,
     PoolUnavailableError,
-    SlotState,
 )
 from .reporter import (
     ErrorReport,

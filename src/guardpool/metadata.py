@@ -12,19 +12,18 @@ compress_trace interns them as sanitizer stack depots do: a bounded
 memo keyed by the pcs encodes each distinct stack once, and records of
 equal stacks share one immutable CompressedTrace.
 
-The record store keeps one record per pool slot, indexed by the slot
-index as in GWP-ASan's Metadata[SlotIndex]: an allocation's evidence
-lives exactly as long as its slot holds the allocation or its
-quarantine.  Readers on the fault path take no lock: a record is never
-changed once stored, and writers publish a new one with a single list
-store, so a reader gets either the whole old record or the whole new
-one.  Each record carries a monotonically increasing allocation
-sequence number, so a reader can tell a record that was recycled when
-the slot was reused.
+The record store holds one record per pool slot, indexed by the slot
+index as in GWP-ASan's Metadata[SlotIndex]: the slot's state, the
+occupant's geometry and coverage source, and both stacks, in one
+object.  The pool reads slot states from the same list.  A record is
+never changed once stored; each transition stores a whole new record
+with one list store.  So a reader reads a slot's record once and
+takes everything it needs from that one object, without a lock.
 """
 
 from __future__ import annotations
 
+import enum
 import functools
 import sys
 from dataclasses import dataclass
@@ -157,79 +156,84 @@ def decompress_trace(trace: CompressedTrace) -> list[int]:
 # -- record store ------------------------------------------------------
 
 
-@dataclass(slots=True)
-class AllocationMetadata:
-    """One allocation's evidence: what a slot's snapshot returns.
+class SlotState(enum.Enum):
+    FREE = "free"
+    ALLOCATED = "allocated"
+    QUARANTINED = "quarantined"
 
-    A record is never changed once stored.  Deallocation evidence is
-    attached by storing a new record in its place, so a lock-free
-    reader never sees a half-written one.
+
+@dataclass(slots=True)
+class SlotRecord:
+    """Everything known about one slot's occupant: state, geometry, evidence.
+
+    A record is never changed once published; each transition publishes
+    a new one in its place.  Not frozen, as ErrorReport is not: a frozen
+    __init__ sets each field through object.__setattr__, twice per
+    guarded pair.  A FREE record is a slot that never held an allocation.
     """
 
-    alloc_seq: int
     slot_index: int
-    user_size: int
-    alloc_thread: int
-    alloc_trace: CompressedTrace
+    state: SlotState = SlotState.FREE
+    user_offset: int = 0
+    user_size: int = 0
+    coverage_source: Optional[int] = None
+    metadata_seq: int = 0  # the allocation's sequence number; 0 before the first
+    alloc_thread: Optional[int] = None
+    alloc_trace: Optional[CompressedTrace] = None
     dealloc_thread: Optional[int] = None
     dealloc_trace: Optional[CompressedTrace] = None
 
+    @property
+    def metadata_index(self) -> int:
+        """The slot's own index; perfbench/workloads.py (sampled) reads it."""
+        return self.slot_index
+
 
 class MetadataStore:
-    """One allocation record per pool slot.
+    """The one list of slot records, and its only writer.
 
-    Writers (allocation and deallocation paths) serialize externally on
-    the pool lock; the fault path reads records without any lock.  A
-    record is addressed by (slot_index, alloc_seq); a stale sequence
-    number means the slot was reused and the evidence is gone.
+    records[i] is slot i's record, as GWP-ASan's Metadata[SlotIndex];
+    the pool reads slot states from the same list.  Writers serialize
+    on the pool lock, and each publishes a whole new record with one
+    list store.  So a reader that reads a slot's record once sees one
+    occupant at one moment, without a lock.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity  # the pool's slot count
-        self._records: list[Optional[AllocationMetadata]] = [None] * capacity
+        self.records = [SlotRecord(i) for i in range(capacity)]
         self._next_seq = 1
 
-    def store_alloc(
-        self, slot_index: int, size: int, thread_id: int, trace: Sequence[int]
-    ) -> int:
-        """Store a new record for an allocation in slot_index; returns its alloc_seq."""
+    def store_alloc(self, slot_index: int, user_offset: int, user_size: int,
+                    coverage_source: Optional[int], thread_id: int,
+                    trace: Sequence[int]) -> None:
+        """Publish the ALLOCATED record of a new occupant of slot_index."""
         seq = self._next_seq
-        self._records[slot_index] = AllocationMetadata(
-            seq, slot_index, size, thread_id, compress_trace(trace)
-        )
         self._next_seq = seq + 1
-        return seq
+        self.records[slot_index] = SlotRecord(
+            slot_index, SlotState.ALLOCATED, user_offset, user_size, coverage_source, seq,
+            thread_id, compress_trace(trace),
+        )
 
-    def store_dealloc(
-        self, slot_index: int, alloc_seq: int, thread_id: int, trace: Sequence[int]
-    ) -> bool:
-        """Replace the record with one carrying deallocation evidence.
-
-        Returns False (no-op) when the slot's record was recycled for a
-        newer allocation.
-        """
-        record = self._records[slot_index]
-        if record is None or record.alloc_seq != alloc_seq:
-            return False
-        self._records[slot_index] = AllocationMetadata(
-            alloc_seq, slot_index, record.user_size, record.alloc_thread,
+    def store_dealloc(self, slot_index: int, thread_id: int, trace: Sequence[int]) -> None:
+        """Publish the QUARANTINED record: the occupant's, plus its deallocation."""
+        record = self.records[slot_index]
+        self.records[slot_index] = SlotRecord(
+            slot_index, SlotState.QUARANTINED, record.user_offset, record.user_size,
+            record.coverage_source, record.metadata_seq, record.alloc_thread,
             record.alloc_trace, thread_id, compress_trace(trace),
         )
-        return True
 
-    def snapshot(self, slot_index: int, alloc_seq: int) -> Optional[AllocationMetadata]:
-        """Lock-free read of the stored record, or None if it is lost.
+    def snapshot(self, slot_index: int, seq: Optional[int] = None) -> Optional[SlotRecord]:
+        """Slot slot_index's record, read once; None if out of range.
 
-        None means the slot is out of range, never held a record, or was
-        reused for a newer allocation (sequence mismatch); callers treat
-        all three as lost evidence, never as grounds to block.
+        With seq, None also when the record is not that allocation's.
         """
-        if not 0 <= slot_index < self.capacity:
+        if not 0 <= slot_index < len(self.records):
             return None
-        record = self._records[slot_index]
-        if record is None or record.alloc_seq != alloc_seq:
+        record = self.records[slot_index]
+        if seq is not None and record.metadata_seq != seq:
             return None
         return record
 
@@ -238,16 +242,11 @@ class MetadataStore:
 
         Counts each record's traces, as GWP-ASan stores a trace per
         slot, even though records of equal stacks share one interned
-        CompressedTrace.  Needs no lock: each record it reads is a whole
-        stored one.
+        CompressedTrace.
         """
         total = 0
-        for record in self._records:
-            if record is None:
-                continue
-            if record.alloc_trace.frame_count:
-                total += record.alloc_trace.byte_size()
-            dealloc_trace = record.dealloc_trace
-            if dealloc_trace is not None and dealloc_trace.frame_count:
-                total += dealloc_trace.byte_size()
+        for record in self.records:
+            for trace in (record.alloc_trace, record.dealloc_trace):
+                if trace is not None and trace.frame_count:
+                    total += trace.byte_size()
         return total

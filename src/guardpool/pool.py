@@ -10,6 +10,12 @@ hit a guard page immediately.  Released slots are re-protected and
 quarantined: the page stays inaccessible until the slot is reused, so
 use-after-free accesses fault too.
 
+The pool's store (metadata.MetadataStore) owns the one list of slot
+records, and self.slots is that list: the pool reads slot states from
+it and never writes it.  acquire and release do the page work and the
+free-list bookkeeping; the caller then publishes the slot's new record
+through the store, under the same hold of the pool lock.
+
 classify_address runs on every guarded free and every fault.  It
 shifts rather than divides (the page size is a power of two), tells
 slot states apart by identity, and returns one of a fixed set of
@@ -31,14 +37,9 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
+from .metadata import MetadataStore, SlotState
 from .sampler import Xorshift64Star, splitmix64
 from .vmem import PROT_NONE, PROT_READ, PROT_WRITE, VirtualMemory
-
-
-class SlotState(enum.Enum):
-    FREE = "free"
-    ALLOCATED = "allocated"
-    QUARANTINED = "quarantined"
 
 
 class AlignmentSide(enum.Enum):
@@ -77,42 +78,14 @@ class PoolUnavailableError(Exception):
     """Raised when the pool's reservation cannot be made at init."""
 
 
-class SlotRecord:
-    """Mutable per-slot bookkeeping; guarded by the pool lock for writes.
-
-    The fault path reads these fields without the lock; state is always
-    written last on acquire so a slot never looks allocated with stale
-    geometry.
-    """
-
-    __slots__ = (
-        "state",
-        "user_offset",
-        "user_size",
-        "metadata_index",
-        "metadata_seq",
-        "coverage_source",
-    )
-
-    def __init__(self, slot_index: int) -> None:
-        self.state = SlotState.FREE
-        self.user_offset = 0
-        self.user_size = 0
-        # Always the slot's own index (the metadata record's index); kept
-        # only because perfbench/workloads.py (sampled) reads it.
-        self.metadata_index = slot_index
-        self.metadata_seq = -1
-        self.coverage_source: Optional[int] = None
-
-
 class GuardedPool:
     """The guarded region plus slot lifecycle.
 
     acquire/release mutate under self.lock (an RLock so the owning
-    allocator can hold it across composite operations);
-    classify_address is lock-free and safe to call from a fault
-    handler.  max_live (default slot_count) caps the live slots; the
-    caller validates both counts.
+    allocator can hold it across a transition and the publication of
+    its record); classify_address is lock-free and safe to call from a
+    fault handler.  max_live (default slot_count) caps the live slots;
+    the caller validates both counts.
     """
 
     def __init__(
@@ -137,7 +110,8 @@ class GuardedPool:
             raise PoolUnavailableError(f"pool reservation failed: {exc}") from exc
         self.region_length = (2 * self.slot_count + 1) * self.page_size
 
-        self.slots = [SlotRecord(i) for i in range(self.slot_count)]
+        self.store = MetadataStore(self.slot_count)
+        self.slots = self.store.records  # one FREE record per slot
         self._rng = Xorshift64Star(splitmix64((seed or 0) ^ 0x706F6F6C))
         order = list(range(self.slot_count))
         # Fisher-Yates with the pool rng: slot order is unpredictable to
@@ -169,12 +143,14 @@ class GuardedPool:
     # -- lifecycle ---------------------------------------------------
 
     def acquire(self, size: int, alignment: int = 1) -> Optional[tuple[int, int]]:
-        """Acquire a slot for a size-byte allocation.
+        """Take, open and scrub a slot for a size-byte allocation.
 
-        Returns (slot_index, user_address), or None when the pool
-        cannot serve the request (slot pressure, oversized request, or
-        a page-protection failure).  Raises ValueError only on caller
-        bugs: non-positive size or a bad alignment.
+        The slot's record is left as it was: the caller, holding the
+        lock, then publishes the occupant's record with
+        store.store_alloc.  Returns (slot_index, user_address), or None
+        when the pool cannot serve the request (slot pressure, oversized
+        request, or a page-protection failure).  Raises ValueError only
+        on caller bugs: non-positive size or a bad alignment.
         """
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
@@ -191,7 +167,6 @@ class GuardedPool:
             # live_count, so the free list is not empty.
             slot_index = self._free_list.popleft()
 
-            slot = self.slots[slot_index]
             page = self.base + (2 * slot_index + 1) * self.page_size
             try:
                 self.vm.protect(page, self.page_size, PROT_READ | PROT_WRITE)
@@ -210,25 +185,22 @@ class GuardedPool:
             else:
                 right = side is AlignmentSide.RIGHT
             offset = ((self.page_size - size) // alignment) * alignment if right else 0
-
-            slot.user_offset = offset
-            slot.user_size = size
-            slot.metadata_seq = -1
-            slot.coverage_source = None
-            slot.state = SlotState.ALLOCATED  # last: fault path sees full geometry
             self.live_count += 1
             self.acquire_count += 1
             return slot_index, page + offset
 
     def release(self, slot_index: int) -> None:
-        """Re-protect the slot page and move the slot into quarantine."""
+        """Re-protect the slot page and queue the slot for reuse.
+
+        The caller then publishes the QUARANTINED record with
+        store.store_dealloc, under the same hold of the lock.
+        """
         with self.lock:
-            slot = self.slots[slot_index]
-            if slot.state is not SlotState.ALLOCATED:
-                raise ValueError(f"slot {slot_index} is {slot.state.value}, not allocated")
+            state = self.slots[slot_index].state
+            if state is not _ALLOCATED:
+                raise ValueError(f"slot {slot_index} is {state.value}, not allocated")
             page = self.base + (2 * slot_index + 1) * self.page_size
             self.vm.protect(page, self.page_size, PROT_NONE)
-            slot.state = SlotState.QUARANTINED
             self.live_count -= 1
             self._free_list.append(slot_index)
 

@@ -3,10 +3,10 @@
 A report names the error kind, the faulting access (address, read/write
 when the platform exposes it, thread), the faulting stack, where the
 access sits relative to the victim allocation, and the allocation and
-deallocation stacks when the metadata record is still live.  The text
-format is a stable contract: parse_report is the exact inverse of
-render_report for reports this module produces, and also accepts frames
-carrying symbolizer text before the bracketed address.
+deallocation stacks of the slot's occupant.  The text format is a
+stable contract: parse_report is the exact inverse of render_report for
+reports this module produces, and also accepts frames carrying
+symbolizer text before the bracketed address.
 
 Reports are rendered and parsed on every detection and every triage, so
 both are single passes.  render_report formats each line once and joins
@@ -16,17 +16,20 @@ off the end of the lines is the one "unexpected end of report" error.
 render_report and emit_synthetic read no enum property and hash no
 enum member, both of which are Python-level calls.
 
-Reporter builds every report: slot_report captures the access stack and
-gathers the allocation's evidence, for the fault handler and for the
-allocator's checks of a free or usable_size alike.  Reporter also owns
+Reporter builds every report, for the fault handler and for the
+allocator's checks of a free or usable_size alike.  It reads the
+attributed slot's record once, and takes the report's kind (on the
+fault path), geometry and stacks from that one object: a record is
+never changed once stored, so a report cannot mix two occupants of a
+slot that changes hands while the report is built.  Reporter also owns
 recovery: disabled is the tool's one off switch.  The first recoverable
 report sets it, and so does the allocator's destroy().  From then on the
 allocator guards nothing more, its free-path errors are swallowed, and
 a fault the handler still sees is scrubbed and resumed without a report.
 
 The handler itself follows signal-handler discipline in modeled form:
-it takes no lock any interrupted thread could hold (pool state is read
-via the lock-free classification and record snapshot paths) and
+it takes no lock any interrupted thread could hold (it reads the
+slot states and the one record without the pool lock) and
 serializes whole reports to the sink with a spin permit whose holders
 never fault and never block.
 """
@@ -41,8 +44,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
-from .metadata import MetadataStore, capture_trace, decompress_trace
-from .pool import AddressClassification, AddressKind, GuardedPool, SlotState
+from .metadata import MetadataStore, SlotRecord, SlotState, capture_trace, decompress_trace
+from .pool import AddressClassification, AddressKind, GuardedPool
 from .vmem import (
     AccessType,
     FaultAction,
@@ -93,9 +96,9 @@ class ErrorReport:
     allocation fields are None when the fault could not be attributed
     to any allocation (wild hit on an unattributed guard or free slot,
     or a free of a pointer into neither).  metadata_lost means no
-    allocation or deallocation stack survives: always so with no
-    allocation, and for an attributed slot when its record had been
-    recycled, so only geometry survives.
+    allocation or deallocation stack survives; Reporter sets it exactly
+    when the report names no allocation.  The text format also allows
+    it beside an allocation, and parse_report accepts that.
 
     Not frozen: the traces are lists, which freezing would not guard,
     and a frozen __init__ sets each field through object.__setattr__,
@@ -183,9 +186,12 @@ class ReportParseError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
+# Decimal fields take ASCII digits only: under re.ASCII, \d does not
+# match the other Unicode digits that int() would also read.
 _HEADLINE_RE = re.compile(
     r"(Use-after-free|Out-of-bounds|Double-free|Invalid-free|Indeterminate-guard-hit)"
-    r"(?: (read|write))? at 0x([0-9a-f]+) by thread (\d+):"
+    r"(?: (read|write))? at 0x([0-9a-f]+) by thread (\d+):",
+    re.ASCII,
 )
 _HEADLINE_KINDS = {
     headline: ReportKind(value) for value, headline in _KIND_HEADLINES.items()
@@ -195,12 +201,14 @@ _ACCESS_WORDS = {"read": AccessType.READ, "write": AccessType.WRITE, None: Acces
 # Frames may carry symbolizer text between the number and the bracketed
 # address; only the address is semantic.  The lazy ?? tries the plain
 # frame first, so this module's own frames match without backtracking.
-_FRAME_RE = re.compile(r"  #\d+ (?:\S.* )??\[0x([0-9a-f]+)\]")
+_FRAME_RE = re.compile(r"  #\d+ (?:\S.* )??\[0x([0-9a-f]+)\]", re.ASCII)
 # Groups: distance and side (both None for "within"), size, address.
 _LOCATOR_RE = re.compile(
-    r"The access is (?:within |(\d+)B (left|right) of )(\d+)B allocation at 0x([0-9a-f]+)"
+    r"The access is (?:within |(\d+)B (left|right) of )(\d+)B allocation at 0x([0-9a-f]+)",
+    re.ASCII,
 )
-_BLOCK_RE = re.compile(r"0x([0-9a-f]+) was (deallocated|allocated) by thread (\d+|<unknown>):")
+_BLOCK_RE = re.compile(
+    r"0x([0-9a-f]+) was (deallocated|allocated) by thread (\d+|<unknown>):", re.ASCII)
 
 
 def parse_report(text: str) -> ErrorReport:
@@ -409,50 +417,52 @@ class Reporter:
 
     def slot_report(self, kind: ReportKind, slot_index: Optional[int], address: int,
                     access_kind: AccessType, thread: int) -> ErrorReport:
-        """A report of kind for an access at address, with every stack.
+        """A report of kind for an access at address, from slot_index's record.
 
-        The access stack is captured here, for fault and free path alike.
-        No slot_index, or a slot whose record was recycled since, gives a
-        metadata_lost report."""
-        access = (kind, address, access_kind, thread, capture_trace(self._max_frames))
-        if slot_index is None:
-            return ErrorReport(*access, metadata_lost=True)
-        slot = self._pool.slots[slot_index]
-        allocation_address = self._pool.user_address(slot_index)
-        snapshot = self._store.snapshot(slot_index, slot.metadata_seq)
-        if snapshot is None:
-            return ErrorReport(*access, allocation_address=allocation_address,
-                               allocation_size=slot.user_size, metadata_lost=True)
-        dealloc_trace = snapshot.dealloc_trace
-        return ErrorReport(
-            *access,
-            allocation_address=allocation_address,
-            allocation_size=snapshot.user_size,
-            alloc_thread=snapshot.alloc_thread,
-            alloc_trace=decompress_trace(snapshot.alloc_trace),
-            dealloc_thread=snapshot.dealloc_thread,
-            dealloc_trace=None if dealloc_trace is None else decompress_trace(dealloc_trace),
-        )
+        No slot_index gives a metadata_lost report."""
+        record = None if slot_index is None else self._store.snapshot(slot_index)
+        return self._record_report(kind, record, address, access_kind, thread)
 
     def _build_report(self, fault: FaultInfo, cls: AddressClassification) -> ErrorReport:
+        """The fault's report, its kind taken from the attributed slot's record.
+
+        A freed occupant's record says use-after-free, for a guard hit
+        too, where the locator carries the out-of-bounds part.  A live
+        one says overflow or underflow on a guard; on the slot's own
+        page, which cannot fault while it is allocated, it only says the
+        slot changed hands.  So does a FREE record, and no record."""
         slot_index = cls.slot_index
-        if cls.kind in (AddressKind.UNATTRIBUTED_GUARD, AddressKind.FREE_SLOT,
-                        AddressKind.ALLOCATED_SLOT):
-            # No allocation to pin the access to: free pages carry stale
-            # geometry and an allocated page can only fault when the
-            # slot changed hands mid-delivery.
-            kind, slot_index = ReportKind.INDETERMINATE_GUARD_HIT, None
-        elif (cls.kind is AddressKind.QUARANTINED_SLOT
-              or self._pool.slots[slot_index].state is SlotState.QUARANTINED):
-            # A freed slot's page, or a guard attributed to a freed slot:
-            # evidence says use-after-free, and for a guard hit the
-            # locator carries the out-of-bounds part.
+        record = None if slot_index is None else self._store.snapshot(slot_index)
+        state = None if record is None else record.state
+        if state is SlotState.QUARANTINED:
             kind = ReportKind.USE_AFTER_FREE
-        elif cls.kind is AddressKind.LEFT_GUARD:
+        elif state is SlotState.ALLOCATED and cls.kind is AddressKind.LEFT_GUARD:
             kind = ReportKind.BUFFER_UNDERFLOW
-        else:
+        elif state is SlotState.ALLOCATED and cls.kind is AddressKind.RIGHT_GUARD:
             kind = ReportKind.BUFFER_OVERFLOW
-        return self.slot_report(kind, slot_index, fault.address, fault.access, fault.thread_id)
+        else:
+            kind, record = ReportKind.INDETERMINATE_GUARD_HIT, None
+        return self._record_report(kind, record, fault.address, fault.access, fault.thread_id)
+
+    def _record_report(self, kind: ReportKind, record: Optional[SlotRecord], address: int,
+                       access_kind: AccessType, thread: int) -> ErrorReport:
+        """Geometry and evidence all from the one record; the access stack
+        is captured here, for fault and free path alike."""
+        access = (kind, address, access_kind, thread, capture_trace(self._max_frames))
+        if record is None:
+            return ErrorReport(*access, metadata_lost=True)
+        pool = self._pool
+        page = pool.base + (2 * record.slot_index + 1) * pool.page_size
+        dealloc_trace = record.dealloc_trace
+        return ErrorReport(
+            *access,
+            allocation_address=page + record.user_offset,
+            allocation_size=record.user_size,
+            alloc_thread=record.alloc_thread,
+            alloc_trace=decompress_trace(record.alloc_trace),
+            dealloc_thread=record.dealloc_thread,
+            dealloc_trace=None if dealloc_trace is None else decompress_trace(dealloc_trace),
+        )
 
     def _emit(self, report: ErrorReport) -> None:
         text = render_report(report)

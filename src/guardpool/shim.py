@@ -210,7 +210,7 @@ class GuardianAllocator:
         self.pool = GuardedPool(
             self.vm, cfg.slot_count, cfg.max_live, cfg.seed, cfg.force_alignment_side
         )
-        self.store = MetadataStore(cfg.slot_count)
+        self.store = self.pool.store
         self.coverage = CoverageFilter(utilization_threshold=cfg.coverage_threshold)
         self.reporter = Reporter(self.pool, self.store, cfg.max_frames, cfg.recoverable, cfg.sink)
         self.reporter.install(self.vm)
@@ -335,9 +335,8 @@ class GuardianAllocator:
                 self.stats.pool_unavailable += 1
                 return self.fallback.malloc(size, effective_alignment)
             slot_index, user_address = acquired
-            slot = pool.slots[slot_index]
-            slot.metadata_seq = self.store.store_alloc(slot_index, size, thread_id, trace)
-            slot.coverage_source = source
+            self.store.store_alloc(slot_index, (user_address - pool.base) % pool.page_size,
+                                   size, source, thread_id, trace)
             self.coverage.insert(source)
             self.stats.guarded += 1
             return user_address
@@ -380,15 +379,10 @@ class GuardianAllocator:
             # block when its offset in the page is the block's.
             if (classification.kind is AddressKind.ALLOCATED_SLOT
                     and (addr - pool.base) % pool.page_size == pool.slots[slot_index].user_offset):
-                slot = pool.slots[slot_index]
-                self.store.store_dealloc(
-                    slot_index,
-                    slot.metadata_seq,
-                    threading.get_ident(),
-                    capture_trace(self.config.max_frames),
-                )
-                self.coverage.remove(slot.coverage_source)
+                self.coverage.remove(pool.slots[slot_index].coverage_source)
                 pool.release(slot_index)
+                self.store.store_dealloc(
+                    slot_index, threading.get_ident(), capture_trace(self.config.max_frames))
                 return
             if self.reporter.disabled:
                 return  # recovered or destroyed: swallowed, and not counted
@@ -408,22 +402,3 @@ class GuardianAllocator:
                                                threading.get_ident())
         # Emitting outside the pool lock: the reporter may terminate.
         self.reporter.emit_synthetic(report)
-
-    # -- introspection ---------------------------------------------------------
-
-    def estimated_resident_bytes(self) -> int:
-        """Touched-memory footprint: live-capable slot pages plus metadata.
-
-        Guard pages and quarantined pages are reserved but never
-        touched, so they cost address space, not memory.
-        """
-        pool = self.pool
-        if pool is None:
-            return 0
-        slot_bytes = pool.max_live * pool.page_size
-        per_record_overhead = 64  # fixed fields of one record
-        trace_bytes = self.store.accounted_trace_bytes()
-        metadata_bytes = self.store.capacity * per_record_overhead + trace_bytes
-        # A counter never exceeds max_live, so max_live's bit length suffices.
-        filter_bytes = -(-self.coverage.counters * pool.max_live.bit_length() // 8)
-        return slot_bytes + metadata_bytes + filter_bytes

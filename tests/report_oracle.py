@@ -96,17 +96,21 @@ def _thread_word(thread_id: Optional[int]) -> str:
 # -- parsing -----------------------------------------------------------
 
 
+# Decimal fields take ASCII digits only (re.ASCII), as in the product.
 _HEADLINE_RE = re.compile(
     r"^(Use-after-free|Out-of-bounds|Double-free|Invalid-free|Indeterminate-guard-hit)"
-    r"(?: (read|write))? at 0x([0-9a-f]+) by thread (\d+):$"
+    r"(?: (read|write))? at 0x([0-9a-f]+) by thread (\d+):$",
+    re.ASCII,
 )
-_FRAME_RE = re.compile(r"^  #\d+ (?:\S.* )?\[0x([0-9a-f]+)\]$")
-_WITHIN_RE = re.compile(r"^The access is within (\d+)B allocation at 0x([0-9a-f]+)$")
+_FRAME_RE = re.compile(r"^  #\d+ (?:\S.* )?\[0x([0-9a-f]+)\]$", re.ASCII)
+_WITHIN_RE = re.compile(r"^The access is within (\d+)B allocation at 0x([0-9a-f]+)$", re.ASCII)
 _BESIDE_RE = re.compile(
-    r"^The access is (\d+)B (left|right) of (\d+)B allocation at 0x([0-9a-f]+)$"
+    r"^The access is (\d+)B (left|right) of (\d+)B allocation at 0x([0-9a-f]+)$",
+    re.ASCII,
 )
 _NO_ALLOC_LOCATOR = "The access is to a guarded pool page with no associated allocation"
-_BLOCK_RE = re.compile(r"^0x([0-9a-f]+) was (deallocated|allocated) by thread (\d+|<unknown>):$")
+_BLOCK_RE = re.compile(
+    r"^0x([0-9a-f]+) was (deallocated|allocated) by thread (\d+|<unknown>):$", re.ASCII)
 
 
 class _Cursor:

@@ -1,5 +1,7 @@
 """Trace capture, varint compression, and the per-slot record store."""
 
+import dataclasses
+import io
 import random
 import sys
 
@@ -11,10 +13,14 @@ from guardpool import metadata
 from guardpool.metadata import (
     CompressedTrace,
     MetadataStore,
+    SlotState,
     capture_trace,
     compress_trace,
     decompress_trace,
 )
+from guardpool.pool import GuardedPool
+from guardpool.shim import GuardianAllocator, GuardianConfig
+from guardpool.vmem import VirtualMemory
 
 # -- the reference encoder ---------------------------------------------------
 #
@@ -261,97 +267,131 @@ def test_capture_distinguishes_call_sites():
 # -- record store ---------------------------------------------------------
 
 
-def test_store_alloc_returns_index_and_sequence():
+def test_every_slot_starts_with_a_free_record():
+    store = MetadataStore(capacity=3)
+    assert [record.slot_index for record in store.records] == [0, 1, 2]
+    for record in store.records:
+        assert record.state is SlotState.FREE
+        assert record.alloc_trace is record.dealloc_trace is None
+    # The list the pool reads is the store's own.
+    pool = GuardedPool(VirtualMemory(), slot_count=2)
+    assert pool.slots is pool.store.records
+
+
+def test_store_alloc_publishes_the_allocated_record():
     store = MetadataStore(capacity=4)
-    seq = store.store_alloc(2, 41, 111, [0x10, 0x20])
-    snap = store.snapshot(2, seq)
-    assert snap is not None
-    assert snap.slot_index == 2
-    assert snap.user_size == 41
+    store.store_alloc(2, 4055, 41, 0xABC, 111, [0x10, 0x20])
+    snap = store.snapshot(2)
+    assert snap is store.records[2]
+    assert snap.state is SlotState.ALLOCATED
+    assert (snap.slot_index, snap.user_offset, snap.user_size) == (2, 4055, 41)
+    assert snap.coverage_source == 0xABC
     assert snap.alloc_thread == 111
     assert decompress_trace(snap.alloc_trace) == [0x10, 0x20]
-    assert snap.dealloc_thread is None
-    assert store.store_alloc(0, 8, 1, [0x10]) > seq
+    assert snap.dealloc_thread is snap.dealloc_trace is None
+    # Sequence numbers rise across slots, and a snapshot can ask for one.
+    store.store_alloc(0, 0, 8, None, 1, [0x10])
+    assert store.records[0].metadata_seq > snap.metadata_seq
+    assert store.snapshot(2, snap.metadata_seq) is snap
+    assert store.snapshot(2, snap.metadata_seq + 1) is None
 
 
 def test_store_dealloc_attaches_evidence():
     store = MetadataStore(capacity=4)
-    seq = store.store_alloc(0, 8, 1, [0x10])
-    assert store.store_dealloc(0, seq, 2, [0x30, 0x40])
-    snap = store.snapshot(0, seq)
+    store.store_alloc(0, 16, 8, 0xABC, 1, [0x10])
+    live = store.snapshot(0)
+    store.store_dealloc(0, 2, [0x30, 0x40])
+    snap = store.snapshot(0, live.metadata_seq)
+    assert snap.state is SlotState.QUARANTINED
     assert snap.dealloc_thread == 2
     assert decompress_trace(snap.dealloc_trace) == [0x30, 0x40]
+    # Everything else is the occupant's, carried over.
+    for name in ("slot_index", "user_offset", "user_size", "coverage_source",
+                 "metadata_seq", "alloc_thread", "alloc_trace"):
+        assert getattr(snap, name) == getattr(live, name), name
 
 
 def test_slot_reuse_recycles_record():
     store = MetadataStore(capacity=2)
-    first_seq = store.store_alloc(0, 8, 1, [0x10])
+    store.store_alloc(0, 0, 8, None, 1, [0x10])
+    first_seq = store.records[0].metadata_seq
     # Other slots' allocations leave slot 0's record alone...
     for _ in range(10):
-        store.store_alloc(1, 8, 1, [0x20])
+        store.store_alloc(1, 0, 8, None, 1, [0x20])
     assert store.snapshot(0, first_seq).user_size == 8
     # ...and only reusing slot 0 recycles it.
-    store.store_alloc(0, 16, 1, [0x30])
+    store.store_alloc(0, 0, 16, None, 1, [0x30])
     assert store.snapshot(0, first_seq) is None
+    assert store.snapshot(0).user_size == 16
 
 
-def test_store_dealloc_is_noop_after_eviction():
-    store = MetadataStore(capacity=1)
-    seq = store.store_alloc(0, 8, 1, [0x10])
-    newer_seq = store.store_alloc(0, 8, 1, [0x20])  # slot 0 reused
-    assert not store.store_dealloc(0, seq, 2, [0x30])
-    snap = store.snapshot(0, newer_seq)
-    assert snap.dealloc_thread is None
+def _fields(record):
+    return {field.name: getattr(record, field.name) for field in dataclasses.fields(record)}
 
 
-def test_stored_records_are_never_changed():
-    store = MetadataStore(capacity=1)
-    seq = store.store_alloc(0, 8, 1, [0x10])
-    before_free = store.snapshot(0, seq)
-    assert store.store_dealloc(0, seq, 2, [0x30])
-    after_free = store.snapshot(0, seq)
-    assert before_free.dealloc_thread is None
-    assert before_free.dealloc_trace is None
-    assert after_free is not before_free
-    assert store.snapshot(0, seq) is after_free
-    assert after_free.dealloc_thread == 2
-    # Reusing the slot leaves earlier snapshots as they were.
-    store.store_alloc(0, 16, 3, [0x50])
-    for snap in (before_free, after_free):
-        assert snap.user_size == 8
-        assert snap.alloc_thread == 1
-        assert decompress_trace(snap.alloc_trace) == [0x10]
-    assert decompress_trace(after_free.dealloc_trace) == [0x30]
+@settings(max_examples=40, deadline=None)
+@given(slot_count=st.integers(1, 4), data=st.data())
+def test_stored_records_are_never_changed(slot_count, data):
+    # Every record the allocator publishes, FREE ones included, is kept
+    # with a copy of its fields; none may differ at the end of the run.
+    allocator = GuardianAllocator(GuardianConfig(
+        slot_count=slot_count, sample_rate=1, sink=io.StringIO(),
+        seed=data.draw(st.integers(0, 2**32), label="seed"),
+    ))
+    records = allocator.pool.slots
+    published = {}  # id -> (record, its fields when first seen)
+
+    def keep():
+        for record in records:
+            published.setdefault(id(record), (record, _fields(record)))
+
+    keep()
+    live = []
+    for _ in range(data.draw(st.integers(1, 40), label="steps")):
+        if live and data.draw(st.booleans(), label="free"):
+            allocator.free(live.pop(data.draw(st.integers(0, len(live) - 1), label="which")))
+        else:
+            live.append(allocator.malloc(data.draw(st.integers(1, 256), label="size")))
+        keep()
+    for record, fields in published.values():
+        assert _fields(record) == fields
 
 
 def test_snapshot_out_of_range_index():
     store = MetadataStore(capacity=1)
-    seq = store.store_alloc(0, 8, 1, [0x10])
+    store.store_alloc(0, 0, 8, None, 1, [0x10])
+    seq = store.records[0].metadata_seq
     assert store.snapshot(5, seq) is None
     assert store.snapshot(-1, seq) is None
+    assert store.snapshot(5) is None
 
 
 def test_snapshot_of_never_stored_slot_is_lost():
-    # A slot's metadata_seq starts at -1; an untouched record must not match it.
+    # A never-used slot's FREE record carries no evidence, and matches
+    # no allocation's sequence number.
     store = MetadataStore(capacity=2)
+    snap = store.snapshot(1)
+    assert snap.state is SlotState.FREE
+    assert snap.alloc_trace is None and snap.dealloc_trace is None
     assert store.snapshot(1, -1) is None
+    assert store.snapshot(1, 1) is None
 
 
 def test_trace_byte_accounting_tracks_slot_records():
     store = MetadataStore(capacity=2)
     assert store.accounted_trace_bytes() == 0
-    seq = store.store_alloc(0, 8, 1, [0x1000, 0x1010])
+    store.store_alloc(0, 0, 8, None, 1, [0x1000, 0x1010])
     one = store.accounted_trace_bytes()
     assert one == compress_trace([0x1000, 0x1010]).byte_size()
-    store.store_dealloc(0, seq, 1, [0x2000])
+    store.store_dealloc(0, 1, [0x2000])
     two = store.accounted_trace_bytes()
     assert two == one + compress_trace([0x2000]).byte_size()
     # Another slot adds its own contribution.
-    store.store_alloc(1, 8, 1, [0x3000])
+    store.store_alloc(1, 0, 8, None, 1, [0x3000])
     three = two + compress_trace([0x3000]).byte_size()
     assert store.accounted_trace_bytes() == three
     # Reusing slot 0 replaces its contribution instead of leaking it.
-    store.store_alloc(0, 8, 1, [0x4000])
+    store.store_alloc(0, 0, 8, None, 1, [0x4000])
     assert store.accounted_trace_bytes() == three - two + compress_trace([0x4000]).byte_size()
 
 
@@ -366,12 +406,12 @@ def test_capacity_validated():
 def test_equal_traces_in_two_slots_share_one_compressed_trace():
     store = MetadataStore(capacity=2)
     trace = [0x7F0000400000 + i * 0x180 for i in range(5)]
-    first = store.store_alloc(0, 8, 1, trace)
-    second = store.store_alloc(1, 16, 2, list(trace))
-    shared = store.snapshot(0, first).alloc_trace
-    assert store.snapshot(1, second).alloc_trace is shared
-    assert store.store_dealloc(1, second, 2, tuple(trace))
-    assert store.snapshot(1, second).dealloc_trace is shared
+    store.store_alloc(0, 0, 8, None, 1, trace)
+    store.store_alloc(1, 0, 16, None, 2, list(trace))
+    shared = store.snapshot(0).alloc_trace
+    assert store.snapshot(1).alloc_trace is shared
+    store.store_dealloc(1, 2, tuple(trace))
+    assert store.snapshot(1).dealloc_trace is shared
     # Accounting still counts a trace per record.
     assert store.accounted_trace_bytes() == 3 * shared.byte_size()
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guardpool.metadata import SlotRecord
 from guardpool.pool import (
     AddressClassification,
     AddressKind,
@@ -16,7 +17,7 @@ from guardpool.pool import (
 from guardpool.sampler import Xorshift64Star, splitmix64
 from guardpool.vmem import PROT_NONE, SegmentationFault, VirtualMemory
 
-from conftest import guard_page_addr, slot_page_addr
+from conftest import acquire_slot, guard_page_addr, release_slot, slot_page_addr
 
 PAGE = 4096
 
@@ -29,7 +30,7 @@ def make_pool(**kwargs) -> GuardedPool:
 def test_region_spans_alternating_guard_and_slot_pages():
     pool = make_pool(slot_count=4, max_live=4)
     assert pool.region_length == 9 * PAGE
-    assert sorted(pool.acquire(8)[0] for _ in range(4)) == [0, 1, 2, 3]
+    assert sorted(acquire_slot(pool, 8)[0] for _ in range(4)) == [0, 1, 2, 3]
     for i in range(4):
         page = slot_page_addr(pool, i)
         assert page <= pool.user_address(i) < page + PAGE
@@ -62,10 +63,10 @@ def test_acquire_makes_only_the_slot_page_accessible():
 
 def test_acquired_slot_is_zeroed():
     pool = make_pool(slot_count=1)
-    _, addr = pool.acquire(64)
+    _, addr = acquire_slot(pool, 64)
     pool.vm.write(addr, b"\xff" * 64)
-    pool.release(0)
-    _, addr2 = pool.acquire(64, alignment=1)
+    release_slot(pool, 0)
+    _, addr2 = acquire_slot(pool, 64, alignment=1)
     page = slot_page_addr(pool, 0)
     assert pool.vm.read(page, PAGE) == bytes(PAGE)
 
@@ -83,7 +84,6 @@ def test_acquired_slot_is_zeroed():
 def test_alignment_side_geometry(size, alignment, side, expected_offset):
     pool = make_pool(force_alignment_side=side)
     slot_index, addr = pool.acquire(size, alignment)
-    assert pool.slots[slot_index].user_offset == expected_offset
     assert addr == slot_page_addr(pool, slot_index) + expected_offset
     assert addr % alignment == 0
 
@@ -92,9 +92,9 @@ def test_alignment_side_randomized_both_sides_occur():
     pool = make_pool(slot_count=4, max_live=4)
     offsets = set()
     for trial in range(32):
-        slot_index, _ = pool.acquire(8)
-        offsets.add(pool.slots[slot_index].user_offset)
-        pool.release(slot_index)
+        slot_index, addr = acquire_slot(pool, 8)
+        offsets.add(addr - slot_page_addr(pool, slot_index))
+        release_slot(pool, slot_index)
     # Flush left is offset 0; flush right ends at the slot's last byte.
     assert offsets == {0, pool.page_size - 8}
 
@@ -117,13 +117,13 @@ def test_oversized_requests_are_unavailable_not_errors():
 
 def test_max_live_bounds_concurrent_allocations():
     pool = make_pool(slot_count=4, max_live=2)
-    first = pool.acquire(8)
-    second = pool.acquire(8)
+    first = acquire_slot(pool, 8)
+    second = acquire_slot(pool, 8)
     assert first is not None and second is not None
-    assert pool.acquire(8) is None
+    assert acquire_slot(pool, 8) is None
     assert pool.unavailable_count == 1
-    pool.release(first[0])
-    assert pool.acquire(8) is not None
+    release_slot(pool, first[0])
+    assert acquire_slot(pool, 8) is not None
 
 
 def test_exhausted_free_list_returns_unavailable():
@@ -135,8 +135,8 @@ def test_exhausted_free_list_returns_unavailable():
 
 def test_release_reprotects_and_quarantines():
     pool = make_pool()
-    slot_index, addr = pool.acquire(41)
-    pool.release(slot_index)
+    slot_index, addr = acquire_slot(pool, 41)
+    release_slot(pool, slot_index)
     assert pool.slots[slot_index].state is SlotState.QUARANTINED
     with pytest.raises(SegmentationFault):
         pool.vm.read(addr, 1)
@@ -145,19 +145,19 @@ def test_release_reprotects_and_quarantines():
 def test_release_requires_allocated_state():
     pool = make_pool()
     with pytest.raises(ValueError):
-        pool.release(0)
-    slot_index, _ = pool.acquire(8)
-    pool.release(slot_index)
+        release_slot(pool, 0)
+    slot_index, _ = acquire_slot(pool, 8)
+    release_slot(pool, slot_index)
     with pytest.raises(ValueError):
-        pool.release(slot_index)
+        release_slot(pool, slot_index)
 
 
 def test_reuse_order_is_fifo_over_releases():
     pool = make_pool(slot_count=4, max_live=4)
-    acquired = [pool.acquire(8)[0] for _ in range(4)]
+    acquired = [acquire_slot(pool, 8)[0] for _ in range(4)]
     for slot_index in acquired:
-        pool.release(slot_index)
-    reused = [pool.acquire(8)[0] for _ in range(4)]
+        release_slot(pool, slot_index)
+    reused = [acquire_slot(pool, 8)[0] for _ in range(4)]
     assert reused == acquired
 
 
@@ -165,27 +165,27 @@ def test_released_slot_waits_behind_free_list():
     # The slot released first waits until every never-used slot and
     # every slot released before it has been served again.
     pool = make_pool(slot_count=4, max_live=4)
-    victim, _ = pool.acquire(8)
-    pool.release(victim)
+    victim, _ = acquire_slot(pool, 8)
+    release_slot(pool, victim)
     served = []
     for _ in range(3):
-        slot_index, _ = pool.acquire(8)
+        slot_index, _ = acquire_slot(pool, 8)
         served.append(slot_index)
-        pool.release(slot_index)
+        release_slot(pool, slot_index)
     assert victim not in served
     assert sorted(served + [victim]) == [0, 1, 2, 3]
-    assert pool.acquire(8)[0] == victim
+    assert acquire_slot(pool, 8)[0] == victim
 
 
 def test_quarantine_falls_back_to_oldest_when_none_aged():
     # With every never-used slot taken, the oldest release is reused first.
     pool = make_pool(slot_count=2, max_live=2)
-    a, _ = pool.acquire(8)
-    b, _ = pool.acquire(8)
-    pool.release(b)
-    pool.release(a)
-    assert pool.acquire(8)[0] == b
-    assert pool.acquire(8)[0] == a
+    a, _ = acquire_slot(pool, 8)
+    b, _ = acquire_slot(pool, 8)
+    release_slot(pool, b)
+    release_slot(pool, a)
+    assert acquire_slot(pool, 8)[0] == b
+    assert acquire_slot(pool, 8)[0] == a
 
 
 def test_protect_failure_returns_the_slot_to_the_front():
@@ -197,11 +197,11 @@ def test_protect_failure_returns_the_slot_to_the_front():
         raise OSError("injected")
 
     pool.vm.protect = failing
-    assert pool.acquire(8) is None
+    assert acquire_slot(pool, 8) is None
     pool.vm.protect = protect
     assert pool.protect_failure_count == 1
     assert pool.live_count == 0
-    assert pool.acquire(8)[0] == front
+    assert acquire_slot(pool, 8)[0] == front
 
 
 def test_initial_slot_order_is_seed_deterministic():
@@ -213,9 +213,9 @@ def test_initial_slot_order_is_seed_deterministic():
 def test_live_count_tracks_lifecycle():
     pool = make_pool()
     assert pool.live_count == 0
-    slot_index, _ = pool.acquire(8)
+    slot_index, _ = acquire_slot(pool, 8)
     assert pool.live_count == 1
-    pool.release(slot_index)
+    release_slot(pool, slot_index)
     assert pool.live_count == 0
 
 
@@ -232,11 +232,11 @@ def test_classify_not_ours_outside_region():
 
 def test_classify_slot_states():
     pool = make_pool(slot_count=2, max_live=2)
-    slot_index, addr = pool.acquire(8)
+    slot_index, addr = acquire_slot(pool, 8)
     classification = pool.classify_address(addr)
     assert classification.kind is AddressKind.ALLOCATED_SLOT
     assert classification.slot_index == slot_index
-    pool.release(slot_index)
+    release_slot(pool, slot_index)
     assert pool.classify_address(addr).kind is AddressKind.QUARANTINED_SLOT
     other = 1 - slot_index
     free_page = slot_page_addr(pool, other)
@@ -249,12 +249,12 @@ def test_classify_guard_attribution_prefers_allocated():
     pool = make_pool(slot_count=4, max_live=4)
     # Arrange: slot A allocated, slot A+1 quarantined, look at the guard
     # between them.
-    a, _ = pool.acquire(8)
-    b, _ = pool.acquire(8)
+    a, _ = acquire_slot(pool, 8)
+    b, _ = acquire_slot(pool, 8)
     left, right = sorted((a, b))
     if right - left != 1:
         pytest.skip("free-list shuffle did not give adjacent slots")
-    pool.release(right)
+    release_slot(pool, right)
     guard_between = guard_page_addr(pool, right)
     classification = pool.classify_address(guard_between)
     assert classification.kind is AddressKind.RIGHT_GUARD
@@ -263,7 +263,7 @@ def test_classify_guard_attribution_prefers_allocated():
 
 def test_classify_guard_tie_prefers_overflow_of_left_slot():
     pool = make_pool(slot_count=4, max_live=4)
-    indices = [pool.acquire(8)[0] for _ in range(4)]
+    indices = [acquire_slot(pool, 8)[0] for _ in range(4)]
     assert sorted(indices) == [0, 1, 2, 3]
     guard = guard_page_addr(pool, 2)  # between slots 1 and 2, both allocated
     classification = pool.classify_address(guard)
@@ -281,7 +281,7 @@ def test_classify_guard_with_free_neighbors_is_unattributed():
 
 def test_classify_edge_guards():
     pool = make_pool(slot_count=2, max_live=2)
-    indices = [pool.acquire(8)[0] for _ in range(2)]
+    indices = [acquire_slot(pool, 8)[0] for _ in range(2)]
     assert sorted(indices) == [0, 1]
     leftmost = pool.classify_address(pool.base)
     assert leftmost.kind is AddressKind.LEFT_GUARD
@@ -293,9 +293,9 @@ def test_classify_edge_guards():
 
 def test_classification_matches_brute_force_page_map():
     pool = make_pool(slot_count=3, max_live=3)
-    a, _ = pool.acquire(8)
-    pool.release(a)
-    b, _ = pool.acquire(8)
+    a, _ = acquire_slot(pool, 8)
+    release_slot(pool, a)
+    b, _ = acquire_slot(pool, 8)
     for page_index in range(2 * 3 + 1):
         addr = pool.base + page_index * PAGE + 17
         classification = pool.classify_address(addr)
@@ -354,8 +354,8 @@ def _reference_classify(pool, addr):
 )
 def test_classify_matches_the_reference_on_every_page(page_size, states, offsets):
     pool = make_pool(vm=VirtualMemory(page_size=page_size), slot_count=len(states))
-    for slot, state in zip(pool.slots, states):
-        slot.state = state
+    for index, state in enumerate(states):
+        pool.slots[index] = SlotRecord(index, state)
     addrs = [pool.base - 1, pool.base + pool.region_length, 0]
     for page_index in range(2 * len(states) + 1):
         page = pool.base + page_index * page_size
@@ -368,7 +368,7 @@ def test_classify_matches_the_reference_on_every_page(page_size, states, offsets
 
 def test_shared_classifications_stay_frozen():
     pool = make_pool(slot_count=2, max_live=2)
-    slot_index, addr = pool.acquire(8)
+    slot_index, addr = acquire_slot(pool, 8)
     live = pool.classify_address(addr)
     guard = pool.classify_address(pool.base)
     outside = pool.classify_address(pool.base - 1)
@@ -379,7 +379,7 @@ def test_shared_classifications_stay_frozen():
             shared.slot_index = 7
     # A state change picks another instance; the one handed out earlier
     # still says what it said.
-    pool.release(slot_index)
+    release_slot(pool, slot_index)
     assert live == AddressClassification(AddressKind.ALLOCATED_SLOT, slot_index)
     assert pool.classify_address(addr).kind is AddressKind.QUARANTINED_SLOT
 
@@ -395,7 +395,7 @@ def test_alignment_sides_are_the_below_based_stream(seed, slot_count):
     for i in range(slot_count - 1, 0, -1):  # the free-list shuffle's draws
         rng.below(i + 1)
     for _ in range(300):
-        slot_index, addr = pool.acquire(100)
+        slot_index, addr = acquire_slot(pool, 100)
         right = addr - slot_page_addr(pool, slot_index) == PAGE - 100
         assert right == (rng.below(2) == 1)
-        pool.release(slot_index)
+        release_slot(pool, slot_index)

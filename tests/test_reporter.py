@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guardpool.metadata import MetadataStore
-from guardpool.pool import AlignmentSide, GuardedPool
+from guardpool.pool import AddressKind, AlignmentSide, GuardedPool
 from guardpool.reporter import (
     REPORT_HEADER,
     REPORT_TRAILER,
@@ -32,7 +31,7 @@ from guardpool.vmem import (
 )
 
 import report_oracle as oracle
-from conftest import guard_page_addr, python_calls, slot_page_addr
+from conftest import acquire_slot, guard_page_addr, python_calls, release_slot, slot_page_addr
 
 UAF_EXAMPLE = """\
 *** GWP-ASan detected a memory error ***
@@ -372,7 +371,7 @@ def test_unattributed_invalid_free_round_trips():
 # -- differential: the one-pass parser and renderer against the oracles ----
 
 SYMBOLS = ["./test(foo+0x45)", "libc.so.6(+0x2a1ca)", "main x.c:12", "[0x1]", "a b"]
-# Characters splitlines() breaks on, or that \d accepts beyond ASCII.
+# Characters splitlines() breaks on, or digits beyond ASCII.
 EDGE_CHARS = ["\r", "\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029",
               "\u0663", "\uff11", "\U0001d7d9", "\u00b2", " ", "#", "[", "]", "x", "B"]
 UNICODE_DIGITS = "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669"
@@ -428,7 +427,7 @@ def mutated_texts(draw):
         j = draw(st.integers(0, max(len(line) - 1, 0)))
         lines[k] = line[:j] + line[j:j + 1].swapcase() + line[j + 1:]
     else:
-        # A same-valued non-ASCII digit: \d and int() accept it, hex fields do not.
+        # A same-valued non-ASCII digit: int() reads it, the parsers do not.
         spots = [j for j, ch in enumerate(lines[k]) if ch in "0123456789"]
         if spots:
             j = draw(st.sampled_from(spots))
@@ -505,13 +504,13 @@ def test_render_matches_oracle(rng):
 # which are Python-level calls.  The use-after-free read's Python-level
 # calls: read, the protection scan's genexpr, _runs, _find_region,
 # _deliver_fault, the FaultInfo's __init__, handle_fault,
-# classify_address, _build_report, slot_report, capture_trace,
-# user_address, snapshot, decompress_trace twice, the report's __init__,
-# _emit, render_report and one <listcomp> per stack block, the
+# classify_address, _build_report, snapshot, _record_report,
+# capture_trace, decompress_trace twice, the report's __init__, _emit,
+# render_report and one <listcomp> per stack block, the
 # SegmentationFault's __init__.
-UAF_READ_CALLS = 22
+UAF_READ_CALLS = 21
 # The double free's: free, _guarded_free, classify_address,
-# user_address, slot_report, capture_trace, user_address, snapshot,
+# user_address, slot_report, snapshot, _record_report, capture_trace,
 # decompress_trace twice, the report's __init__, emit_synthetic, _emit,
 # render_report and one <listcomp> per stack block, the FaultInfo's and
 # the SegmentationFault's __init__.
@@ -630,6 +629,20 @@ def test_garbage_frame_line_rejected():
         parse_report(text)
 
 
+@pytest.mark.parametrize("old,new,line_no", [
+    ("by thread 31027:\n  #1 ./test(foo", "by thread \u0663:\n  #1 ./test(foo", 2),
+    ("  #2 ./test(main+0x9f)", "  #\u0662 ./test(main+0x9f)", 4),
+    ("within 41B", "within \u0664\u0661B", 6),
+    ("deallocated by thread 31027", "deallocated by thread \uff13", 8),
+])
+def test_a_non_ascii_decimal_digit_is_a_parse_error(old, new, line_no):
+    # int() reads any Unicode decimal digit; the format's fields are ASCII.
+    assert UAF_EXAMPLE.count(old) == 1
+    with pytest.raises(ReportParseError) as excinfo:
+        parse_report(UAF_EXAMPLE.replace(old, new))
+    assert excinfo.value.line_no == line_no
+
+
 def test_exception_message_carries_line_number():
     with pytest.raises(ReportParseError, match=r"^line 1: "):
         parse_report("bogus\n")
@@ -646,30 +659,17 @@ def make_env(
 ):
     vm = VirtualMemory(expose_access_kind=expose_access_kind)
     pool = GuardedPool(vm, slot_count=slot_count, seed=11, force_alignment_side=side)
-    store = MetadataStore(capacity=16)
+    store = pool.store
     sink = io.StringIO()
     reporter = Reporter(pool, store, 64, recoverable=recoverable, sink=sink)
     reporter.install(vm)
     return vm, pool, store, sink, reporter
 
 
-def tracked_alloc(pool, store, size=41, alignment=1, thread_id=5):
-    slot_index, addr = pool.acquire(size, alignment)
-    slot = pool.slots[slot_index]
-    slot.metadata_seq = store.store_alloc(slot_index, size, thread_id, [0x100, 0x200])
-    return slot_index, addr
-
-
-def tracked_free(pool, store, slot_index, thread_id=5):
-    slot = pool.slots[slot_index]
-    store.store_dealloc(slot_index, slot.metadata_seq, thread_id, [0x300])
-    pool.release(slot_index)
-
-
 def test_read_of_quarantined_slot_reports_use_after_free():
     vm, pool, store, sink, reporter = make_env()
-    slot_index, addr = tracked_alloc(pool, store)
-    tracked_free(pool, store, slot_index)
+    slot_index, addr = acquire_slot(pool, 41)
+    release_slot(pool, slot_index)
     with pytest.raises(SegmentationFault):
         vm.read(addr + 8, 1)
     report = parse_report(sink.getvalue())
@@ -687,8 +687,8 @@ def test_read_of_quarantined_slot_reports_use_after_free():
 
 def test_write_fault_carries_write_access_kind():
     vm, pool, store, sink, reporter = make_env()
-    slot_index, addr = tracked_alloc(pool, store)
-    tracked_free(pool, store, slot_index)
+    slot_index, addr = acquire_slot(pool, 41)
+    release_slot(pool, slot_index)
     with pytest.raises(SegmentationFault):
         vm.write(addr, b"x")
     assert parse_report(sink.getvalue()).access_kind is AccessType.WRITE
@@ -696,8 +696,8 @@ def test_write_fault_carries_write_access_kind():
 
 def test_unexposed_access_kind_renders_without_the_word():
     vm, pool, store, sink, reporter = make_env(expose_access_kind=False)
-    slot_index, addr = tracked_alloc(pool, store)
-    tracked_free(pool, store, slot_index)
+    slot_index, addr = acquire_slot(pool, 41)
+    release_slot(pool, slot_index)
     with pytest.raises(SegmentationFault):
         vm.read(addr, 1)
     assert f"Use-after-free at 0x{addr:x}" in sink.getvalue()
@@ -706,7 +706,7 @@ def test_unexposed_access_kind_renders_without_the_word():
 
 def test_right_guard_hit_reports_overflow():
     vm, pool, store, sink, reporter = make_env(side=AlignmentSide.LEFT)
-    slot_index, addr = tracked_alloc(pool, store, size=41)
+    slot_index, addr = acquire_slot(pool, size=41)
     guard = guard_page_addr(pool, slot_index + 1)
     with pytest.raises(SegmentationFault):
         vm.read(guard, 1)
@@ -720,7 +720,7 @@ def test_right_guard_hit_reports_overflow():
 
 def test_left_guard_hit_reports_underflow():
     vm, pool, store, sink, reporter = make_env(side=AlignmentSide.RIGHT)
-    slot_index, addr = tracked_alloc(pool, store, size=41)
+    slot_index, addr = acquire_slot(pool, size=41)
     with pytest.raises(SegmentationFault):
         vm.read(slot_page_addr(pool, slot_index) - 1, 1)
     report = parse_report(sink.getvalue())
@@ -730,8 +730,8 @@ def test_left_guard_hit_reports_underflow():
 
 def test_guard_next_to_quarantined_victim_reports_use_after_free():
     vm, pool, store, sink, reporter = make_env()
-    slot_index, addr = tracked_alloc(pool, store)
-    tracked_free(pool, store, slot_index)
+    slot_index, addr = acquire_slot(pool, 41)
+    release_slot(pool, slot_index)
     with pytest.raises(SegmentationFault):
         vm.read(guard_page_addr(pool, slot_index + 1), 1)
     report = parse_report(sink.getvalue())
@@ -758,39 +758,54 @@ def test_allocated_slot_classification_is_indeterminate():
     # the only way the handler sees one is a slot that changed hands
     # between fault and classification.  Drive the handler directly.
     vm, pool, store, sink, reporter = make_env()
-    slot_index, addr = tracked_alloc(pool, store)
+    slot_index, addr = acquire_slot(pool, 41)
     action = reporter.handle_fault(FaultInfo(addr, AccessType.READ, 1))
     assert action is FaultAction.TERMINATE
     assert parse_report(sink.getvalue()).kind is ReportKind.INDETERMINATE_GUARD_HIT
 
 
-def test_recycled_metadata_degrades_to_lost():
-    # The slot is reused (its record rewritten) between the victim's
-    # release and the fault's snapshot: the old sequence no longer matches.
-    vm, pool, store, sink, reporter = make_env()
-    slot_index, addr = tracked_alloc(pool, store)
-    pool.release(slot_index)  # no dealloc evidence recorded
-    store.store_alloc(slot_index, 1, 1, [0x1])
-    with pytest.raises(SegmentationFault):
-        vm.read(addr, 1)
+def test_a_slot_that_changes_hands_is_reported_from_its_record():
+    # The slot changes hands between the handler's classification and
+    # its record read.  The record decides the kind, and gives geometry
+    # and stacks, so the report never mixes two occupants.
+    vm, pool, store, sink, reporter = make_env(slot_count=1, side=AlignmentSide.RIGHT)
+    slot_index, addr = acquire_slot(pool, 41)
+    release_slot(pool, slot_index)
+    stale = pool.classify_address(addr)
+    assert stale.kind is AddressKind.QUARANTINED_SLOT
+    pool.classify_address = lambda address: stale
+
+    # Reused: the record is the next occupant's, live, so the access is
+    # pinned to no allocation.
+    _, next_addr = acquire_slot(pool, 64, thread_id=6, trace=[0x600])
+    assert reporter.handle_fault(FaultInfo(addr, AccessType.READ, 1)) is FaultAction.TERMINATE
+    report = parse_report(sink.getvalue())
+    assert report.kind is ReportKind.INDETERMINATE_GUARD_HIT
+    assert report.allocation_address is None and report.metadata_lost
+
+    # Freed again: a use-after-free of the next occupant, with its own stacks.
+    release_slot(pool, slot_index, thread_id=7, trace=[0x700])
+    sink.seek(0)
+    sink.truncate()
+    reporter.handle_fault(FaultInfo(addr, AccessType.READ, 1))
     report = parse_report(sink.getvalue())
     assert report.kind is ReportKind.USE_AFTER_FREE
-    assert report.metadata_lost
-    assert report.allocation_address == addr
-    assert report.allocation_size == 41  # geometry survives on the slot
-    assert report.alloc_trace is None
+    assert not report.metadata_lost
+    assert (report.allocation_address, report.allocation_size) == (next_addr, 64)
+    assert (report.alloc_thread, report.alloc_trace) == (6, [0x600])
+    assert (report.dealloc_thread, report.dealloc_trace) == (7, [0x700])
 
-    # A slot acquired but never given a record reports lost evidence too.
+
+def test_an_unpublished_slot_is_not_attributed():
+    # Between acquire and store_alloc the slot's record is still FREE:
+    # its guards belong to no allocation yet.
     vm, pool, store, sink, reporter = make_env(side=AlignmentSide.RIGHT)
     slot_index, addr = pool.acquire(41, 1)
     with pytest.raises(SegmentationFault):
         vm.read(addr + 41, 1)
     report = parse_report(sink.getvalue())
-    assert report.kind is ReportKind.BUFFER_OVERFLOW
-    assert report.metadata_lost
-    assert report.allocation_address == addr
-    assert report.allocation_size == 41
-    assert report.alloc_trace is None
+    assert report.kind is ReportKind.INDETERMINATE_GUARD_HIT
+    assert report.allocation_address is None and report.metadata_lost
 
 
 def test_not_ours_chains_to_previous_handler():
@@ -803,7 +818,7 @@ def test_not_ours_chains_to_previous_handler():
 
     vm.install_fault_handler(recorder)
     pool = GuardedPool(vm, slot_count=2, seed=1)
-    store = MetadataStore(capacity=4)
+    store = pool.store
     sink = io.StringIO()
     reporter = Reporter(pool, store, 64, sink=sink)
     reporter.install(vm)
@@ -826,12 +841,12 @@ def test_uninstall_restores_previous_handler():
 
     vm.install_fault_handler(recorder)
     pool = GuardedPool(vm, slot_count=2, seed=1)
-    store = MetadataStore(capacity=4)
+    store = pool.store
     sink = io.StringIO()
     reporter = Reporter(pool, store, 64, sink=sink)
     reporter.install(vm)
-    slot_index, addr = pool.acquire(16)
-    pool.release(slot_index)
+    slot_index, addr = acquire_slot(pool, 16)
+    release_slot(pool, slot_index)
     reporter.uninstall()
 
     with pytest.raises(SegmentationFault):
@@ -844,8 +859,8 @@ def test_fault_while_holding_pool_lock_does_not_deadlock():
     # Signal-handler discipline: the report path takes no pool lock, so
     # a fault raised by the thread that owns the lock must complete.
     vm, pool, store, sink, reporter = make_env()
-    slot_index, addr = tracked_alloc(pool, store)
-    tracked_free(pool, store, slot_index)
+    slot_index, addr = acquire_slot(pool, 41)
+    release_slot(pool, slot_index)
     with pool.lock:
         with pytest.raises(SegmentationFault):
             vm.read(addr, 1)
@@ -857,9 +872,9 @@ def test_fault_while_holding_pool_lock_does_not_deadlock():
 
 def test_recoverable_fault_scrubs_page_and_resumes():
     vm, pool, store, sink, reporter = make_env(recoverable=True)
-    slot_index, addr = tracked_alloc(pool, store, size=64)
+    slot_index, addr = acquire_slot(pool, size=64)
     vm.write(addr, b"\xaa" * 64)
-    tracked_free(pool, store, slot_index)
+    release_slot(pool, slot_index)
 
     data = vm.read(addr, 64)  # faults, recovers, resumes
     assert data == b"\x00" * 64, "recovered page must be scrubbed, not leaked"
@@ -870,10 +885,10 @@ def test_recoverable_fault_scrubs_page_and_resumes():
 
 def test_second_fault_after_recovery_is_silent():
     vm, pool, store, sink, reporter = make_env(recoverable=True)
-    first_index, first_addr = tracked_alloc(pool, store)
-    second_index, second_addr = tracked_alloc(pool, store)
-    tracked_free(pool, store, first_index)
-    tracked_free(pool, store, second_index)
+    first_index, first_addr = acquire_slot(pool, 41)
+    second_index, second_addr = acquire_slot(pool, 41)
+    release_slot(pool, first_index)
+    release_slot(pool, second_index)
 
     vm.read(first_addr, 8)
     assert reporter.reports_emitted == 1
@@ -918,8 +933,8 @@ def test_emit_synthetic_recoverable_disables_reporting():
     assert reporter.disabled
 
     # Real faults after the synthetic disable resume without reporting.
-    slot_index, addr = tracked_alloc(pool, store)
-    tracked_free(pool, store, slot_index)
+    slot_index, addr = acquire_slot(pool, 41)
+    release_slot(pool, slot_index)
     assert vm.read(addr, 4) == b"\x00" * 4
     assert sink.getvalue().count(REPORT_HEADER) == 1
 
@@ -952,7 +967,7 @@ class _OverlapSink:
 def test_concurrent_emission_is_serialized():
     vm = VirtualMemory()
     pool = GuardedPool(vm, slot_count=2, seed=3)
-    store = MetadataStore(capacity=4)
+    store = pool.store
     sink = _OverlapSink()
     reporter = Reporter(pool, store, 64, sink=sink)
     report = ErrorReport(

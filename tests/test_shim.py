@@ -130,7 +130,6 @@ def test_disabled_allocator_is_the_fallback():
     assert allocator.usable_size.__self__ is allocator.fallback
     addr = allocator.malloc(64)
     assert not allocator.is_guarded(addr)
-    assert allocator.estimated_resident_bytes() == 0
 
 
 def test_zero_probability_launch_never_enables():
@@ -338,8 +337,8 @@ def test_sampled_allocation_routes_to_the_pool():
 # next_skip, next_u64 twice (skip and side), capture_trace, source_of,
 # admit, acquire, protect, fill, store_alloc, compress_trace, the
 # record's __init__, insert; then free, _guarded_free, classify_address,
-# store_dealloc, capture_trace, compress_trace, the record's __init__,
-# remove, release, protect.
+# remove, release, protect, store_dealloc, capture_trace, compress_trace,
+# the record's __init__.
 GUARDED_PAIR_CALLS = 25
 
 
@@ -910,19 +909,3 @@ def test_destroy_detaches_but_keeps_the_reservation():
     allocator.free(addr)  # a double free: the tool is off, so it is swallowed
     assert sink.getvalue() == ""
     assert allocator.stats.double_free == 0
-
-
-# -- memory accounting --------------------------------------------------------
-
-
-def test_resident_footprint_is_tens_of_kilobytes():
-    allocator, _ = make_allocator(slot_count=16)
-    for _ in range(16):
-        allocator.free(allocator.malloc(48))
-    footprint = allocator.estimated_resident_bytes()
-    assert 60_000 < footprint < 90_000, footprint
-
-
-def test_max_live_caps_the_footprint():
-    allocator, _ = make_allocator(slot_count=16, max_live=4)
-    assert allocator.estimated_resident_bytes() < 4 * 4096 + 16 * 4096

@@ -1,37 +1,42 @@
 """Slot metadata and the free list, checked against an oracle and under threads."""
 
+import collections
 import io
 import random
 import sys
 import threading
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guardpool.pool import SlotState
+from guardpool.pool import AlignmentSide, SlotState
+from guardpool.reporter import ReportKind, parse_report
 from guardpool.shim import GuardianAllocator, GuardianConfig
+from guardpool.vmem import SegmentationFault
 
 
 def check_slots(allocator, oracle, free_order=None):
-    """Invariants of the pool and the store against oracle[slot] = (size, live).
+    """Invariants of the pool and its records against oracle[slot] = (size, live).
 
-    free_order, when given, is the free list the oracle expects.
+    Reads each slot's record once.  free_order, when given, is the free
+    list the oracle expects.
     """
-    pool, store = allocator.pool, allocator.store
+    pool = allocator.pool
     allocated = []
-    for index, slot in enumerate(pool.slots):
-        if slot.state is SlotState.FREE:
+    for index, record in enumerate(pool.slots):
+        assert record.slot_index == index
+        if record.state is SlotState.FREE:
             assert index not in oracle
+            assert record.alloc_trace is None
             continue
         size, live = oracle[index]
-        assert slot.state is (SlotState.ALLOCATED if live else SlotState.QUARANTINED)
+        assert record.state is (SlotState.ALLOCATED if live else SlotState.QUARANTINED)
         if live:
             allocated.append(index)
-        snap = store.snapshot(index, slot.metadata_seq)
-        assert snap is not None
-        assert snap.slot_index == index
-        assert snap.user_size == size
-        assert (snap.dealloc_trace is not None) == (not live)
+        assert record.user_size == size
+        assert record.alloc_trace is not None
+        assert (record.dealloc_trace is not None) == (not live)
     free_list = list(pool._free_list)
     assert sorted(free_list + allocated) == list(range(pool.slot_count))
     assert len(free_list) + pool.live_count == pool.slot_count
@@ -137,9 +142,95 @@ def test_snapshots_stay_consistent_under_threads():
     assert snapshots
     for index, snap in snapshots:
         assert snap.slot_index == index
-        assert allocations[snap.alloc_seq] == (index, snap.user_size)
+        if snap.state is SlotState.FREE:
+            assert snap.alloc_trace is None  # read before the slot's first use
+            continue
+        assert allocations[snap.metadata_seq] == (index, snap.user_size)
 
     last = {}  # slot -> its latest allocation's seq
     for seq, (slot_index, _) in allocations.items():
         last[slot_index] = max(seq, last.get(slot_index, 0))
     check_slots(allocator, {slot: (allocations[seq][1], False) for slot, seq in last.items()})
+
+
+class _ReportList:
+    """A sink that keeps each emitted report's text apart."""
+
+    def __init__(self):
+        self.texts = []
+
+    def write(self, text):
+        self.texts.append(text)
+
+
+def test_a_report_never_mixes_two_occupants_of_a_slot():
+    # One thread churns guarded malloc/free through a single slot while
+    # another reads the pointer freed last, so the reader's fault path
+    # interleaves with the slot's reuse.  Right-flush placement at
+    # alignment 1 makes the user address name its request: page end
+    # minus size.
+    sink = _ReportList()
+    allocator = GuardianAllocator(GuardianConfig(
+        slot_count=1, sample_rate=1, seed=3, force_alignment_side=AlignmentSide.RIGHT,
+        min_alignment=1, sink=sink,
+    ))
+    pool, vm = allocator.pool, allocator.vm
+    page_end = pool.base + 2 * pool.page_size
+    sizes = [8 + 24 * k for k in range(97)]
+    freed = [0]  # the pointer freed last
+    errors = []
+    stop = threading.Event()
+
+    def churn():
+        try:
+            i = 0
+            while not stop.is_set():
+                ptr = allocator.malloc(sizes[i % len(sizes)])
+                i += 1
+                allocator.free(ptr)
+                if allocator.is_guarded(ptr):
+                    freed[0] = ptr
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    def read_freed():
+        try:
+            while not stop.is_set():
+                ptr = freed[0]
+                if ptr:
+                    try:
+                        vm.read(ptr, 1)
+                    except SegmentationFault:
+                        pass
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=churn), threading.Thread(target=read_freed)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline and len(sink.texts) < 2000:
+            time.sleep(0.01)
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+    churn_thread = threads[0].ident
+    kinds = collections.Counter()
+    for text in sink.texts:
+        report = parse_report(text)
+        kinds[report.kind] += 1
+        if report.kind is ReportKind.INDETERMINATE_GUARD_HIT:
+            continue
+        assert report.kind is ReportKind.USE_AFTER_FREE, text
+        assert not report.metadata_lost, text
+        assert report.dealloc_trace and report.dealloc_thread == churn_thread, text
+        assert report.allocation_size == page_end - report.allocation_address, text
+    assert kinds[ReportKind.USE_AFTER_FREE] > 0, kinds
