@@ -1,19 +1,22 @@
-"""Allocator front end: sampling, routing, and free-path validation.
+"""The allocator: the host with the sampling check written in, and free checks.
 
-GuardianAllocator wraps a host allocator (here FallbackAllocator, a
-bump-plus-freelist arena in the same modeled address space) and inlines
-the sampling check as GWP-ASan does: malloc decrements a countdown kept
-on the allocator and forwards to the host until it expires, and only
-then asks the policy in sampler.py.  Sampled requests that fit a page go
-to the guarded pool, get their stack captured and recorded, and are
-registered with the coverage filter.  free compares the pointer with
-the pool bounds cached at enable time; guarded frees are validated, so
-double frees and mid-object frees are detected without any page fault.
+GuardianAllocator is the host allocator (FallbackAllocator, a
+bump-plus-freelist arena in the same modeled address space) with the
+sampling check written into its own fast paths, as GWP-ASan is built
+into Scudo's: an unsampled malloc or free runs one Python frame.
+malloc first decrements a countdown kept on the allocator, with no
+lock; until it expires, malloc goes on as the host's malloc.  When it
+expires, malloc asks the policy in sampler.py, and sampled requests
+that fit a page go to the guarded pool, get their stack captured and
+recorded, and are registered with the coverage filter.  free pops the
+pointer from the host's size map; only on a miss does it compare the
+pointer with the pool bounds cached at enable time.  Guarded frees are
+validated, so double frees and mid-object frees are detected without
+any page fault.
 
 Per-process enablement happens at construction: a disabled allocator
-reserves no pool pages and rebinds its entry points straight to the
-fallback's bound methods, making the disabled tool bit-identical to no
-tool at all.
+reserves no pool pages and binds FallbackAllocator's methods as its
+entry points, making the disabled tool bit-identical to no tool at all.
 """
 
 from __future__ import annotations
@@ -62,36 +65,41 @@ class FallbackAllocator:
             raise ValueError(f"size must be non-negative, got {size}")
         if alignment < 1 or alignment & (alignment - 1):
             raise ValueError(f"alignment must be a power of two, got {alignment}")
+        key = (size, alignment)
         with self._lock:
-            bucket = self._free.get((size, alignment))
+            bucket = self._free.get(key)
             if bucket:
                 addr = bucket.pop()
-                self._sizes[addr] = (size, alignment)
+                self._sizes[addr] = key
                 return addr
-            span = max(size, 1)
-            addr = -(-self._cursor // alignment) * alignment
-            if addr + span > self._limit:
-                self._grow(span + alignment)
-                addr = -(-self._cursor // alignment) * alignment
-            self._cursor = addr + span
-            self._sizes[addr] = (size, alignment)
-            return addr
+            return self._carve(key)
 
     def free(self, addr: int) -> None:
         if not addr:
             return
         with self._lock:
-            try:
-                size, alignment = self._sizes.pop(addr)
-            except KeyError:
-                raise ValueError(f"0x{addr:x} is not a live allocation") from None
-            self._free.setdefault((size, alignment), []).append(addr)
+            key = self._sizes.pop(addr, None)
+            if key is None:
+                raise ValueError(f"0x{addr:x} is not a live allocation")
+            self._free.setdefault(key, []).append(addr)
 
     def usable_size(self, addr: int) -> int:
         try:
             return self._sizes[addr][0]
         except KeyError:
             raise ValueError(f"0x{addr:x} is not a live allocation") from None
+
+    def _carve(self, key: tuple[int, int]) -> int:
+        """A fresh block from the arena's end; the caller holds the lock."""
+        size, alignment = key
+        span = max(size, 1)
+        addr = -(-self._cursor // alignment) * alignment
+        if addr + span > self._limit:
+            self._grow(span + alignment)
+            addr = -(-self._cursor // alignment) * alignment
+        self._cursor = addr + span
+        self._sizes[addr] = key
+        return addr
 
     def _grow(self, need: int) -> None:
         pages = max(self._grow_pages, -(-need // self.vm.page_size))
@@ -168,19 +176,26 @@ class AllocatorStats:
     invalid_free: int = 0
 
 
-class GuardianAllocator:
-    """The user-facing allocator: malloc/calloc/realloc/free/usable_size."""
+class GuardianAllocator(FallbackAllocator):
+    """The user-facing allocator: malloc/calloc/realloc/free/usable_size.
+
+    It is the host allocator with the sampling check written into its
+    fast paths.  Every host block, sampled or not, lives in the one size
+    map; the guarded path takes its host blocks from
+    ``FallbackAllocator.malloc(self, ...)``, the host without the check.
+    """
 
     def __init__(self, config: Optional[GuardianConfig] = None, vm: Optional[VirtualMemory] = None):
         self.config = config or GuardianConfig()
         self.config.validate()
-        self.vm = vm if vm is not None else VirtualMemory()
-        if self.config.min_alignment > self.vm.page_size:
+        vm = vm if vm is not None else VirtualMemory()
+        if self.config.min_alignment > vm.page_size:
             raise ValueError(
-                f"min_alignment must be at most the page size ({self.vm.page_size}),"
+                f"min_alignment must be at most the page size ({vm.page_size}),"
                 f" got {self.config.min_alignment}"
             )
-        self.fallback = FallbackAllocator(self.vm)
+        super().__init__(vm)
+        self.fallback = self  # the host itself; perfbench's tracer patches it
         self.stats = AllocatorStats()
 
         self.pool: Optional[GuardedPool] = None
@@ -225,28 +240,44 @@ class GuardianAllocator:
         self._pool_hi = self.pool.base + self.pool.region_length
 
     def _bind_passthrough(self) -> None:
-        # Bound-method rebinding: a disabled allocator IS the fallback,
-        # so the "tool present but off" cost is one attribute lookup.
-        self.malloc = self.fallback.malloc
-        self.free = self.fallback.free
-        self.usable_size = self.fallback.usable_size
+        # A disabled allocator is the unhooked host: its entry points are
+        # the host's own methods bound to it, so "tool present but off"
+        # costs one attribute lookup.
+        self.malloc = FallbackAllocator.malloc.__get__(self)
+        self.free = FallbackAllocator.free.__get__(self)
+        self.usable_size = FallbackAllocator.usable_size.__get__(self)
 
     # -- allocation entry points ------------------------------------------
 
     def malloc(self, size: int, alignment: int = 0) -> int:
         skip = self._skip - 1  # stores only values >= 1, even under races
-        if skip > 0:
-            self._skip = skip
-            return self.fallback.malloc(size, alignment or self._min_alignment)
-        return self._guarded_malloc(size, alignment)
+        if skip <= 0:
+            return self._guarded_malloc(size, alignment)
+        self._skip = skip
+        # The host's malloc from here on, as in FallbackAllocator.malloc;
+        # the default alignment was checked when the config was.
+        if size < 0:
+            raise ValueError(f"size must be non-negative, got {size}")
+        if not alignment:
+            alignment = self._min_alignment
+        elif alignment < 1 or alignment & (alignment - 1):
+            raise ValueError(f"alignment must be a power of two, got {alignment}")
+        key = (size, alignment)
+        with self._lock:
+            bucket = self._free.get(key)
+            if bucket:
+                addr = bucket.pop()
+                self._sizes[addr] = key
+                return addr
+            return self._carve(key)
 
     def calloc(self, count: int, size: int) -> int:
         if count < 0 or size < 0:
             raise ValueError("calloc arguments must be non-negative")
         total = count * size
         addr = self.malloc(total)
-        # Guarded slots are scrubbed on acquire; recycled fallback
-        # blocks are not, so calloc zeroes explicitly there.
+        # Guarded slots are scrubbed on acquire; recycled host blocks
+        # are not, so calloc zeroes explicitly there.
         if total and not self._pool_lo <= addr < self._pool_hi:
             self.vm.fill(addr, total, 0)
         return addr
@@ -262,7 +293,7 @@ class GuardianAllocator:
                 # read nor freed again.
                 return self.malloc(size)
         else:
-            old_size = self.fallback.usable_size(addr)
+            old_size = FallbackAllocator.usable_size(self, addr)
         new_addr = self.malloc(size)
         copy = min(old_size, size)
         if copy:
@@ -271,15 +302,21 @@ class GuardianAllocator:
         return new_addr
 
     def free(self, addr: int) -> None:
+        # The host's free first: a host block is the common case.
+        with self._lock:
+            key = self._sizes.pop(addr, None)
+            if key is not None:
+                self._free.setdefault(key, []).append(addr)
+                return
         if self._pool_lo <= addr < self._pool_hi:
             self._guarded_free(addr)
-        else:
-            self.fallback.free(addr)
+        elif addr:
+            raise ValueError(f"0x{addr:x} is not a live allocation")
 
     def usable_size(self, addr: int) -> int:
         if self._pool_lo <= addr < self._pool_hi:
             return self._guarded_size(addr)[0]
-        return self.fallback.usable_size(addr)
+        return FallbackAllocator.usable_size(self, addr)
 
     def is_guarded(self, addr: int) -> bool:
         """Constant-time ownership test, safe from any thread."""
@@ -308,7 +345,7 @@ class GuardianAllocator:
             self._skip = sampler.next_skip()
             sample = True
         if not sample or self.reporter.disabled:
-            return self.fallback.malloc(size, alignment or self._min_alignment)
+            return FallbackAllocator.malloc(self, size, alignment or self._min_alignment)
 
         # Every stats counter moves under pool.lock, so sampled always
         # equals guarded + coverage_rejected + pool_unavailable + oversized.
@@ -319,7 +356,7 @@ class GuardianAllocator:
             with pool.lock:
                 self.stats.sampled += 1
                 self.stats.oversized += 1
-            return self.fallback.malloc(size, alignment or self._min_alignment)
+            return FallbackAllocator.malloc(self, size, alignment or self._min_alignment)
 
         # One tuple, hashed by source_of's memo and kept by compress_trace's.
         trace = tuple(capture_trace(self.config.max_frames))
@@ -329,11 +366,11 @@ class GuardianAllocator:
             source = source_of(trace)
             if not self.coverage.admit(pool.live_count / pool.max_live, source):
                 self.stats.coverage_rejected += 1
-                return self.fallback.malloc(size, effective_alignment)
+                return FallbackAllocator.malloc(self, size, effective_alignment)
             acquired = pool.acquire(size, effective_alignment)
             if acquired is None:
                 self.stats.pool_unavailable += 1
-                return self.fallback.malloc(size, effective_alignment)
+                return FallbackAllocator.malloc(self, size, effective_alignment)
             slot_index, user_address = acquired
             self.store.store_alloc(slot_index, (user_address - pool.base) % pool.page_size,
                                    size, source, thread_id, trace)

@@ -11,7 +11,7 @@ from guardpool import reporter as reporter_module
 from guardpool.pool import AlignmentSide, SlotState
 from guardpool.reporter import REPORT_HEADER, AccessType, ReportKind, parse_report
 from guardpool.sampler import CounterSampler
-from guardpool.shim import FallbackAllocator, GuardianAllocator, GuardianConfig
+from guardpool.shim import AllocatorStats, FallbackAllocator, GuardianAllocator, GuardianConfig
 from guardpool.vmem import SegmentationFault, VirtualMemory
 
 from conftest import guard_page_addr, python_calls, slot_page_addr
@@ -50,20 +50,28 @@ def sampled_call(allocator, fn, attempts=128):
 # -- fallback arena ---------------------------------------------------------
 
 
+def host_and_hooked():
+    """A plain host, and an enabled allocator that will not sample soon.
+
+    The enabled allocator is the host with the sampling check written
+    in, so its unsampled entry points must act as the host's do.
+    """
+    return FallbackAllocator(VirtualMemory()), make_allocator(sample_rate=10**9)[0]
+
+
 def test_fallback_alignment_and_reuse():
-    vm = VirtualMemory()
-    arena = FallbackAllocator(vm)
-    a = arena.malloc(24, 16)
-    assert a % 16 == 0
-    assert arena.usable_size(a) == 24
-    arena.free(a)
-    b = arena.malloc(24, 16)
-    assert b == a, "exact-size free list must recycle"
-    c = arena.malloc(100, 64)
-    assert c % 64 == 0
-    assert arena.usable_size(c) == 100
-    with pytest.raises(ValueError):
-        arena.usable_size(c + 1)
+    for arena in host_and_hooked():
+        a = arena.malloc(24, 16)
+        assert a % 16 == 0
+        assert arena.usable_size(a) == 24
+        arena.free(a)
+        b = arena.malloc(24, 16)
+        assert b == a, "exact-size free list must recycle"
+        c = arena.malloc(100, 64)
+        assert c % 64 == 0
+        assert arena.usable_size(c) == 100
+        with pytest.raises(ValueError):
+            arena.usable_size(c + 1)
 
 
 def test_fallback_recycles_without_scrubbing():
@@ -85,27 +93,139 @@ def test_fallback_grows_arena():
 
 
 def test_fallback_argument_validation():
-    arena = FallbackAllocator(VirtualMemory())
-    with pytest.raises(ValueError):
-        arena.malloc(-1)
-    with pytest.raises(ValueError):
-        arena.malloc(8, 3)
-    arena.free(0)  # free(NULL) is a no-op
+    for arena in host_and_hooked():
+        with pytest.raises(ValueError):
+            arena.malloc(-1)
+        with pytest.raises(ValueError):
+            arena.malloc(8, 3)
+        arena.free(0)  # free(NULL) is a no-op
 
 
 def test_fallback_rejects_foreign_pointers_without_side_effects():
-    arena = FallbackAllocator(VirtualMemory())
-    a = arena.malloc(32)
-    arena.free(arena.malloc(48))
-    sizes, free_lists = dict(arena._sizes), {k: list(v) for k, v in arena._free.items()}
-    for bad in (a + 1, a + 4096):
-        with pytest.raises(ValueError, match=f"0x{bad:x}"):
-            arena.free(bad)
-        with pytest.raises(ValueError, match=f"0x{bad:x}"):
-            arena.usable_size(bad)
-    assert arena._sizes == sizes
-    assert arena._free == free_lists
-    arena.free(a)  # the real pointer is still live and frees normally
+    for arena in host_and_hooked():
+        a = arena.malloc(32)
+        arena.free(arena.malloc(48))
+        sizes, free_lists = dict(arena._sizes), {k: list(v) for k, v in arena._free.items()}
+        # Arena addresses no block starts at, and addresses past the
+        # arena and far outside the address space in use.
+        for bad in (a + 1, a + 4096, arena._limit + 64, 1 << 60, -16):
+            with pytest.raises(ValueError, match=f"0x{bad:x}"):
+                arena.free(bad)
+            with pytest.raises(ValueError, match=f"0x{bad:x}"):
+                arena.usable_size(bad)
+        assert arena._sizes == sizes
+        assert arena._free == free_lists
+        if isinstance(arena, GuardianAllocator):  # nor did the guarded side move
+            assert arena.stats == AllocatorStats()
+            assert arena.config.sink.getvalue() == ""
+        arena.free(a)  # the real pointer is still live and frees normally
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:  # compared, type and message, with the host's
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_hooked_host_matches_the_host_call_for_call(seed):
+    # The enabled allocator's unsampled malloc, free and usable_size
+    # repeat the host's statements; a seeded script, valid calls and
+    # invalid ones alike, must get the same answers from both.
+    hooked, sink = make_allocator(sample_rate=10**9, seed=seed)
+    vm = VirtualMemory()
+    vm.reserve(hooked.pool.region_length // vm.page_size)  # where the pool sits
+    host = FallbackAllocator(vm)
+    rng = random.Random(seed)
+    live, dead = [], [0, 1 << 60, -16]
+    for step in range(4000):
+        roll = rng.random()
+        if roll < 0.45 or not live:
+            size = rng.choice((0, 1, 16, 24, 100, 4096, 5000, -1))
+            alignment = rng.choice((None, None, 1, 8, 16, 64, 4096, 3, 12, -4))
+            args = (size,) if alignment is None else (size, alignment)
+            name = "malloc"
+        elif roll < 0.75:
+            ptr = live.pop(rng.randrange(len(live)))
+            dead.append(ptr)
+            name, args = "free", (ptr,)
+        elif roll < 0.85:
+            name, args = "usable_size", (rng.choice(live),)
+        else:
+            # Freed blocks (some recycled since), interior pointers,
+            # free(0) and addresses no allocator owns.
+            bad = rng.choice(dead) if rng.random() < 0.6 else rng.choice(live) + rng.choice((1, 8))
+            name, args = rng.choice(("free", "usable_size")), (bad,)
+        got = _outcome(getattr(hooked, name), *args)
+        want = _outcome(getattr(host, name), *args)
+        assert got == want, (step, name, args)
+        if name == "malloc" and isinstance(want, int):
+            live.append(want)
+    assert hooked._sizes == host._sizes
+    assert hooked._free == host._free
+    assert hooked.stats == AllocatorStats()
+    assert sink.getvalue() == ""
+
+
+def _timer_declined():
+    allocator, _ = make_allocator(policy="timer", timer_clock=lambda: 0.0)
+    return allocator, allocator.malloc(40)
+
+
+def _oversized():
+    allocator, _ = make_allocator()
+    return allocator, sampled_call(allocator, lambda: allocator.malloc(5000))
+
+
+def _coverage_rejected():
+    allocator, _ = make_allocator(slot_count=4, max_frames=1)
+
+    def hot():
+        return allocator.malloc(40)
+
+    # As in test_hot_site_is_throttled_above_threshold: the fourth is rejected.
+    ptr = [sampled_call(allocator, hot) for _ in range(4)][-1]
+    assert allocator.stats.coverage_rejected == 1
+    return allocator, ptr
+
+
+def _pool_unavailable():
+    allocator, _ = make_allocator(slot_count=2)
+    for _ in range(2):
+        guarded_malloc(allocator, 16)
+    # A site that holds no slot passes coverage, and finds the pool full.
+    ptr = sampled_call(allocator, lambda: allocator.malloc(40))
+    assert allocator.stats.pool_unavailable == 1
+    return allocator, ptr
+
+
+def _tool_off():
+    allocator, _ = make_allocator()
+    allocator.destroy()
+    return allocator, allocator.malloc(40)
+
+
+@pytest.mark.parametrize("wasted", [
+    _timer_declined, _oversized, _coverage_rejected, _pool_unavailable, _tool_off,
+], ids=["timer-declined", "oversized", "coverage-rejected", "pool-unavailable", "tool-off"])
+def test_a_wasted_sample_is_a_host_block_of_the_one_size_map(wasted):
+    # The guarded path takes its fallbacks from the unhooked host, on the
+    # maps the hooked entry points use: such a block is sized and freed
+    # like any unsampled one, and is never taken for a guarded pointer.
+    allocator, ptr = wasted()
+    size = allocator.usable_size(ptr)
+    assert not allocator.is_guarded(ptr)
+    assert size in (40, 5000)
+    assert FallbackAllocator.usable_size(allocator, ptr) == size
+    stats = AllocatorStats(**vars(allocator.stats))
+    allocator.free(ptr)
+    assert allocator.stats == stats
+    assert allocator.config.sink.getvalue() == ""
+    for call in (allocator.free, allocator.usable_size):
+        with pytest.raises(ValueError, match=f"0x{ptr:x}"):
+            call(ptr)
+    assert FallbackAllocator.malloc(allocator, size, 16) == ptr  # recycled by the host
 
 
 def test_foreign_free_through_the_shim_is_a_value_error():
@@ -123,11 +243,13 @@ def test_disabled_allocator_is_the_fallback():
     allocator, _ = make_allocator(enabled=False)
     assert not allocator.enabled
     assert allocator.pool is None
-    # The entry points are the fallback's own bound methods: the
-    # disabled tool adds zero per-call work, not even a forwarding frame.
-    assert allocator.malloc.__self__ is allocator.fallback
-    assert allocator.free.__self__ is allocator.fallback
-    assert allocator.usable_size.__self__ is allocator.fallback
+    # The entry points are the host's own methods, bound to the
+    # allocator (which is the host): the disabled tool adds zero
+    # per-call work, not even the countdown.
+    for name in ("malloc", "free", "usable_size"):
+        entry = getattr(allocator, name)
+        assert entry.__self__ is allocator
+        assert entry.__func__ is getattr(FallbackAllocator, name)
     addr = allocator.malloc(64)
     assert not allocator.is_guarded(addr)
 
@@ -245,6 +367,37 @@ def test_unlocked_countdown_keeps_sampling_under_threads():
     assert allocator.stats.sampled > sampled
 
 
+def test_two_threads_keep_the_sampling_rate():
+    # The countdown is unlocked: a race can lose a decrement or take an
+    # extra sample, but the realized rate must stay in gate 3a's band.
+    allocator, _ = make_allocator(sample_rate=1000, seed=8, max_frames=1)
+    per_thread = 100_000
+    errors = []
+
+    def worker():
+        malloc, free = allocator.malloc, allocator.free
+        try:
+            for _ in range(per_thread):
+                free(malloc(16))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    rate = allocator.stats.sampled / (2 * per_thread)
+    assert 0.0008 <= rate <= 0.0012, allocator.stats
+
+
 def _sampled_outcomes_add_up(stats):
     return stats.sampled == (
         stats.guarded + stats.coverage_rejected + stats.pool_unavailable + stats.oversized)
@@ -341,6 +494,20 @@ def test_sampled_allocation_routes_to_the_pool():
 # the record's __init__.
 GUARDED_PAIR_CALLS = 25
 
+# The unsampled pair's: the hooked host's malloc and free, with the
+# countdown and the pool-bounds check written into them.
+UNSAMPLED_PAIR_CALLS = 2
+
+
+def test_an_unsampled_pair_makes_one_python_call_per_entry_point():
+    allocator, _ = make_allocator(sample_rate=10**9)
+    allocator.free(allocator.malloc(64))  # carve once; the pair below recycles
+    ptr, malloc_calls = python_calls(allocator.malloc, 64)
+    _, free_calls = python_calls(allocator.free, ptr)
+    assert not allocator.is_guarded(ptr)
+    assert len(malloc_calls + free_calls) == UNSAMPLED_PAIR_CALLS, malloc_calls + free_calls
+    assert malloc_calls + free_calls == ["shim.py:malloc", "shim.py:free"]
+
 
 def test_a_guarded_pair_makes_a_fixed_number_of_python_calls():
     allocator, _ = make_allocator(slot_count=16)
@@ -382,7 +549,7 @@ def test_high_rate_serves_from_fallback():
     allocator, _ = make_allocator(sample_rate=10**9)
     addrs = [allocator.malloc(16) for _ in range(50)]
     assert all(not allocator.is_guarded(a) for a in addrs)
-    assert all(allocator.fallback.usable_size(a) == 16 for a in addrs)
+    assert all(FallbackAllocator.usable_size(allocator, a) == 16 for a in addrs)
     assert allocator.stats.guarded == 0
     for a in addrs:
         allocator.free(a)
@@ -856,9 +1023,11 @@ def test_usable_size_of_an_interior_guarded_pointer_is_a_value_error():
         with pytest.raises(ValueError):
             allocator.usable_size(inside)
     assert allocator.usable_size(addr) == 32
-    host_ptr = allocator.fallback.malloc(32, 16)
+    host_ptr = FallbackAllocator.malloc(allocator, 32, 16)
     with pytest.raises(ValueError):
-        allocator.fallback.usable_size(host_ptr + 1)
+        FallbackAllocator.usable_size(allocator, host_ptr + 1)
+    with pytest.raises(ValueError):
+        allocator.usable_size(host_ptr + 1)
 
 
 def _after_recoverable_report():
