@@ -47,6 +47,12 @@ def capture_trace(max_frames: int) -> list[int]:
     A frame's pc is id(f_code) + f_lasti.  Returns an empty list when
     unwinding is unavailable or fails; an empty trace renders as
     <unavailable> rather than aborting a report.
+
+    The frames of one module come in runs, so a frame's module name is
+    looked up only when its globals dict is not the previous frame's.
+    Neither clamp nor mask is needed: every frame on the f_back chain
+    has executed its call instruction, so its f_lasti is at least 0,
+    and an id is an address below 2**64.
     """
     if max_frames <= 0:
         return []
@@ -60,10 +66,13 @@ def capture_trace(max_frames: int) -> list[int]:
     pcs: list[int] = []
     append = pcs.append
     tool_modules = _TOOL_MODULES
+    module = tool = None
     while frame is not None:
-        if frame.f_globals.get("__name__") not in tool_modules:
-            lasti = frame.f_lasti
-            append((id(frame.f_code) + (lasti if lasti > 0 else 0)) & _MASK64)
+        if frame.f_globals is not module:
+            module = frame.f_globals
+            tool = module.get("__name__") in tool_modules
+        if not tool:
+            append(id(frame.f_code) + frame.f_lasti)
             if len(pcs) == max_frames:
                 break
         frame = frame.f_back

@@ -13,8 +13,11 @@ use-after-free accesses fault too.
 The pool's store (metadata.MetadataStore) owns the one list of slot
 records, and self.slots is that list: the pool reads slot states from
 it and never writes it.  acquire and release do the page work and the
-free-list bookkeeping; the caller then publishes the slot's new record
-through the store, under the same hold of the pool lock.
+free-list bookkeeping under the caller's hold of the pool lock, as
+GWP-ASan's reserveSlot and freeSlot run under its allocate's and
+deallocate's hold of PoolMutex; the caller then publishes the slot's
+new record through the store, under the same hold.  So each transition
+takes the lock once, and the lock is a plain, non-reentrant Lock.
 
 classify_address runs on every guarded free and every fault.  It
 shifts rather than divides (the page size is a power of two), tells
@@ -81,11 +84,14 @@ class PoolUnavailableError(Exception):
 class GuardedPool:
     """The guarded region plus slot lifecycle.
 
-    acquire/release mutate under self.lock (an RLock so the owning
-    allocator can hold it across a transition and the publication of
-    its record); classify_address is lock-free and safe to call from a
-    fault handler.  max_live (default slot_count) caps the live slots;
-    the caller validates both counts.
+    acquire/release mutate the pool and run under self.lock, which the
+    caller takes once and holds across the transition and the
+    publication of the slot's record.  The lock is a plain Lock:
+    nothing re-enters it, and the report path never takes it, so a
+    fault raised while the lock is held still reports.
+    classify_address is lock-free and safe to call from a fault
+    handler.  max_live (default slot_count) caps the live slots; the
+    caller validates both counts.
     """
 
     def __init__(
@@ -102,7 +108,7 @@ class GuardedPool:
         self.slot_count = slot_count
         self.max_live = max_live if max_live is not None else slot_count
         self.force_alignment_side = force_alignment_side
-        self.lock = threading.RLock()
+        self.lock = threading.Lock()
 
         try:
             self.base = vm.reserve(2 * self.slot_count + 1, PROT_NONE)
@@ -145,9 +151,9 @@ class GuardedPool:
     def acquire(self, size: int, alignment: int = 1) -> Optional[tuple[int, int]]:
         """Take, open and scrub a slot for a size-byte allocation.
 
-        The slot's record is left as it was: the caller, holding the
-        lock, then publishes the occupant's record with
-        store.store_alloc.  Returns (slot_index, user_address), or None
+        The caller holds self.lock.  The slot's record is left as it
+        was: the caller, still holding the lock, then publishes the
+        occupant's record with store.store_alloc.  Returns (slot_index, user_address), or None
         when the pool cannot serve the request (slot pressure, oversized
         request, or a page-protection failure).  Raises ValueError only
         on caller bugs: non-positive size or a bad alignment.
@@ -159,50 +165,48 @@ class GuardedPool:
         if size > self.page_size or alignment > self.page_size:
             return None
 
-        with self.lock:
-            if self.live_count >= self.max_live:
-                self.unavailable_count += 1
-                return None
-            # live_count < max_live <= slot_count == len(free list) +
-            # live_count, so the free list is not empty.
-            slot_index = self._free_list.popleft()
+        if self.live_count >= self.max_live:
+            self.unavailable_count += 1
+            return None
+        # live_count < max_live <= slot_count == len(free list) +
+        # live_count, so the free list is not empty.
+        slot_index = self._free_list.popleft()
 
-            page = self.base + (2 * slot_index + 1) * self.page_size
-            try:
-                self.vm.protect(page, self.page_size, PROT_READ | PROT_WRITE)
-            except (OSError, ValueError):
-                self.protect_failure_count += 1
-                self._free_list.appendleft(slot_index)
-                return None
-            # Scrub before handing out: releases leave page contents in
-            # place for the quarantine window, so reuse must not leak.
-            self.vm.fill(page, self.page_size, 0)
+        page = self.base + (2 * slot_index + 1) * self.page_size
+        try:
+            self.vm.protect(page, self.page_size, PROT_READ | PROT_WRITE)
+        except (OSError, ValueError):
+            self.protect_failure_count += 1
+            self._free_list.appendleft(slot_index)
+            return None
+        # Scrub before handing out: releases leave page contents in
+        # place for the quarantine window, so reuse must not leak.
+        self.vm.fill(page, self.page_size, 0)
 
-            side = self.force_alignment_side
-            if side is None:
-                # The low bit is below(2): 2**64 is even, so no draw is rejected.
-                right = self._rng.next_u64() & 1
-            else:
-                right = side is AlignmentSide.RIGHT
-            offset = ((self.page_size - size) // alignment) * alignment if right else 0
-            self.live_count += 1
-            self.acquire_count += 1
-            return slot_index, page + offset
+        side = self.force_alignment_side
+        if side is None:
+            # The low bit is below(2): 2**64 is even, so no draw is rejected.
+            right = self._rng.next_u64() & 1
+        else:
+            right = side is AlignmentSide.RIGHT
+        offset = ((self.page_size - size) // alignment) * alignment if right else 0
+        self.live_count += 1
+        self.acquire_count += 1
+        return slot_index, page + offset
 
     def release(self, slot_index: int) -> None:
         """Re-protect the slot page and queue the slot for reuse.
 
-        The caller then publishes the QUARANTINED record with
+        The caller holds self.lock, and then publishes the QUARANTINED record with
         store.store_dealloc, under the same hold of the lock.
         """
-        with self.lock:
-            state = self.slots[slot_index].state
-            if state is not _ALLOCATED:
-                raise ValueError(f"slot {slot_index} is {state.value}, not allocated")
-            page = self.base + (2 * slot_index + 1) * self.page_size
-            self.vm.protect(page, self.page_size, PROT_NONE)
-            self.live_count -= 1
-            self._free_list.append(slot_index)
+        state = self.slots[slot_index].state
+        if state is not _ALLOCATED:
+            raise ValueError(f"slot {slot_index} is {state.value}, not allocated")
+        page = self.base + (2 * slot_index + 1) * self.page_size
+        self.vm.protect(page, self.page_size, PROT_NONE)
+        self.live_count -= 1
+        self._free_list.append(slot_index)
 
     # -- classification ------------------------------------------------
 

@@ -230,6 +230,7 @@ class GuardianAllocator(FallbackAllocator):
         self.reporter = Reporter(self.pool, self.store, cfg.max_frames, cfg.recoverable, cfg.sink)
         self.reporter.install(self.vm)
         self._min_alignment = cfg.min_alignment
+        self._max_frames = cfg.max_frames
         if cfg.policy == "counter":
             self._sampler = CounterSampler(cfg.sample_rate, cfg.seed)
             self._skip = self._sampler.next_skip()
@@ -344,7 +345,10 @@ class GuardianAllocator(FallbackAllocator):
         else:
             self._skip = sampler.next_skip()
             sample = True
-        if not sample or self.reporter.disabled:
+        if (not sample or self.reporter.disabled
+                or size < 0 or alignment < 0 or alignment & (alignment - 1)):
+            # Not sampled, or a request the host rejects: it raises its
+            # own error before a stack is captured or a counter moves.
             return FallbackAllocator.malloc(self, size, alignment or self._min_alignment)
 
         # Every stats counter moves under pool.lock, so sampled always
@@ -359,7 +363,7 @@ class GuardianAllocator(FallbackAllocator):
             return FallbackAllocator.malloc(self, size, alignment or self._min_alignment)
 
         # One tuple, hashed by source_of's memo and kept by compress_trace's.
-        trace = tuple(capture_trace(self.config.max_frames))
+        trace = tuple(capture_trace(self._max_frames))
         thread_id = threading.get_ident()
         with pool.lock:
             self.stats.sampled += 1
@@ -419,7 +423,7 @@ class GuardianAllocator(FallbackAllocator):
                 self.coverage.remove(pool.slots[slot_index].coverage_source)
                 pool.release(slot_index)
                 self.store.store_dealloc(
-                    slot_index, threading.get_ident(), capture_trace(self.config.max_frames))
+                    slot_index, threading.get_ident(), capture_trace(self._max_frames))
                 return
             if self.reporter.disabled:
                 return  # recovered or destroyed: swallowed, and not counted

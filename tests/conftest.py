@@ -72,21 +72,24 @@ def guard_page_addr(pool, guard_index):
 
 
 # The allocator's two-step transitions, for tests that drive a pool
-# directly: the pool does the page work, then its store publishes the
-# slot's new record.
+# directly: under one hold of the pool lock, as the allocator holds it,
+# the pool does the page work, then its store publishes the slot's new
+# record.
 
 
 def acquire_slot(pool, size, alignment=1, thread_id=5, trace=(0x100, 0x200)):
     """pool.acquire, then the ALLOCATED record; None when the pool declines."""
-    acquired = pool.acquire(size, alignment)
-    if acquired is not None:
-        slot_index, addr = acquired
-        pool.store.store_alloc(slot_index, addr - slot_page_addr(pool, slot_index), size,
-                               None, thread_id, trace)
+    with pool.lock:
+        acquired = pool.acquire(size, alignment)
+        if acquired is not None:
+            slot_index, addr = acquired
+            pool.store.store_alloc(slot_index, addr - slot_page_addr(pool, slot_index), size,
+                                   None, thread_id, trace)
     return acquired
 
 
 def release_slot(pool, slot_index, thread_id=5, trace=(0x300,)):
     """pool.release, then the QUARANTINED record."""
-    pool.release(slot_index)
-    pool.store.store_dealloc(slot_index, thread_id, trace)
+    with pool.lock:
+        pool.release(slot_index)
+        pool.store.store_dealloc(slot_index, thread_id, trace)

@@ -561,3 +561,41 @@ def test_capture_matches_the_frame_pc_loop(max_frames):
         assert got == want, depth
         assert 0 < len(got) <= max_frames
     assert len(got) == max_frames  # depth 70 is deeper than every cap
+
+
+# One hop per globals dict: two distinct dicts both named like the shim,
+# one named like another tool module, and two that are not tool modules.
+# The last hop of a chain captures, from one call site, for each cap.
+_HOP_SOURCE = (
+    "def hop(hops, i, caps, captures):\n"
+    "    if i < len(hops):\n"
+    "        return hops[i](hops, i + 1, caps, captures)\n"
+    "    return [[capture(m) for capture in captures] for m in caps]\n"
+)
+_HOP_MODULES = ("guardpool.shim", "guardpool.shim", "guardpool.pool", "app.alpha", "app.beta")
+
+
+def _hop_from(name):
+    namespace = {"__name__": name}
+    exec(_HOP_SOURCE, namespace)
+    return namespace["hop"]
+
+
+_HOPS = [_hop_from(name) for name in _HOP_MODULES]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(range(len(_HOPS))), min_size=1, max_size=12),
+       st.lists(st.integers(1, 40), max_size=4))
+def test_capture_matches_the_reference_over_runs_of_frames(chain, caps):
+    # Runs of hops from one dict, from distinct dicts of one name, and
+    # tool hops anywhere in the chain, innermost included; the last cap
+    # is past the number of non-tool frames on the stack.
+    hops = [_HOPS[k] for k in chain]
+    caps = caps + [10**6]
+    results = hops[0](hops, 1, caps, (capture_trace, _reference_capture))
+    full = results[-1][1]
+    assert len(full) < 10**6
+    for cap, (got, want) in zip(caps, results):
+        assert got == want, (chain, cap)
+        assert len(got) == min(cap, len(full))

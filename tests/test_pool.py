@@ -43,6 +43,20 @@ def test_region_spans_alternating_guard_and_slot_pages():
             (AddressKind.LEFT_GUARD, 0) if i == 0 else (AddressKind.RIGHT_GUARD, i - 1))
 
 
+def test_the_pool_lock_is_a_plain_lock():
+    # acquire and release run under their caller's one hold, so nothing
+    # re-enters the lock; the tests' acquire_slot and release_slot hold
+    # it as the allocator does.
+    pool = make_pool()
+    with pool.lock:
+        assert not pool.lock.acquire(blocking=False)
+        slot_index, _ = pool.acquire(8)
+        pool.store.store_alloc(slot_index, 0, 8, None, 5, (0x100,))
+        pool.release(slot_index)
+    assert pool.lock.acquire(blocking=False)
+    pool.lock.release()
+
+
 def test_everything_starts_inaccessible():
     pool = make_pool()
     for page in range(9):

@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from guardpool import reporter as reporter_module
+from guardpool import shim as shim_module
 from guardpool.pool import AlignmentSide, SlotState
 from guardpool.reporter import REPORT_HEADER, AccessType, ReportKind, parse_report
 from guardpool.sampler import CounterSampler
@@ -128,6 +129,12 @@ def _outcome(call, *args):
         return type(exc), str(exc)
 
 
+# Sizes and alignments the call-for-call tests below draw from; -1, 3, 12
+# and -4 are invalid requests.
+_SIZES = (0, 1, 16, 24, 100, 4096, 5000, -1)
+_ALIGNMENTS = (None, None, 1, 8, 16, 64, 4096, 3, 12, -4)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_the_hooked_host_matches_the_host_call_for_call(seed):
     # The enabled allocator's unsampled malloc, free and usable_size
@@ -142,8 +149,8 @@ def test_the_hooked_host_matches_the_host_call_for_call(seed):
     for step in range(4000):
         roll = rng.random()
         if roll < 0.45 or not live:
-            size = rng.choice((0, 1, 16, 24, 100, 4096, 5000, -1))
-            alignment = rng.choice((None, None, 1, 8, 16, 64, 4096, 3, 12, -4))
+            size = rng.choice(_SIZES)
+            alignment = rng.choice(_ALIGNMENTS)
             args = (size,) if alignment is None else (size, alignment)
             name = "malloc"
         elif roll < 0.75:
@@ -165,6 +172,32 @@ def test_the_hooked_host_matches_the_host_call_for_call(seed):
     assert hooked._sizes == host._sizes
     assert hooked._free == host._free
     assert hooked.stats == AllocatorStats()
+    assert sink.getvalue() == ""
+
+
+def test_a_sampled_malloc_rejects_what_the_host_rejects(monkeypatch):
+    # At rate 1 the countdown draws 1 or 2, so these calls reach both the
+    # hooked host's checks and the guarded path.  On each, an invalid
+    # request raises the host's error before a stack is captured or a
+    # counter moves.
+    allocator, sink = make_allocator(sample_rate=1)
+    host = FallbackAllocator(VirtualMemory())
+    captures, guarded_calls = [], []
+    monkeypatch.setattr(shim_module, "capture_trace",
+                        lambda max_frames: captures.append(max_frames) or [])
+    guarded_malloc_ = allocator._guarded_malloc
+    allocator._guarded_malloc = lambda *args: guarded_calls.append(args) or guarded_malloc_(*args)
+    invalid = [(size,) if alignment is None else (size, alignment)
+               for size in _SIZES for alignment in dict.fromkeys(_ALIGNMENTS)
+               if size < 0 or alignment in (3, 12, -4)]
+    for args in invalid * 4:
+        want = _outcome(host.malloc, *args)
+        assert want[0] is ValueError, args
+        assert _outcome(allocator.malloc, *args) == want, args
+    assert 0 < len(guarded_calls) < 4 * len(invalid)
+    assert captures == []
+    assert allocator.stats == AllocatorStats()
+    assert allocator.pool.live_count == 0 and allocator._sizes == {}
     assert sink.getvalue() == ""
 
 
@@ -507,6 +540,45 @@ def test_an_unsampled_pair_makes_one_python_call_per_entry_point():
     assert not allocator.is_guarded(ptr)
     assert len(malloc_calls + free_calls) == UNSAMPLED_PAIR_CALLS, malloc_calls + free_calls
     assert malloc_calls + free_calls == ["shim.py:malloc", "shim.py:free"]
+
+
+class _OnceLock:
+    """The pool's lock, counting its holds; a hold that re-enters it fails."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.holds = 0
+
+    def __enter__(self):
+        assert self._lock.acquire(blocking=False), "pool.lock re-entered"
+        self.holds += 1
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+
+def test_each_guarded_call_holds_the_pool_lock_once():
+    # As GWP-ASan's allocate and deallocate hold PoolMutex once around
+    # reserveSlot and freeSlot: the pool's acquire and release run under
+    # the shim's hold, and every outcome of a sample takes one hold.
+    allocator, _ = make_allocator(slot_count=4, max_live=2)
+    lock = allocator.pool.lock = _OnceLock(allocator.pool.lock)
+    live = []
+    for step in range(200):
+        holds, sampled = lock.holds, allocator.stats.sampled
+        ptr = allocator.malloc(5000 if step % 7 == 0 else 64)
+        assert lock.holds - holds == allocator.stats.sampled - sampled
+        live.append(ptr)
+        if len(live) > 3:
+            ptr = live.pop(0)
+            holds = lock.holds
+            if allocator.is_guarded(ptr):
+                allocator.usable_size(ptr)
+            allocator.free(ptr)
+            assert lock.holds - holds == 2 * allocator.is_guarded(ptr)
+    stats = allocator.stats
+    assert stats.guarded and stats.oversized and stats.coverage_rejected
+    assert _sampled_outcomes_add_up(stats)
 
 
 def test_a_guarded_pair_makes_a_fixed_number_of_python_calls():
