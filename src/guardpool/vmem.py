@@ -11,10 +11,16 @@ access violations to an installable fault handler, mirroring how a
 SIGSEGV handler observes a faulting address plus (on most platforms) a
 read/write flag.
 
-An accessible read or write is one Python frame: a bisect for its
-region, a scan of the protections of the pages it spans, and one copy.
-Any other span moves run by run: the accessible prefix first, then a
-fault at the first inaccessible byte, then the rest.
+An accessible read or write is one Python frame.  A region reserved
+read-write whose pages no protect() has narrowed is plain memory, as
+the heap outside GWP-ASan's pool is: an access inside it is a bisect
+for its region and one copy, with no look at its pages.  protect()
+clears the region's plain flag before it stores any protection short of
+read-write, and nothing sets the flag again, so an access that saw the
+flag set is ordered before that store.  An access inside any other
+region is a bisect, a scan of the protections of the pages it spans,
+and one copy.  Any other span moves run by run: the accessible prefix
+first, then a fault at the first inaccessible byte, then the rest.
 
 Handler chaining follows sigaction semantics: installing a handler
 returns the previously installed one, and a handler that decides a
@@ -36,6 +42,7 @@ from typing import Callable, Iterator, Optional
 PROT_NONE = 0
 PROT_READ = 1
 PROT_WRITE = 2
+_PROT_RW = PROT_READ | PROT_WRITE
 
 DEFAULT_PAGE_SIZE = 4096
 
@@ -89,13 +96,15 @@ FaultHandler = Callable[[FaultInfo], FaultAction]
 
 
 class _Region:
-    __slots__ = ("base", "end", "mem", "prots")
+    __slots__ = ("base", "end", "mem", "prots", "plain")
 
-    def __init__(self, base: int, mem: mmap.mmap, prots: bytearray):
+    def __init__(self, base: int, mem: mmap.mmap, prot: int, num_pages: int):
         self.base = base
         self.end = base + len(mem)
         self.mem = mem
-        self.prots = prots  # one byte per page
+        self.prots = bytearray([prot]) * num_pages  # one byte per page
+        # Every page read-write and never narrowed: accesses skip the scan.
+        self.plain = (prot & _PROT_RW) == _PROT_RW
 
 
 class VirtualMemory:
@@ -146,7 +155,7 @@ class VirtualMemory:
             # Keep an unmapped hole page after every region so adjacent
             # reservations can never be mistaken for one another.
             self._cursor = base + length + self.page_size
-            self._regions.append(_Region(base, mem, bytearray([prot]) * num_pages))
+            self._regions.append(_Region(base, mem, prot, num_pages))
             self._bases.append(base)
         return base
 
@@ -166,6 +175,8 @@ class VirtualMemory:
         region = self._regions[i] if i >= 0 else None
         if region is None or addr + length > region.end:
             raise ValueError(f"[0x{addr:x}, +{length}) is not a mapped range")
+        if (prot & _PROT_RW) != _PROT_RW:
+            region.plain = False  # before the store, so no access skips it
         first = (addr - region.base) >> self._page_shift
         if length <= self.page_size:
             region.prots[first] = prot  # one byte store: atomic on its own
@@ -173,13 +184,6 @@ class VirtualMemory:
         npages = -(-length // self.page_size)
         with self._lock:
             region.prots[first : first + npages] = bytes([prot]) * npages
-
-    def page_protection(self, addr: int) -> Optional[int]:
-        """Protection bits of the page containing addr, None if unmapped."""
-        region = self._find_region(addr)
-        if region is None:
-            return None
-        return region.prots[(addr - region.base) >> self._page_shift]
 
     # -- fault handler chain -------------------------------------------
 
@@ -205,12 +209,17 @@ class VirtualMemory:
         if not length:
             return b""
         end = addr + length
-        # Region lookup and page scan inlined: an accessible read is one frame.
+        # Region lookup and page scan inlined: an accessible read is one
+        # frame.  A plain region skips the scan: protect clears plain
+        # before it stores a narrower protection, so a set flag means
+        # every page was read-write when the flag was read.
         i = bisect_right(self._bases, addr) - 1
         if i >= 0:
             region = self._regions[i]
             if end <= region.end:
                 off = addr - region.base
+                if region.plain:
+                    return region.mem[off : off + length]
                 prots = region.prots
                 page = off >> self._page_shift
                 last = (off + length - 1) >> self._page_shift
@@ -238,6 +247,9 @@ class VirtualMemory:
             region = self._regions[i]
             if end <= region.end:
                 off = addr - region.base
+                if region.plain:  # never narrowed: no scan, as in read
+                    region.mem[off : off + length] = data
+                    return
                 prots = region.prots
                 page = off >> self._page_shift
                 last = (off + length - 1) >> self._page_shift
@@ -256,6 +268,8 @@ class VirtualMemory:
         Used by the allocator to scrub pages it owns without first
         making them accessible.
         """
+        if length < 0:
+            raise ValueError("length must be non-negative")
         i = bisect_right(self._bases, addr) - 1  # _find_region inlined
         region = self._regions[i] if i >= 0 else None
         if region is None or not addr < region.end or addr + length > region.end:

@@ -15,7 +15,7 @@ from guardpool.pool import (
     SlotState,
 )
 from guardpool.sampler import Xorshift64Star, splitmix64
-from guardpool.vmem import PROT_NONE, SegmentationFault, VirtualMemory
+from guardpool.vmem import SegmentationFault, VirtualMemory
 
 from conftest import acquire_slot, guard_page_addr, release_slot, slot_page_addr
 
@@ -59,8 +59,13 @@ def test_the_pool_lock_is_a_plain_lock():
 
 def test_everything_starts_inaccessible():
     pool = make_pool()
+    # No page can be read or written, at its first byte or its last.
     for page in range(9):
-        assert pool.vm.page_protection(pool.base + page * PAGE) == PROT_NONE
+        for addr in (pool.base + page * PAGE, pool.base + (page + 1) * PAGE - 1):
+            for access in (lambda: pool.vm.read(addr, 1), lambda: pool.vm.write(addr, b"x")):
+                with pytest.raises(SegmentationFault) as excinfo:
+                    access()
+                assert excinfo.value.fault.address == addr
 
 
 def test_acquire_makes_only_the_slot_page_accessible():

@@ -7,7 +7,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 import vmem_oracle
@@ -306,13 +306,21 @@ def _reference_write(vm, addr, data):
         view = view[chunk:]
 
 
-def _make_handler(vm, mode, log):
+def _protect(vm, shadow, page, npages, prot):
+    """vm.protect npages from page, and note their protection in shadow,
+    the test's own map from each mapped page's address to its bits."""
+    vm.protect(page, npages * vm.page_size, prot)
+    for i in range(npages):
+        shadow[page + i * vm.page_size] = prot
+
+
+def _make_handler(vm, mode, log, shadow):
     """A fault handler of one kind, recording (address, access) per fault.
 
     unprotect grants the missing bit on a mapped page and resumes (an
-    unmapped address terminates); slow resumes twice without changing
-    anything before it does the same; terminate and never always
-    terminate or always resume.
+    unmapped address, one shadow does not hold, terminates); slow resumes
+    twice without changing anything before it does the same; terminate
+    and never always terminate or always resume.
     """
     attempts = {}
 
@@ -325,12 +333,11 @@ def _make_handler(vm, mode, log):
         attempts[fault.address] = attempts.get(fault.address, 0) + 1
         if mode == "slow" and attempts[fault.address] % 3:
             return FaultAction.RESUME
-        prot = vm.page_protection(fault.address)
-        if prot is None:
+        page = fault.address - fault.address % vm.page_size
+        if page not in shadow:
             return FaultAction.TERMINATE
         grant = PROT_READ if fault.access is AccessType.READ else PROT_WRITE
-        page = fault.address - fault.address % vm.page_size
-        vm.protect(page, vm.page_size, prot | grant)
+        _protect(vm, shadow, page, 1, shadow[page] | grant)
         return FaultAction.RESUME
 
     return handler
@@ -373,18 +380,19 @@ def _scenarios(draw):
 
 def _populate(vm, layout):
     """Reserve one region per entry of layout, fill it and set its pages'
-    protections; returns the bases."""
+    protections; returns the bases and a shadow of the protections."""
     page_size = vm.page_size
     bases = []
+    shadow = {}
     for prots in layout:
         base = vm.reserve(len(prots), RW)
         # Distinct nonzero contents, so a copy from the wrong offset shows.
         vm.write(base, bytes((base // page_size + i) % 251 + 1
                              for i in range(len(prots) * page_size)))
         for page, prot in enumerate(prots):
-            vm.protect(base + page * page_size, page_size, prot)
+            _protect(vm, shadow, base + page * page_size, 1, prot)
         bases.append(base)
-    return bases
+    return bases, shadow
 
 
 @settings(max_examples=300, deadline=None)
@@ -395,10 +403,10 @@ def test_access_matches_page_by_page_reference(scenario):
     for read, write in ((VirtualMemory.read, VirtualMemory.write),
                         (_reference_read, _reference_write)):
         vm = VirtualMemory(page_size=page_size)
-        bases = _populate(vm, layout)
+        bases, shadow = _populate(vm, layout)
         log = []
         if mode is not None:
-            vm.install_fault_handler(_make_handler(vm, mode, log))
+            vm.install_fault_handler(_make_handler(vm, mode, log, shadow))
         trail = []
         for kind, region, start, arg in ops:
             addr = bases[region] + start
@@ -416,6 +424,9 @@ def test_access_matches_page_by_page_reference(scenario):
 # tests/vmem_oracle.py keeps the access path from before read and write did
 # their lookup and protection scan inline; every span that is not one
 # accessible run must still take the same faults and copies as there.
+# Spans inside plain regions (read-write, never narrowed), which skip the
+# scan, and inside regions narrowed and then made read-write again, which
+# scan, are both drawn often.
 
 _PROTS = st.sampled_from([PROT_NONE, PROT_READ, PROT_WRITE, RW])
 
@@ -423,14 +434,20 @@ _PROTS = st.sampled_from([PROT_NONE, PROT_READ, PROT_WRITE, RW])
 @st.composite
 def _access_sequences(draw):
     page_size = draw(st.sampled_from([16, 64, 4096]))
-    layout = draw(st.lists(st.lists(_PROTS, min_size=1, max_size=5), min_size=2, max_size=4))
+    layout = draw(st.lists(st.one_of(st.lists(_PROTS, min_size=1, max_size=5),
+                                     st.lists(st.just(RW), min_size=1, max_size=5)),
+                           min_size=2, max_size=4))
     mode = draw(st.sampled_from([None, "terminate", "unprotect", "slow", "never"]))
     ops = []
     for _ in range(draw(st.integers(1, 8))):
         region = draw(st.integers(0, len(layout) - 1))
-        if draw(st.integers(0, 4)) == 0:
+        step = draw(st.integers(0, 5))
+        if step == 0:
             page = draw(st.integers(0, len(layout[region]) - 1))
-            ops.append(("protect", region, page, draw(_PROTS)))
+            ops.append(("protect", region, page, 1, draw(_PROTS)))
+            continue
+        if step == 1:  # every page of the region read-write again
+            ops.append(("protect", region, 0, len(layout[region]), RW))
             continue
         # The span's start or end lies near a region's base or end, so
         # spans start below the first region and in the holes between
@@ -456,15 +473,15 @@ def test_access_matches_the_run_by_run_oracle(scenario):
     for read, write in ((VirtualMemory.read, VirtualMemory.write),
                         (vmem_oracle.read, vmem_oracle.write)):
         vm = VirtualMemory(page_size=page_size)
-        bases = _populate(vm, layout)
+        bases, shadow = _populate(vm, layout)
         log = []
         if mode is not None:
-            vm.install_fault_handler(_make_handler(vm, mode, log))
+            vm.install_fault_handler(_make_handler(vm, mode, log, shadow))
         trail = []
         for op in ops:
             if op[0] == "protect":
-                _, region, page, prot = op
-                vm.protect(bases[region] + page * page_size, page_size, prot)
+                _, region, page, npages, prot = op
+                _protect(vm, shadow, bases[region] + page * page_size, npages, prot)
                 continue
             kind, region, anchor, delta, arg = op
             edge = bases[region] + (len(layout[region]) * page_size if anchor == "end" else 0)
@@ -478,10 +495,147 @@ def test_access_matches_the_run_by_run_oracle(scenario):
     assert sides[0] == sides[1]
 
 
+def _kinds_of_region_accessed(scenario):
+    """The kinds of region that the scenario's reads and writes lie wholly
+    inside: "plain", or "widened" (not plain, every page read-write).
+    Replays the layout and the protect ops, not the accesses."""
+    page_size, layout, _, ops = scenario
+    vm = VirtualMemory(page_size=page_size)
+    bases, shadow = _populate(vm, layout)
+    kinds = set()
+    for op in ops:
+        if op[0] == "protect":
+            _, region, page, npages, prot = op
+            _protect(vm, shadow, bases[region] + page * page_size, npages, prot)
+            continue
+        _, region, anchor, delta, arg = op
+        length = arg if isinstance(arg, int) else len(arg)
+        size = len(layout[region]) * page_size
+        start = (size if anchor == "end" else 0) + delta
+        if length and 0 <= start and start + length <= size:
+            state = vm._regions[region]
+            if state.plain:
+                kinds.add("plain")
+            elif all(prot == RW for prot in state.prots):
+                kinds.add("widened")
+    return kinds
+
+
+@pytest.mark.parametrize("kind", ["plain", "widened"])
+def test_the_oracle_scenarios_access_plain_and_widened_regions(kind):
+    find(_access_sequences(), lambda scenario: kind in _kinds_of_region_accessed(scenario),
+         settings=settings(max_examples=200, database=None, derandomize=True, deadline=None))
+
+
 def test_negative_read_length_is_rejected(vm):
     base = vm.reserve(1, prot=RW)
     with pytest.raises(ValueError):
         vm.read(base, -1)
+
+
+@pytest.mark.parametrize("length", [-1, -4096, -4097])
+def test_negative_fill_length_is_rejected(vm, length):
+    # Past the range check, a negative length is a slice end that counts
+    # back from the end of the mapping.
+    base = vm.reserve(2, prot=RW)
+    vm.write(base, b"\x11" * 2 * 4096)
+    with pytest.raises(ValueError, match="non-negative"):
+        vm.fill(base + 100, length, 0xAB)
+    assert vm.read(base, 2 * 4096) == b"\x11" * 2 * 4096
+
+
+# -- plain regions ---------------------------------------------------------------
+#
+# A region reserved read-write is plain until a protect() narrows one of
+# its pages: an access inside it skips the page scan.  Narrowing clears
+# the flag for good, so these accesses must see every later protection.
+
+
+def _region(vm, base):
+    return vm._regions[vm._bases.index(base)]
+
+
+def test_only_a_read_write_reservation_is_plain(vm):
+    assert _region(vm, vm.reserve(2, RW)).plain
+    for prot in (PROT_NONE, PROT_READ, PROT_WRITE):
+        assert not _region(vm, vm.reserve(2, prot)).plain
+
+
+def test_protecting_read_write_again_does_not_narrow(vm):
+    base = vm.reserve(3, RW)
+    vm.protect(base + 4096, 4096, RW)
+    vm.protect(base, 3 * 4096, RW)
+    assert _region(vm, base).plain
+
+
+# A span from 100 bytes into the first page to 100 bytes before the end of
+# the third, so it starts and ends inside pages.
+_SPAN_START, _SPAN_LENGTH = 100, 3 * 4096 - 200
+
+
+@pytest.mark.parametrize("page", [0, 1, 2], ids=["first", "middle", "last"])
+def test_narrowing_a_page_of_a_plain_region_faults_the_next_access(vm, page):
+    base = vm.reserve(3, RW)
+    addr = base + _SPAN_START
+    data = random.Random(page).randbytes(_SPAN_LENGTH)
+    vm.write(addr, data)
+    assert vm.read(addr, _SPAN_LENGTH) == data
+    narrowed = base + page * 4096
+    vm.protect(narrowed, 4096, PROT_NONE)
+    assert not _region(vm, base).plain
+    fault_at = max(addr, narrowed)
+    for attempt, expected in (
+            (lambda: vm.read(addr, _SPAN_LENGTH), (fault_at, AccessType.READ)),
+            (lambda: vm.write(addr, b"\xee" * _SPAN_LENGTH), (fault_at, AccessType.WRITE)),
+            (lambda: vm.read(narrowed + 200, 1), (narrowed + 200, AccessType.READ)),
+            (lambda: vm.write(narrowed + 200, b"\xee"), (narrowed + 200, AccessType.WRITE))):
+        with pytest.raises(SegmentationFault) as excinfo:
+            attempt()
+        assert (excinfo.value.fault.address, excinfo.value.fault.access) == expected
+    # The span's write stored its prefix below the narrowed page, no more.
+    vm.protect(narrowed, 4096, RW)
+    prefix = fault_at - addr
+    assert vm.read(addr, _SPAN_LENGTH) == b"\xee" * prefix + data[prefix:]
+
+
+@pytest.mark.parametrize("page", [0, 1, 2], ids=["first", "middle", "last"])
+def test_a_read_only_page_of_a_plain_region_blocks_writes_not_reads(vm, page):
+    base = vm.reserve(3, RW)
+    addr = base + _SPAN_START
+    data = random.Random(page).randbytes(_SPAN_LENGTH)
+    vm.write(addr, data)
+    narrowed = base + page * 4096
+    vm.protect(narrowed, 4096, PROT_READ)
+    assert vm.read(addr, _SPAN_LENGTH) == data
+    with pytest.raises(SegmentationFault) as excinfo:
+        vm.write(addr, bytes(_SPAN_LENGTH))
+    assert (excinfo.value.fault.address, excinfo.value.fault.access) == (
+        max(addr, narrowed), AccessType.WRITE)
+
+
+def test_a_widened_region_keeps_scanning_and_matches_the_oracle():
+    sides = []
+    for read, write in ((VirtualMemory.read, VirtualMemory.write),
+                        (vmem_oracle.read, vmem_oracle.write)):
+        vm = VirtualMemory(page_size=4096)
+        base = vm.reserve(3, RW)
+        vm.protect(base + 4096, 4096, PROT_WRITE)
+        vm.protect(base + 4096, 4096, RW)
+        assert not _region(vm, base).plain
+        addr = base + _SPAN_START
+        data = random.Random(3).randbytes(_SPAN_LENGTH)
+        trail = [_outcome(lambda: write(vm, addr, data)),
+                 _outcome(lambda: read(vm, addr, _SPAN_LENGTH))]
+        # A protection byte changed behind protect's back shows whether the
+        # scan runs: it does on a region that was ever narrowed.
+        _region(vm, base).prots[2] = PROT_NONE
+        trail += [_outcome(lambda: read(vm, addr, _SPAN_LENGTH)),
+                  _outcome(lambda: write(vm, addr, bytes(_SPAN_LENGTH))),
+                  _outcome(lambda: read(vm, addr, 2 * 4096 - _SPAN_START)),
+                  vm.fault_count, _memory(vm)]
+        assert trail[2] == ("segv", base + 2 * 4096, AccessType.READ)
+        sides.append(trail)
+    assert sides[0] == sides[1]
 
 
 # -- lazy commit ------------------------------------------------------------
@@ -559,8 +713,12 @@ def test_lookups_stay_correct_while_another_thread_reserves(vm):
                 vm.write(base + start, data)
                 if vm.read(base + start, len(data)) != data:
                     errors.append(f"round trip at +{start} differs")
-                if vm.page_protection(beyond) is not None:
+                try:
+                    vm.read(beyond, 1)
                     errors.append("unmapped address found mapped")
+                except SegmentationFault as exc:
+                    if exc.fault.address != beyond:
+                        errors.append(f"fault at 0x{exc.fault.address:x}, not at beyond")
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -580,5 +738,7 @@ def test_lookups_stay_correct_while_another_thread_reserves(vm):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert faults == [] and vm.fault_count == 0
+    # Only the reads of the unmapped address faulted, each once.
+    assert [fault.address for fault in faults] == [beyond] * 3 * 3000
+    assert vm.fault_count == 3 * 3000
     assert vm._bases == sorted(vm._bases) == [r.base for r in vm._regions]
