@@ -5,10 +5,14 @@ bump-plus-freelist arena in the same modeled address space) with the
 sampling check written into its own fast paths, as GWP-ASan is built
 into Scudo's: an unsampled malloc or free runs one Python frame.
 malloc first decrements a countdown kept on the allocator, with no
-lock; until it expires, malloc goes on as the host's malloc.  When it
-expires, malloc asks the policy in sampler.py, and sampled requests
-that fit a page go to the guarded pool, get their stack captured and
-recorded, and are registered with the coverage filter.  free pops the
+lock; until it expires, malloc goes on as the host's malloc.  The
+countdown is split into chunks of 256 calls, so it only ever stores
+ints from CPython's small-int cache (1..256, even under races) and its
+decrement allocates nothing, as GWP-ASan's hook decrements a plain
+thread-local integer.  When it expires with no chunk left, malloc
+asks the policy in sampler.py, and sampled requests that fit a page go
+to the guarded pool, get their stack captured and recorded, and are
+registered with the coverage filter.  free pops the
 pointer from the host's size map; only on a miss does it compare the
 pointer with the pool bounds cached at enable time.  Guarded frees are
 validated, so double frees and mid-object frees are detected without
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional, TextIO
 
@@ -42,6 +47,12 @@ from .vmem import PROT_READ, PROT_WRITE, AccessType, VirtualMemory
 
 _MASK64 = (1 << 64) - 1
 
+# The countdown splits a skip of S calls into _skip, 1.._CHUNK, and
+# _chunks whole chunks of _CHUNK calls: S = _skip + _CHUNK * _chunks.
+# 256 is the largest int CPython caches (it keeps -5..256), so no
+# decrement of _skip makes a new int.
+_CHUNK = 256
+
 
 class FallbackAllocator:
     """Host allocator stand-in: bump arena with exact-size free lists.
@@ -58,7 +69,7 @@ class FallbackAllocator:
         self._limit = 0
         self._grow_pages = max(initial_pages, 1)
         self._sizes: dict[int, tuple[int, int]] = {}  # addr -> (size, alignment)
-        self._free: dict[tuple[int, int], list[int]] = {}
+        self._free: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
 
     def malloc(self, size: int, alignment: int = 16) -> int:
         if size < 0:
@@ -66,22 +77,30 @@ class FallbackAllocator:
         if alignment < 1 or alignment & (alignment - 1):
             raise ValueError(f"alignment must be a power of two, got {alignment}")
         key = (size, alignment)
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             bucket = self._free.get(key)
             if bucket:
                 addr = bucket.pop()
                 self._sizes[addr] = key
                 return addr
             return self._carve(key)
+        finally:
+            lock.release()
 
     def free(self, addr: int) -> None:
         if not addr:
             return
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             key = self._sizes.pop(addr, None)
             if key is None:
                 raise ValueError(f"0x{addr:x} is not a live allocation")
-            self._free.setdefault(key, []).append(addr)
+            self._free[key].append(addr)
+        finally:
+            lock.release()
 
     def usable_size(self, addr: int) -> int:
         try:
@@ -233,10 +252,11 @@ class GuardianAllocator(FallbackAllocator):
         self._max_frames = cfg.max_frames
         if cfg.policy == "counter":
             self._sampler = CounterSampler(cfg.sample_rate, cfg.seed)
-            self._skip = self._sampler.next_skip()
+            self._chunks, first = divmod(self._sampler.next_skip() - 1, _CHUNK)
+            self._skip = first + 1
         else:
             self._sampler = TimerGate(cfg.sample_interval, cfg.timer_clock)
-            self._skip = 1
+            self._chunks, self._skip = 0, 1
         self._pool_lo = self.pool.base
         self._pool_hi = self.pool.base + self.pool.region_length
 
@@ -251,9 +271,16 @@ class GuardianAllocator(FallbackAllocator):
     # -- allocation entry points ------------------------------------------
 
     def malloc(self, size: int, alignment: int = 0) -> int:
-        skip = self._skip - 1  # stores only values >= 1, even under races
+        # The countdown stores only 1.._CHUNK in _skip and only values
+        # >= 0 in _chunks, even under races.  When _skip expires with a
+        # chunk left, this call reloads it and goes on as the host.
+        skip = self._skip - 1
         if skip <= 0:
-            return self._guarded_malloc(size, alignment)
+            chunks = self._chunks
+            if not chunks:
+                return self._guarded_malloc(size, alignment)
+            self._chunks = chunks - 1
+            skip = _CHUNK
         self._skip = skip
         # The host's malloc from here on, as in FallbackAllocator.malloc;
         # the default alignment was checked when the config was.
@@ -264,13 +291,17 @@ class GuardianAllocator(FallbackAllocator):
         elif alignment < 1 or alignment & (alignment - 1):
             raise ValueError(f"alignment must be a power of two, got {alignment}")
         key = (size, alignment)
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             bucket = self._free.get(key)
             if bucket:
                 addr = bucket.pop()
                 self._sizes[addr] = key
                 return addr
             return self._carve(key)
+        finally:
+            lock.release()
 
     def calloc(self, count: int, size: int) -> int:
         if count < 0 or size < 0:
@@ -304,11 +335,15 @@ class GuardianAllocator(FallbackAllocator):
 
     def free(self, addr: int) -> None:
         # The host's free first: a host block is the common case.
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             key = self._sizes.pop(addr, None)
             if key is not None:
-                self._free.setdefault(key, []).append(addr)
+                self._free[key].append(addr)
                 return
+        finally:
+            lock.release()
         if self._pool_lo <= addr < self._pool_hi:
             self._guarded_free(addr)
         elif addr:
@@ -340,10 +375,11 @@ class GuardianAllocator(FallbackAllocator):
     def _guarded_malloc(self, size: int, alignment: int) -> int:
         """The countdown expired: ask the policy, then guard the request."""
         sampler = self._sampler
-        if isinstance(sampler, TimerGate):  # the countdown stays at 1
+        if isinstance(sampler, TimerGate):  # the countdown stays at 1, no chunks
             sample = sampler.want_to_sample()
         else:
-            self._skip = sampler.next_skip()
+            self._chunks, first = divmod(sampler.next_skip() - 1, _CHUNK)
+            self._skip = first + 1
             sample = True
         if (not sample or self.reporter.disabled
                 or size < 0 or alignment < 0 or alignment & (alignment - 1)):

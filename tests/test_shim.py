@@ -112,6 +112,7 @@ def test_fallback_rejects_foreign_pointers_without_side_effects():
         for bad in (a + 1, a + 4096, arena._limit + 64, 1 << 60, -16):
             with pytest.raises(ValueError, match=f"0x{bad:x}"):
                 arena.free(bad)
+            assert not arena._lock.locked(), "a rejected free kept the host lock"
             with pytest.raises(ValueError, match=f"0x{bad:x}"):
                 arena.usable_size(bad)
         assert arena._sizes == sizes
@@ -120,6 +121,24 @@ def test_fallback_rejects_foreign_pointers_without_side_effects():
             assert arena.stats == AllocatorStats()
             assert arena.config.sink.getvalue() == ""
         arena.free(a)  # the real pointer is still live and frees normally
+
+
+@pytest.mark.parametrize("hooked", [False, True], ids=["host", "hooked-host"])
+def test_a_failed_carve_propagates_and_releases_the_host_lock(monkeypatch, hooked):
+    # The carve runs under the host lock; when the platform refuses more
+    # pages, the error reaches the caller and the lock is free again.
+    arena = host_and_hooked()[hooked]
+    recycled = arena.malloc(32)
+    arena.free(recycled)
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("no pages left")
+
+    monkeypatch.setattr(arena.vm, "reserve", no_memory)
+    with pytest.raises(MemoryError, match="no pages left"):
+        arena.malloc(65 * arena.vm.page_size)  # past the arena's end: it must grow
+    assert not arena._lock.locked(), "a failed carve kept the host lock"
+    assert arena.malloc(32) == recycled  # a recycled size needs no carve
 
 
 def _outcome(call, *args):
@@ -351,7 +370,9 @@ def test_launch_decision_is_seed_deterministic():
 # -- the inlined countdown ------------------------------------------------
 
 
-@pytest.mark.parametrize("rate", [1, 7, 5000])
+# 128, 256 and 257: skips that end inside the countdown's first chunk of
+# 256 calls, exactly on its end, and one call past it.
+@pytest.mark.parametrize("rate", [1, 7, 128, 256, 257, 5000])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_sampled_calls_match_the_counter_sampler(seed, rate):
     allocator, _ = make_allocator(sample_rate=rate, seed=seed, max_frames=1)
@@ -533,13 +554,22 @@ UNSAMPLED_PAIR_CALLS = 2
 
 
 def test_an_unsampled_pair_makes_one_python_call_per_entry_point():
+    # 600 pairs span at least two reloads of the countdown's 256-call
+    # chunk: a reload runs in the malloc frame like any other decrement.
     allocator, _ = make_allocator(sample_rate=10**9)
-    allocator.free(allocator.malloc(64))  # carve once; the pair below recycles
-    ptr, malloc_calls = python_calls(allocator.malloc, 64)
-    _, free_calls = python_calls(allocator.free, ptr)
-    assert not allocator.is_guarded(ptr)
-    assert len(malloc_calls + free_calls) == UNSAMPLED_PAIR_CALLS, malloc_calls + free_calls
-    assert malloc_calls + free_calls == ["shim.py:malloc", "shim.py:free"]
+    allocator.free(allocator.malloc(64))  # carve once; the pairs below recycle
+    malloc, free, chunks = allocator.malloc, allocator.free, allocator._chunks
+
+    def pairs():
+        for _ in range(600):
+            free(malloc(64))
+
+    _, calls = python_calls(pairs)
+    assert calls[0] == "test_shim.py:pairs"
+    assert len(calls[1:]) == 600 * UNSAMPLED_PAIR_CALLS
+    assert calls[1:] == ["shim.py:malloc", "shim.py:free"] * 600
+    assert chunks - allocator._chunks >= 2
+    assert allocator.stats == AllocatorStats()
 
 
 class _OnceLock:
