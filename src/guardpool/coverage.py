@@ -5,14 +5,10 @@ and starve rare call sites of coverage.  The policy: while pool
 utilization is below a threshold, admit everything; at or above it,
 admit only call sites that do not already hold a slot.  Site identity
 is a 64-bit hash of the allocation stack trace, computed once per
-distinct stack and kept in a bounded memo, and membership is
-tracked in a counting Bloom filter whose counters count exactly: a
-counter never exceeds the number of live guarded allocations, which
-the pool's max_live bounds, so it never saturates, a freed site always
-drops out, and the filter never needs a rebuild.  A site's counter
-indexes are kept in a second bounded memo, keyed by the site and the
-filter's shape, so admit, insert and remove compute no probes for a
-site seen before.
+distinct stack and kept in a bounded memo.  Membership is an exact
+count of live guarded allocations per site, so the filter has no false
+positives and no false negatives, and it holds at most the pool's
+max_live keys.
 
 All mutation happens under the owning allocator's pool lock; query is
 read-only and safe anywhere.
@@ -48,8 +44,10 @@ def _site_hash(trace: tuple[int, ...]) -> int:
     """FNV-1a over the trace pcs, one 64-bit word per pc, then a finaliser.
 
     A word fold leaves the low bits of the hash a function of the pcs'
-    low bits alone, and _probes starts from those bits; the
-    xor-shift-multiply finaliser mixes the high bits back down.
+    low bits alone; the xor-shift-multiply finaliser mixes the high bits
+    back down.  The filter needs no well-mixed bits, since it keys on
+    the whole id, but the values of source_of are a tested contract and
+    are recorded with each slot, so the finaliser stays.
     """
     if not trace:
         return EMPTY_TRACE_SOURCE
@@ -63,80 +61,44 @@ def _site_hash(trace: tuple[int, ...]) -> int:
     return h ^ (h >> 32)
 
 
-# Each filter probes the same few counters for a site on every admit,
-# insert and remove, so a site's probes are computed once per filter
-# shape.  One entry is a key tuple and a tuple of `hashes` small ints.
-_PROBE_MEMO_SIZE = 256
-
-
-@functools.lru_cache(maxsize=_PROBE_MEMO_SIZE)
-def _probes(source: int, counters: int, hashes: int) -> tuple[int, ...]:
-    """The counter indexes of source in a table of `counters` counters.
-
-    Double hashing from the two 32-bit halves; the odd step makes every
-    probe sequence cover the power-of-two table.
-    """
-    h1 = source & 0xFFFFFFFF
-    h2 = ((source >> 32) | 1) & 0xFFFFFFFF
-    return tuple([(h1 + i * h2) % counters for i in range(hashes)])
-
-
 class CoverageFilter:
-    """Counting Bloom filter keyed by allocation-site hash.
-
-    Each counter holds the exact number of live insertions that hash to
-    it, at most the pool's max_live, so remove() undoes insert() exactly: a live
-    site is never missed, and a site whose slots are all freed reads
-    absent unless another live site shares all its counters.
-    """
+    """The live guarded allocations of each site, counted exactly."""
 
     # Always 0: counts are exact.  perfbench/tracer.py is its only reader.
     saturated_count = 0
 
-    def __init__(
-        self,
-        counters: int = 1024,
-        hashes: int = 2,
-        utilization_threshold: float = 0.75,
-    ):
-        if counters < 1 or counters & (counters - 1):
-            raise ValueError(f"counters must be a power of two, got {counters}")
-        if hashes < 1:
-            raise ValueError("hashes must be >= 1")
+    def __init__(self, utilization_threshold: float = 0.75):
         if not 0.0 < utilization_threshold <= 1.0:
             raise ValueError(
                 f"utilization_threshold must be in (0, 1], got {utilization_threshold}"
             )
-        self.counters = counters
-        self.hashes = hashes
         self.utilization_threshold = utilization_threshold
-        self._table = [0] * counters
+        self._live: dict[int, int] = {}
 
     def insert(self, source: int) -> None:
-        table = self._table
-        for idx in _probes(source, self.counters, self.hashes):
-            table[idx] += 1
+        live = self._live
+        live[source] = live.get(source, 0) + 1
 
     def remove(self, source: int) -> None:
-        """Decrement the source's counters, never below zero."""
-        table = self._table
-        for idx in _probes(source, self.counters, self.hashes):
-            if table[idx]:
-                table[idx] -= 1
+        """Undo one insert; a site with no live insertion is left alone."""
+        live = self._live
+        count = live.get(source)
+        if count is None:
+            return
+        if count > 1:
+            live[source] = count - 1
+        else:
+            del live[source]
 
     def query(self, source: int) -> bool:
-        """True if the source may hold a slot (no false negatives)."""
-        table = self._table
-        for idx in _probes(source, self.counters, self.hashes):
-            if not table[idx]:
-                return False
-        return True
+        """True exactly when the source holds a slot."""
+        return source in self._live
 
     def admit(self, pool_utilization: float, source: int) -> bool:
         """Admission decision; on True the caller inserts after acquiring."""
         if pool_utilization < self.utilization_threshold:
             return True
-        return not self.query(source)
+        return source not in self._live
 
     def rebuild(self, live_sources: Iterable[int]) -> None:
         """Reset and re-insert the given live sources.
@@ -144,6 +106,6 @@ class CoverageFilter:
         Nothing in guardpool calls it; it stays because
         perfbench/tracer.py, its only reader, wraps it.
         """
-        self._table = [0] * self.counters
+        self._live = {}
         for source in live_sources:
             self.insert(source)

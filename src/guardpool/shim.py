@@ -283,11 +283,11 @@ class GuardianAllocator(FallbackAllocator):
             skip = _CHUNK
         self._skip = skip
         # The host's malloc from here on, as in FallbackAllocator.malloc;
-        # the default alignment was checked when the config was.
+        # the host's default alignment, 16, needs no power-of-two check.
         if size < 0:
             raise ValueError(f"size must be non-negative, got {size}")
         if not alignment:
-            alignment = self._min_alignment
+            alignment = 16
         elif alignment < 1 or alignment & (alignment - 1):
             raise ValueError(f"alignment must be a power of two, got {alignment}")
         key = (size, alignment)
@@ -385,7 +385,7 @@ class GuardianAllocator(FallbackAllocator):
                 or size < 0 or alignment < 0 or alignment & (alignment - 1)):
             # Not sampled, or a request the host rejects: it raises its
             # own error before a stack is captured or a counter moves.
-            return FallbackAllocator.malloc(self, size, alignment or self._min_alignment)
+            return FallbackAllocator.malloc(self, size, alignment or 16)
 
         # Every stats counter moves under pool.lock, so sampled always
         # equals guarded + coverage_rejected + pool_unavailable + oversized.
@@ -396,7 +396,7 @@ class GuardianAllocator(FallbackAllocator):
             with pool.lock:
                 self.stats.sampled += 1
                 self.stats.oversized += 1
-            return FallbackAllocator.malloc(self, size, alignment or self._min_alignment)
+            return FallbackAllocator.malloc(self, size, alignment or 16)
 
         # One tuple, hashed by source_of's memo and kept by compress_trace's.
         trace = tuple(capture_trace(self._max_frames))
@@ -406,11 +406,11 @@ class GuardianAllocator(FallbackAllocator):
             source = source_of(trace)
             if not self.coverage.admit(pool.live_count / pool.max_live, source):
                 self.stats.coverage_rejected += 1
-                return FallbackAllocator.malloc(self, size, effective_alignment)
+                return FallbackAllocator.malloc(self, size, alignment or 16)
             acquired = pool.acquire(size, effective_alignment)
             if acquired is None:
                 self.stats.pool_unavailable += 1
-                return FallbackAllocator.malloc(self, size, effective_alignment)
+                return FallbackAllocator.malloc(self, size, alignment or 16)
             slot_index, user_address = acquired
             self.store.store_alloc(slot_index, (user_address - pool.base) % pool.page_size,
                                    size, source, thread_id, trace)

@@ -365,7 +365,7 @@ def test_hot_site_leaves_four_slots_for_cold_sites():
 @pytest.mark.acceptance("6b counting filter has no false negatives over 10^5 steps")
 def test_no_false_negatives_over_hundred_thousand_interleavings():
     rng = random.Random(1234)
-    bloom = CoverageFilter(counters=1024, hashes=2)
+    bloom = CoverageFilter()
     oracle = Counter()
     universe = [rng.getrandbits(64) for _ in range(128)]
     for _ in range(100_000):

@@ -154,12 +154,18 @@ _SIZES = (0, 1, 16, 24, 100, 4096, 5000, -1)
 _ALIGNMENTS = (None, None, 1, 8, 16, 64, 4096, 3, 12, -4)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_the_hooked_host_matches_the_host_call_for_call(seed):
+@pytest.mark.parametrize("seed, min_alignment", [
+    *(pytest.param(seed, 16, id=str(seed)) for seed in (1, 2, 3)),
+    pytest.param(4, 1, id="4-min_alignment=1"),
+    pytest.param(5, 256, id="5-min_alignment=256"),
+])
+def test_the_hooked_host_matches_the_host_call_for_call(seed, min_alignment):
     # The enabled allocator's unsampled malloc, free and usable_size
     # repeat the host's statements; a seeded script, valid calls and
     # invalid ones alike, must get the same answers from both.
-    hooked, sink = make_allocator(sample_rate=10**9, seed=seed)
+    # min_alignment is for guarded blocks only: host blocks keep the
+    # host's default of 16.
+    hooked, sink = make_allocator(sample_rate=10**9, seed=seed, min_alignment=min_alignment)
     vm = VirtualMemory()
     vm.reserve(hooked.pool.region_length // vm.page_size)  # where the pool sits
     host = FallbackAllocator(vm)
@@ -221,17 +227,17 @@ def test_a_sampled_malloc_rejects_what_the_host_rejects(monkeypatch):
 
 
 def _timer_declined():
-    allocator, _ = make_allocator(policy="timer", timer_clock=lambda: 0.0)
+    allocator, _ = make_allocator(policy="timer", timer_clock=lambda: 0.0, min_alignment=256)
     return allocator, allocator.malloc(40)
 
 
 def _oversized():
-    allocator, _ = make_allocator()
+    allocator, _ = make_allocator(min_alignment=256)
     return allocator, sampled_call(allocator, lambda: allocator.malloc(5000))
 
 
 def _coverage_rejected():
-    allocator, _ = make_allocator(slot_count=4, max_frames=1)
+    allocator, _ = make_allocator(slot_count=4, max_frames=1, min_alignment=256)
 
     def hot():
         return allocator.malloc(40)
@@ -243,7 +249,7 @@ def _coverage_rejected():
 
 
 def _pool_unavailable():
-    allocator, _ = make_allocator(slot_count=2)
+    allocator, _ = make_allocator(slot_count=2, min_alignment=256)
     for _ in range(2):
         guarded_malloc(allocator, 16)
     # A site that holds no slot passes coverage, and finds the pool full.
@@ -253,7 +259,7 @@ def _pool_unavailable():
 
 
 def _tool_off():
-    allocator, _ = make_allocator()
+    allocator, _ = make_allocator(min_alignment=256)
     allocator.destroy()
     return allocator, allocator.malloc(40)
 
@@ -265,6 +271,8 @@ def test_a_wasted_sample_is_a_host_block_of_the_one_size_map(wasted):
     # The guarded path takes its fallbacks from the unhooked host, on the
     # maps the hooked entry points use: such a block is sized and freed
     # like any unsampled one, and is never taken for a guarded pointer.
+    # Each allocator asks min_alignment=256, which is for guarded blocks
+    # only: the host block keeps the host's 16.
     allocator, ptr = wasted()
     size = allocator.usable_size(ptr)
     assert not allocator.is_guarded(ptr)
@@ -768,12 +776,16 @@ def test_coverage_counters_drain_to_zero(seed):
 
     ring = []
     held = [0] * 12
+    sources = set()
     peak = 0
     for _ in range(3000):
         depth = rng.randrange(12)
         addr = site(depth)
         ring.append((addr, depth))
-        held[depth] += allocator.is_guarded(addr)
+        if allocator.is_guarded(addr):
+            held[depth] += 1
+            slot_index = allocator.pool.classify_address(addr).slot_index
+            sources.add(allocator.pool.slots[slot_index].coverage_source)
         peak = max(peak, held[depth])
         if len(ring) > 240:
             addr, depth = ring.pop(0)
@@ -782,7 +794,8 @@ def test_coverage_counters_drain_to_zero(seed):
     for addr, _ in ring:
         allocator.free(addr)
     assert allocator.pool.live_count == 0
-    assert allocator.coverage._table == [0] * allocator.coverage.counters
+    assert len(sources) == 12
+    assert not any(allocator.coverage.query(source) for source in sources)
     assert peak > 15
 
 
