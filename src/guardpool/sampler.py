@@ -12,8 +12,8 @@ Three independent gates exist in a deployment:
 
 The countdown fast path is a single decrement and compare; the RNG only
 runs when a sample fires.  GuardianAllocator keeps one countdown per
-allocator, shared by all threads and decremented before the host lock is
-taken, with no lock of its own, and calls next_skip() when it expires: a
+allocator, shared by all threads and decremented with no lock (its host
+fast path takes none either), and calls next_skip() when it expires: a
 thread race can lose a decrement or take one extra sample, but never
 stores a countdown below 1, so sampling never stops.
 """

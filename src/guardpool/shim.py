@@ -3,16 +3,17 @@
 GuardianAllocator is the host allocator (FallbackAllocator, a
 bump-plus-freelist arena in the same modeled address space) with the
 sampling check written into its own fast paths, as GWP-ASan is built
-into Scudo's: an unsampled malloc or free runs one Python frame.
-malloc first decrements a countdown kept on the allocator, with no
-lock; until it expires, malloc goes on as the host's malloc.  The
-countdown is split into chunks of 256 calls, so it only ever stores
-ints from CPython's small-int cache (1..256, even under races) and its
-decrement allocates nothing, as GWP-ASan's hook decrements a plain
-thread-local integer.  When it expires with no chunk left, malloc
-asks the policy in sampler.py, and sampled requests that fit a page go
-to the guarded pool, get their stack captured and recorded, and are
-registered with the coverage filter.  free pops the
+into Scudo's: an unsampled malloc or free runs one Python frame of
+single dict and list operations, atomic under the GIL, and takes no
+lock (see FallbackAllocator).  malloc first decrements a countdown kept
+on the allocator; until it expires, malloc goes on as the host's
+malloc.  The countdown is split into chunks of 256 calls, so it only
+ever stores ints from CPython's small-int cache (1..256, even under
+races) and its decrement allocates nothing, as GWP-ASan's hook
+decrements a plain thread-local integer.  When it expires with no chunk
+left, malloc asks the policy in sampler.py, and sampled requests that
+fit a page go to the guarded pool, get their stack captured and
+recorded, and are registered with the coverage filter.  free pops the
 pointer from the host's size map; only on a miss does it compare the
 pointer with the pool bounds cached at enable time.  Guarded frees are
 validated, so double frees and mid-object frees are detected without
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional, TextIO
 
@@ -60,6 +60,14 @@ class FallbackAllocator:
     Recycles freed blocks without scrubbing them, like a production
     malloc fast path; newly carved arena space is zero because the
     backing reservation is anonymous.
+
+    Threads: recycling takes no lock.  Its steps (the free list's get,
+    pop and append, the size map's store and pop) are each one builtin
+    dict or list operation on int keys, atomic under the GIL; a pop that
+    loses the last block to another thread raises IndexError, and malloc
+    carves instead.  The carve holds the host lock (it moves the cursor,
+    and its grow runs vm.reserve's Python) and makes the key's free list
+    before it publishes the block; no free list is ever removed.
     """
 
     def __init__(self, vm: VirtualMemory, initial_pages: int = 64):
@@ -69,7 +77,7 @@ class FallbackAllocator:
         self._limit = 0
         self._grow_pages = max(initial_pages, 1)
         self._sizes: dict[int, tuple[int, int]] = {}  # addr -> (size, alignment)
-        self._free: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
+        self._free: dict[tuple[int, int], list[int]] = {}  # never loses a key
 
     def malloc(self, size: int, alignment: int = 16) -> int:
         if size < 0:
@@ -77,30 +85,23 @@ class FallbackAllocator:
         if alignment < 1 or alignment & (alignment - 1):
             raise ValueError(f"alignment must be a power of two, got {alignment}")
         key = (size, alignment)
-        lock = self._lock
-        lock.acquire()
-        try:
-            bucket = self._free.get(key)
-            if bucket:
+        bucket = self._free.get(key)
+        if bucket:
+            try:
                 addr = bucket.pop()
-                self._sizes[addr] = key
-                return addr
-            return self._carve(key)
-        finally:
-            lock.release()
+            except IndexError:  # another thread took the last block
+                return self._carve(key)
+            self._sizes[addr] = key
+            return addr
+        return self._carve(key)
 
     def free(self, addr: int) -> None:
         if not addr:
             return
-        lock = self._lock
-        lock.acquire()
-        try:
-            key = self._sizes.pop(addr, None)
-            if key is None:
-                raise ValueError(f"0x{addr:x} is not a live allocation")
-            self._free[key].append(addr)
-        finally:
-            lock.release()
+        key = self._sizes.pop(addr, None)
+        if key is None:
+            raise ValueError(f"0x{addr:x} is not a live allocation")
+        self._free[key].append(addr)
 
     def usable_size(self, addr: int) -> int:
         try:
@@ -109,15 +110,17 @@ class FallbackAllocator:
             raise ValueError(f"0x{addr:x} is not a live allocation") from None
 
     def _carve(self, key: tuple[int, int]) -> int:
-        """A fresh block from the arena's end; the caller holds the lock."""
+        """A fresh block from the arena's end, carved under the host lock."""
         size, alignment = key
         span = max(size, 1)
-        addr = -(-self._cursor // alignment) * alignment
-        if addr + span > self._limit:
-            self._grow(span + alignment)
+        with self._lock:
             addr = -(-self._cursor // alignment) * alignment
-        self._cursor = addr + span
-        self._sizes[addr] = key
+            if addr + span > self._limit:
+                self._grow(span + alignment)
+                addr = -(-self._cursor // alignment) * alignment
+            self._cursor = addr + span
+            self._free.setdefault(key, [])
+            self._sizes[addr] = key
         return addr
 
     def _grow(self, need: int) -> None:
@@ -271,13 +274,15 @@ class GuardianAllocator(FallbackAllocator):
     # -- allocation entry points ------------------------------------------
 
     def malloc(self, size: int, alignment: int = 0) -> int:
-        # The countdown stores only 1.._CHUNK in _skip and only values
-        # >= 0 in _chunks, even under races.  When _skip expires with a
-        # chunk left, this call reloads it and goes on as the host.
+        # _skip holds only 1.._CHUNK and _chunks only values >= 0, even
+        # under races.  An expired _skip reloads a chunk, or with none left
+        # is parked at a full one while the policy decides, so a malloc on
+        # another thread meanwhile counts down instead of sampling too.
         skip = self._skip - 1
         if skip <= 0:
             chunks = self._chunks
             if not chunks:
+                self._skip = _CHUNK
                 return self._guarded_malloc(size, alignment)
             self._chunks = chunks - 1
             skip = _CHUNK
@@ -291,17 +296,15 @@ class GuardianAllocator(FallbackAllocator):
         elif alignment < 1 or alignment & (alignment - 1):
             raise ValueError(f"alignment must be a power of two, got {alignment}")
         key = (size, alignment)
-        lock = self._lock
-        lock.acquire()
-        try:
-            bucket = self._free.get(key)
-            if bucket:
+        bucket = self._free.get(key)
+        if bucket:
+            try:
                 addr = bucket.pop()
-                self._sizes[addr] = key
-                return addr
-            return self._carve(key)
-        finally:
-            lock.release()
+            except IndexError:  # another thread took the last block
+                return self._carve(key)
+            self._sizes[addr] = key
+            return addr
+        return self._carve(key)
 
     def calloc(self, count: int, size: int) -> int:
         if count < 0 or size < 0:
@@ -335,15 +338,10 @@ class GuardianAllocator(FallbackAllocator):
 
     def free(self, addr: int) -> None:
         # The host's free first: a host block is the common case.
-        lock = self._lock
-        lock.acquire()
-        try:
-            key = self._sizes.pop(addr, None)
-            if key is not None:
-                self._free[key].append(addr)
-                return
-        finally:
-            lock.release()
+        key = self._sizes.pop(addr, None)
+        if key is not None:
+            self._free[key].append(addr)
+            return
         if self._pool_lo <= addr < self._pool_hi:
             self._guarded_free(addr)
         elif addr:
@@ -376,6 +374,7 @@ class GuardianAllocator(FallbackAllocator):
         """The countdown expired: ask the policy, then guard the request."""
         sampler = self._sampler
         if isinstance(sampler, TimerGate):  # the countdown stays at 1, no chunks
+            self._skip = 1
             sample = sampler.want_to_sample()
         else:
             self._chunks, first = divmod(sampler.next_skip() - 1, _CHUNK)

@@ -141,6 +141,99 @@ def test_a_failed_carve_propagates_and_releases_the_host_lock(monkeypatch, hooke
     assert arena.malloc(32) == recycled  # a recycled size needs no carve
 
 
+class _LostRace(list):
+    """A free list whose last block another thread took after the check."""
+
+    def pop(self, *args):
+        raise IndexError("pop from empty list")
+
+
+@pytest.mark.parametrize("hooked", [False, True], ids=["host", "hooked-host"])
+def test_a_pop_that_loses_the_race_carves_instead(hooked):
+    # The recycle path checks the list, then pops it, with no lock: a
+    # thread between the two can take the last block.  The pop's
+    # IndexError must become a carve, not reach the caller.
+    arena = host_and_hooked()[hooked]
+    taken = arena.malloc(40)
+    arena.free(taken)
+    key = (40, 16)
+    arena._free[key] = bucket = _LostRace([taken])
+    fresh = arena.malloc(40)
+    assert fresh >= taken + 40, "not a fresh block"
+    assert arena._sizes == {fresh: key}
+    assert arena.usable_size(fresh) == 40
+    assert arena._free[key] is bucket  # the carve keeps the key's list
+    arena.free(fresh)
+    assert arena._sizes == {} and list(bucket) == [taken, fresh]
+
+
+@pytest.mark.parametrize("hooked", [False, True], ids=["host", "hooked-host"])
+def test_threads_never_share_a_block(hooked):
+    """Four threads churn sizes of 1-3000 on a one-page arena, so carves
+    and grows contend as well as recycles.  No block is live in two
+    threads at once, and at the end every block ever handed out sits in
+    its key's free list exactly once.
+
+    On CPython 3.11 this is a smoke test only: threads switch only at
+    calls and backward jumps, so even a malloc that peeks at a list's
+    last block and then removes it, or a carve without the host lock,
+    races in principle, passes it.  The argument for the lock-free
+    recycle path is FallbackAllocator's docstring, and the lost race is
+    tested deterministically above.
+    """
+    arena = host_and_hooked()[hooked]
+    arena._grow_pages = 1  # before the first carve: start on one page, as initial_pages=1
+    book = threading.Lock()  # the test's own bookkeeping, not the allocator's
+    go = threading.Barrier(4, timeout=60)
+    live, handed_out, errors = set(), {}, []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        common = rng.sample(range(1, 3001), 6)
+        mine = []
+        try:
+            go.wait()
+            for _ in range(3000):
+                if len(mine) < 8 and (not mine or rng.random() < 0.55):
+                    size = rng.choice(common) if rng.random() < 0.6 else rng.randint(1, 3000)
+                    addr = arena.malloc(size)
+                    with book:
+                        assert addr not in live, f"0x{addr:x} handed out twice"
+                        live.add(addr)
+                        assert handed_out.setdefault(addr, size) == size
+                    mine.append(addr)
+                else:
+                    addr = mine.pop(rng.randrange(len(mine)))
+                    with book:
+                        live.remove(addr)
+                    arena.free(addr)
+            for addr in mine:
+                with book:
+                    live.remove(addr)
+                arena.free(addr)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert live == set() and arena._sizes == {}
+    freed = [(addr, key) for key, bucket in arena._free.items() for addr in bucket]
+    assert sorted(addr for addr, _ in freed) == sorted(handed_out), "lost or listed twice"
+    assert all(key == (handed_out[addr], 16) for addr, key in freed)
+    ends = sorted((addr, addr + size) for addr, size in handed_out.items())
+    assert all(end <= start for (_, end), (start, _) in zip(ends, ends[1:])), "blocks overlap"
+
+
 def _outcome(call, *args):
     try:
         return call(*args)
@@ -460,6 +553,27 @@ def test_two_threads_keep_the_sampling_rate():
     assert 0.0008 <= rate <= 0.0012, allocator.stats
 
 
+def test_a_malloc_while_the_policy_decides_is_not_sampled_too():
+    # Threads switch inside the policy, which is Python code.  A malloc
+    # that runs there, as another thread's would, must count down from
+    # the parked countdown instead of taking a second sample; the
+    # policy's next skip then sets the countdown as on one thread.
+    allocator, _ = make_allocator(sample_rate=1000)
+    sampler = allocator._sampler
+    next_skip, raced = sampler.next_skip, []
+
+    def next_skip_while_another_thread_mallocs():
+        if not raced:
+            raced.append(None)
+            raced.append(allocator.malloc(16))
+        return next_skip()
+
+    sampler.next_skip = next_skip_while_another_thread_mallocs
+    ptrs = [allocator.malloc(16) for _ in range(2001)]
+    assert len(raced) == 2 and not allocator.is_guarded(raced[1])
+    assert allocator.stats.sampled == sum(map(allocator.is_guarded, ptrs)) >= 1
+
+
 def _sampled_outcomes_add_up(stats):
     return stats.sampled == (
         stats.guarded + stats.coverage_rejected + stats.pool_unavailable + stats.oversized)
@@ -490,6 +604,38 @@ def test_sampled_counts_add_up_on_one_thread():
     assert stats.guarded and stats.coverage_rejected and stats.oversized
     assert stats.pool_unavailable
     assert _sampled_outcomes_add_up(stats)
+
+
+def test_every_live_host_block_has_a_free_list():
+    # A free appends to its key's list with no lock and never creates
+    # one: the carve made it before the block was published, and no
+    # list is ever removed.  A seeded mix of every entry point, with
+    # the guarded path's host fallbacks, keeps both facts at every step.
+    allocator, _ = make_allocator(slot_count=4, max_live=2)
+    rng = random.Random(24)
+    lists, live = {}, []
+
+    def site(depth, call, *args):
+        return site(depth - 1, call, *args) if depth else call(*args)
+
+    for step in range(3000):
+        roll = rng.random()
+        size = 5000 if step % 9 == 0 else rng.choice((0, 16, 40, 100))
+        if roll < 0.35 or not live:
+            live.append(site(rng.randrange(4), allocator.malloc, size))
+        elif roll < 0.45:
+            live.append(site(rng.randrange(4), allocator.calloc, 2, size))
+        elif roll < 0.6:
+            ptr = live.pop(rng.randrange(len(live)))
+            live.append(site(rng.randrange(4), allocator.realloc, ptr, size))
+        else:
+            allocator.free(live.pop(rng.randrange(len(live))))
+        assert all(key in allocator._free for key in allocator._sizes.values()), step
+        assert all(allocator._free.get(key) is bucket for key, bucket in lists.items()), step
+        lists.update(allocator._free)
+    stats = allocator.stats
+    assert stats.guarded and stats.oversized and stats.coverage_rejected
+    assert stats.pool_unavailable
 
 
 def test_sampled_counts_add_up_under_threads():
@@ -581,18 +727,51 @@ def test_an_unsampled_pair_makes_one_python_call_per_entry_point():
 
 
 class _OnceLock:
-    """The pool's lock, counting its holds; a hold that re-enters it fails."""
+    """A lock counting its holds; a hold that re-enters it fails."""
 
     def __init__(self, lock):
         self._lock = lock
         self.holds = 0
 
-    def __enter__(self):
-        assert self._lock.acquire(blocking=False), "pool.lock re-entered"
+    def acquire(self, *args):
+        assert self._lock.acquire(blocking=False), "lock re-entered"
         self.holds += 1
+        return True
+
+    def release(self):
+        self._lock.release()
+
+    def locked(self):
+        return self._lock.locked()
+
+    def __enter__(self):
+        return self.acquire()
 
     def __exit__(self, *exc_info):
-        self._lock.release()
+        self.release()
+
+
+@pytest.mark.parametrize("hooked", [False, True], ids=["host", "hooked-host"])
+def test_only_a_carve_takes_the_host_lock(hooked):
+    # A recycled malloc/free pair is single dict and list operations,
+    # atomic under the GIL, and takes no lock, as a production
+    # allocator's per-thread cache takes none.  Each carve, a grow
+    # included, holds the host lock once.
+    arena = host_and_hooked()[hooked]
+    lock = arena._lock = _OnceLock(arena._lock)
+    sizes = (0, 16, 24, 100, 4096, 65 * arena.vm.page_size)  # the last one grows the arena
+    blocks = []
+    for carves, size in enumerate(sizes, 1):
+        blocks.append(arena.malloc(size))
+        assert lock.holds == carves, size
+    for addr in blocks:
+        arena.free(addr)
+    for step in range(600):
+        arena.free(arena.malloc(sizes[step % len(sizes)]))
+    assert lock.holds == len(sizes), "a recycled pair took the host lock"
+    assert not lock.locked()
+    if hooked:
+        assert arena.stats == AllocatorStats()
 
 
 def test_each_guarded_call_holds_the_pool_lock_once():
