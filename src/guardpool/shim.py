@@ -4,20 +4,21 @@ GuardianAllocator is the host allocator (FallbackAllocator, a
 bump-plus-freelist arena in the same modeled address space) with the
 sampling check written into its own fast paths, as GWP-ASan is built
 into Scudo's: an unsampled malloc or free runs one Python frame of
-single dict and list operations, atomic under the GIL, and takes no
-lock (see FallbackAllocator).  malloc first decrements a countdown kept
-on the allocator; until it expires, malloc goes on as the host's
-malloc.  The countdown is split into chunks of 256 calls, so it only
-ever stores ints from CPython's small-int cache (1..256, even under
-races) and its decrement allocates nothing, as GWP-ASan's hook
-decrements a plain thread-local integer.  When it expires with no chunk
-left, malloc asks the policy in sampler.py, and sampled requests that
-fit a page go to the guarded pool, get their stack captured and
-recorded, and are registered with the coverage filter.  free pops the
-pointer from the host's size map; only on a miss does it compare the
-pointer with the pool bounds cached at enable time.  Guarded frees are
-validated, so double frees and mid-object frees are detected without
-any page fault.
+single dict and list operations, atomic under the GIL; it takes no lock
+and, on the default alignment, builds no object (see
+FallbackAllocator).  malloc first decrements a countdown kept on the
+allocator; until it expires, malloc goes on as the host's malloc.  The
+countdown is split into chunks of 256 calls, so it only ever stores
+ints from CPython's small-int cache (1..256, even under races) and its
+decrement allocates nothing, as GWP-ASan's hook decrements a plain
+thread-local integer.  When it expires with no chunk left, malloc asks
+the policy in sampler.py, and sampled requests that fit a page go to
+the guarded pool, get their stack captured and recorded, and are
+registered with the coverage filter.  free pops the pointer's free list
+from the host's size map and appends the pointer to it; only on a miss
+does it compare the pointer with the pool bounds cached at enable time.
+Guarded frees are validated, so double frees and mid-object frees are
+detected without any page fault.
 
 Per-process enablement happens at construction: a disabled allocator
 reserves no pool pages and binds FallbackAllocator's methods as its
@@ -54,20 +55,28 @@ _MASK64 = (1 << 64) - 1
 _CHUNK = 256
 
 
+class _FreeList(list):  # one key's recycled blocks
+    __slots__ = ("size",)  # the size they were asked at
+
+
 class FallbackAllocator:
     """Host allocator stand-in: bump arena with exact-size free lists.
 
     Recycles freed blocks without scrubbing them, like a production
     malloc fast path; newly carved arena space is zero because the
-    backing reservation is anonymous.
+    backing reservation is anonymous.  The default alignment, 16, keys
+    its free list on the int size, any other on (size, alignment); the
+    size map holds each live block's list itself, as Scudo's chunk header
+    holds its size class, so free reaches the list with no lookup.
 
     Threads: recycling takes no lock.  Its steps (the free list's get,
     pop and append, the size map's store and pop) are each one builtin
-    dict or list operation on int keys, atomic under the GIL; a pop that
-    loses the last block to another thread raises IndexError, and malloc
-    carves instead.  The carve holds the host lock (it moves the cursor,
-    and its grow runs vm.reserve's Python) and makes the key's free list
-    before it publishes the block; no free list is ever removed.
+    dict or list operation (_FreeList overrides none), atomic under the
+    GIL; a pop that loses the last block to another thread raises
+    IndexError, and malloc carves instead.  The carve holds the host
+    lock (it moves the cursor, and its grow runs vm.reserve's Python)
+    and makes the key's free list before it publishes the block; no
+    free list is ever removed.
     """
 
     def __init__(self, vm: VirtualMemory, initial_pages: int = 64):
@@ -76,42 +85,43 @@ class FallbackAllocator:
         self._cursor = 0
         self._limit = 0
         self._grow_pages = max(initial_pages, 1)
-        self._sizes: dict[int, tuple[int, int]] = {}  # addr -> (size, alignment)
-        self._free: dict[tuple[int, int], list[int]] = {}  # never loses a key
+        self._sizes: dict[int, _FreeList] = {}  # addr -> its key's free list
+        self._free: dict[int | tuple[int, int], _FreeList] = {}  # never loses a key
 
     def malloc(self, size: int, alignment: int = 16) -> int:
         if size < 0:
             raise ValueError(f"size must be non-negative, got {size}")
         if alignment < 1 or alignment & (alignment - 1):
-            raise ValueError(f"alignment must be a power of two, got {alignment}")
-        key = (size, alignment)
+            if alignment:
+                raise ValueError(f"alignment must be a power of two, got {alignment}")
+            alignment = 16  # 0 asks the default
+        key = size if alignment == 16 else (size, alignment)
         bucket = self._free.get(key)
         if bucket:
             try:
                 addr = bucket.pop()
             except IndexError:  # another thread took the last block
-                return self._carve(key)
-            self._sizes[addr] = key
+                return self._carve(key, size, alignment)
+            self._sizes[addr] = bucket
             return addr
-        return self._carve(key)
+        return self._carve(key, size, alignment)
 
     def free(self, addr: int) -> None:
         if not addr:
             return
-        key = self._sizes.pop(addr, None)
-        if key is None:
+        bucket = self._sizes.pop(addr, None)
+        if bucket is None:
             raise ValueError(f"0x{addr:x} is not a live allocation")
-        self._free[key].append(addr)
+        bucket.append(addr)
 
     def usable_size(self, addr: int) -> int:
         try:
-            return self._sizes[addr][0]
+            return self._sizes[addr].size
         except KeyError:
             raise ValueError(f"0x{addr:x} is not a live allocation") from None
 
-    def _carve(self, key: tuple[int, int]) -> int:
+    def _carve(self, key: int | tuple[int, int], size: int, alignment: int) -> int:
         """A fresh block from the arena's end, carved under the host lock."""
-        size, alignment = key
         span = max(size, 1)
         with self._lock:
             addr = -(-self._cursor // alignment) * alignment
@@ -119,8 +129,11 @@ class FallbackAllocator:
                 self._grow(span + alignment)
                 addr = -(-self._cursor // alignment) * alignment
             self._cursor = addr + span
-            self._free.setdefault(key, [])
-            self._sizes[addr] = key
+            bucket = self._free.get(key)
+            if bucket is None:
+                bucket = self._free[key] = _FreeList()
+                bucket.size = size
+            self._sizes[addr] = bucket
         return addr
 
     def _grow(self, need: int) -> None:
@@ -295,16 +308,16 @@ class GuardianAllocator(FallbackAllocator):
             alignment = 16
         elif alignment < 1 or alignment & (alignment - 1):
             raise ValueError(f"alignment must be a power of two, got {alignment}")
-        key = (size, alignment)
+        key = size if alignment == 16 else (size, alignment)
         bucket = self._free.get(key)
         if bucket:
             try:
                 addr = bucket.pop()
             except IndexError:  # another thread took the last block
-                return self._carve(key)
-            self._sizes[addr] = key
+                return self._carve(key, size, alignment)
+            self._sizes[addr] = bucket
             return addr
-        return self._carve(key)
+        return self._carve(key, size, alignment)
 
     def calloc(self, count: int, size: int) -> int:
         if count < 0 or size < 0:
@@ -338,9 +351,9 @@ class GuardianAllocator(FallbackAllocator):
 
     def free(self, addr: int) -> None:
         # The host's free first: a host block is the common case.
-        key = self._sizes.pop(addr, None)
-        if key is not None:
-            self._free[key].append(addr)
+        bucket = self._sizes.pop(addr, None)
+        if bucket is not None:
+            bucket.append(addr)
             return
         if self._pool_lo <= addr < self._pool_hi:
             self._guarded_free(addr)
@@ -384,7 +397,7 @@ class GuardianAllocator(FallbackAllocator):
                 or size < 0 or alignment < 0 or alignment & (alignment - 1)):
             # Not sampled, or a request the host rejects: it raises its
             # own error before a stack is captured or a counter moves.
-            return FallbackAllocator.malloc(self, size, alignment or 16)
+            return FallbackAllocator.malloc(self, size, alignment)
 
         # Every stats counter moves under pool.lock, so sampled always
         # equals guarded + coverage_rejected + pool_unavailable + oversized.
@@ -395,7 +408,7 @@ class GuardianAllocator(FallbackAllocator):
             with pool.lock:
                 self.stats.sampled += 1
                 self.stats.oversized += 1
-            return FallbackAllocator.malloc(self, size, alignment or 16)
+            return FallbackAllocator.malloc(self, size, alignment)
 
         # One tuple, hashed by source_of's memo and kept by compress_trace's.
         trace = tuple(capture_trace(self._max_frames))
@@ -405,11 +418,11 @@ class GuardianAllocator(FallbackAllocator):
             source = source_of(trace)
             if not self.coverage.admit(pool.live_count / pool.max_live, source):
                 self.stats.coverage_rejected += 1
-                return FallbackAllocator.malloc(self, size, alignment or 16)
+                return FallbackAllocator.malloc(self, size, alignment)
             acquired = pool.acquire(size, effective_alignment)
             if acquired is None:
                 self.stats.pool_unavailable += 1
-                return FallbackAllocator.malloc(self, size, alignment or 16)
+                return FallbackAllocator.malloc(self, size, alignment)
             slot_index, user_address = acquired
             self.store.store_alloc(slot_index, (user_address - pool.base) % pool.page_size,
                                    size, source, thread_id, trace)

@@ -4,6 +4,7 @@ import io
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -60,6 +61,18 @@ def host_and_hooked():
     return FallbackAllocator(VirtualMemory()), make_allocator(sample_rate=10**9)[0]
 
 
+def _layout(arena):
+    """The host's two maps as plain values, with the links checked.
+
+    Each live block maps to the key of its free list, found by identity:
+    a size-map entry that is not its key's list itself fails here.  Each
+    free list maps to its size and its blocks.
+    """
+    keys = {id(bucket): key for key, bucket in arena._free.items()}
+    sizes = {addr: keys[id(bucket)] for addr, bucket in arena._sizes.items()}
+    return sizes, {key: (bucket.size, list(bucket)) for key, bucket in arena._free.items()}
+
+
 def test_fallback_alignment_and_reuse():
     for arena in host_and_hooked():
         a = arena.malloc(24, 16)
@@ -102,11 +115,25 @@ def test_fallback_argument_validation():
         arena.free(0)  # free(NULL) is a no-op
 
 
+def test_alignment_zero_asks_the_hosts_default():
+    # On every launch, enabled or not, 0 is the host's default of 16: the
+    # block is 16-aligned and recycles through the default's free list.
+    disabled, _ = make_allocator(enabled=False)
+    for arena in (*host_and_hooked(), disabled):
+        a = arena.malloc(24, 0)
+        assert a % 16 == 0 and arena.usable_size(a) == 24
+        arena.free(a)
+        assert arena.malloc(24) == a
+        arena.free(a)
+        assert arena.malloc(24, 16) == a
+        assert list(arena._free) == [24]
+
+
 def test_fallback_rejects_foreign_pointers_without_side_effects():
     for arena in host_and_hooked():
         a = arena.malloc(32)
         arena.free(arena.malloc(48))
-        sizes, free_lists = dict(arena._sizes), {k: list(v) for k, v in arena._free.items()}
+        layout = _layout(arena)
         # Arena addresses no block starts at, and addresses past the
         # arena and far outside the address space in use.
         for bad in (a + 1, a + 4096, arena._limit + 64, 1 << 60, -16):
@@ -115,8 +142,7 @@ def test_fallback_rejects_foreign_pointers_without_side_effects():
             assert not arena._lock.locked(), "a rejected free kept the host lock"
             with pytest.raises(ValueError, match=f"0x{bad:x}"):
                 arena.usable_size(bad)
-        assert arena._sizes == sizes
-        assert arena._free == free_lists
+        assert _layout(arena) == layout
         if isinstance(arena, GuardianAllocator):  # nor did the guarded side move
             assert arena.stats == AllocatorStats()
             assert arena.config.sink.getvalue() == ""
@@ -141,7 +167,7 @@ def test_a_failed_carve_propagates_and_releases_the_host_lock(monkeypatch, hooke
     assert arena.malloc(32) == recycled  # a recycled size needs no carve
 
 
-class _LostRace(list):
+class _LostRace(shim_module._FreeList):
     """A free list whose last block another thread took after the check."""
 
     def pop(self, *args):
@@ -156,13 +182,13 @@ def test_a_pop_that_loses_the_race_carves_instead(hooked):
     arena = host_and_hooked()[hooked]
     taken = arena.malloc(40)
     arena.free(taken)
-    key = (40, 16)
-    arena._free[key] = bucket = _LostRace([taken])
+    arena._free[40] = bucket = _LostRace([taken])
+    bucket.size = 40
     fresh = arena.malloc(40)
     assert fresh >= taken + 40, "not a fresh block"
-    assert arena._sizes == {fresh: key}
+    assert list(arena._sizes) == [fresh] and arena._sizes[fresh] is bucket
     assert arena.usable_size(fresh) == 40
-    assert arena._free[key] is bucket  # the carve keeps the key's list
+    assert arena._free[40] is bucket  # the carve keeps the key's list
     arena.free(fresh)
     assert arena._sizes == {} and list(bucket) == [taken, fresh]
 
@@ -227,9 +253,9 @@ def test_threads_never_share_a_block(hooked):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert live == set() and arena._sizes == {}
-    freed = [(addr, key) for key, bucket in arena._free.items() for addr in bucket]
-    assert sorted(addr for addr, _ in freed) == sorted(handed_out), "lost or listed twice"
-    assert all(key == (handed_out[addr], 16) for addr, key in freed)
+    freed = [(addr, key, bucket) for key, bucket in arena._free.items() for addr in bucket]
+    assert sorted(addr for addr, _, _ in freed) == sorted(handed_out), "lost or listed twice"
+    assert all(key == bucket.size == handed_out[addr] for addr, key, bucket in freed)
     ends = sorted((addr, addr + size) for addr, size in handed_out.items())
     assert all(end <= start for (_, end), (start, _) in zip(ends, ends[1:])), "blocks overlap"
 
@@ -242,9 +268,9 @@ def _outcome(call, *args):
 
 
 # Sizes and alignments the call-for-call tests below draw from; -1, 3, 12
-# and -4 are invalid requests.
+# and -4 are invalid requests, and alignment 0 asks the host's default.
 _SIZES = (0, 1, 16, 24, 100, 4096, 5000, -1)
-_ALIGNMENTS = (None, None, 1, 8, 16, 64, 4096, 3, 12, -4)
+_ALIGNMENTS = (None, None, 0, 1, 8, 16, 64, 4096, 3, 12, -4)
 
 
 @pytest.mark.parametrize("seed, min_alignment", [
@@ -287,8 +313,7 @@ def test_the_hooked_host_matches_the_host_call_for_call(seed, min_alignment):
         assert got == want, (step, name, args)
         if name == "malloc" and isinstance(want, int):
             live.append(want)
-    assert hooked._sizes == host._sizes
-    assert hooked._free == host._free
+    assert _layout(hooked) == _layout(host)
     assert hooked.stats == AllocatorStats()
     assert sink.getvalue() == ""
 
@@ -630,7 +655,9 @@ def test_every_live_host_block_has_a_free_list():
             live.append(site(rng.randrange(4), allocator.realloc, ptr, size))
         else:
             allocator.free(live.pop(rng.randrange(len(live))))
-        assert all(key in allocator._free for key in allocator._sizes.values()), step
+        # Every request here asks the default alignment, so each key is its size.
+        assert all(allocator._free.get(bucket.size) is bucket
+                   for bucket in allocator._sizes.values()), step
         assert all(allocator._free.get(key) is bucket for key, bucket in lists.items()), step
         lists.update(allocator._free)
     stats = allocator.stats
@@ -772,6 +799,34 @@ def test_only_a_carve_takes_the_host_lock(hooked):
     assert not lock.locked()
     if hooked:
         assert arena.stats == AllocatorStats()
+
+
+@pytest.mark.parametrize("hooked", [False, True], ids=["host", "hooked-host"])
+def test_a_recycled_malloc_allocates_nothing(hooked):
+    # A default-alignment malloc keys its free list on the int size and
+    # stores that list in the size map: it builds no object, so blocks
+    # held live after recycling cost the host no memory of its own.
+    arena = host_and_hooked()[hooked]
+    if hooked:
+        arena._chunks = 200  # below 256: no chunk reload makes a new int
+    # Warm-up: 3,000 live blocks grow the size map past what the measured
+    # run needs, and their free list to more than it takes, so neither
+    # is resized while tracemalloc watches.
+    blocks = [arena.malloc(24) for _ in range(3000)]
+    for addr in blocks:
+        arena.free(addr)
+    # CPython reuses up to 2,000 freed 2-tuples out of tracemalloc's
+    # sight; holding more makes any pair a malloc builds a traced block.
+    pairs = [(n, -n) for n in range(2500)]
+    tracemalloc.start()
+    try:
+        live = [arena.malloc(24) for _ in range(1000)]
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert set(live) <= set(blocks) and len(pairs) == 2500
+    traces = snapshot.filter_traces([tracemalloc.Filter(True, shim_module.__file__)]).traces
+    assert len(traces) == 0, [str(trace.traceback) for trace in traces][:5]
 
 
 def test_each_guarded_call_holds_the_pool_lock_once():
