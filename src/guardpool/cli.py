@@ -94,7 +94,7 @@ def _flag_groups() -> tuple[argparse.ArgumentParser, ...]:
     sampling = argparse.ArgumentParser(add_help=False)
     sampling.add_argument("--policy", choices=["counter", "timer"], default="counter")
     sampling.add_argument("--sample-rate", type=int, default=5000)
-    sampling.add_argument("--sample-interval-ms", type=float, default=100.0)
+    sampling.add_argument("--sample-interval-ms", type=positive_float, default=100.0)
     sampling.add_argument("--iterations", type=positive_int, default=1_000_000)
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=["human", "records"], default="human")
@@ -308,6 +308,10 @@ def cmd_sample_stats(args) -> int:
         return now[0]
 
     alloc = GuardianAllocator(_allocator_config(args, timer_clock=clock))
+    expected = duration_s / alloc.config.sample_interval  # the timer policy's count
+    if args.policy == "timer" and not math.isfinite(expected):
+        raise ValueError(f"the expected count, {duration_ms:g} ms /"
+                         f" {args.sample_interval_ms:g} ms, is not finite")
     gaps = []
     prev = 0
     for call_no in range(1, args.iterations + 1):
@@ -319,7 +323,7 @@ def cmd_sample_stats(args) -> int:
     samples = len(gaps)
 
     if args.policy == "timer":
-        expected = int(duration_s / (args.sample_interval_ms / 1000.0))
+        expected = int(expected)
         if args.format == "records":
             print(
                 f"sample-stats policy=timer iterations={args.iterations}"

@@ -12,10 +12,10 @@ Three independent gates exist in a deployment:
 
 The countdown fast path is a single decrement and compare; the RNG only
 runs when a sample fires.  GuardianAllocator keeps one countdown per
-allocator, shared by all threads and decremented with no lock (its host
-fast path takes none either), and calls next_skip() when it expires: a
-thread race can lose a decrement or take one extra sample, but never
-stores a countdown below 1, so sampling never stops.
+allocator, shared by all threads and stepped with no lock (its host
+fast path takes none either), and calls next_skip() when it runs out.
+Its step is one C operation, atomic under the GIL, so a thread race
+loses no decrement and can only take one extra sample.
 """
 
 from __future__ import annotations

@@ -6,15 +6,14 @@ sampling check written into its own fast paths, as GWP-ASan is built
 into Scudo's: an unsampled malloc or free runs one Python frame of
 single dict and list operations, atomic under the GIL; it takes no lock
 and, on the default alignment, builds no object (see
-FallbackAllocator).  malloc first decrements a countdown kept on the
-allocator; until it expires, malloc goes on as the host's malloc.  The
-countdown is split into chunks of 256 calls, so it only ever stores
-ints from CPython's small-int cache (1..256, even under races) and its
-decrement allocates nothing, as GWP-ASan's hook decrements a plain
-thread-local integer.  When it expires with no chunk left, malloc asks
-the policy in sampler.py, and sampled requests that fit a page go to
-the guarded pool, get their stack captured and recorded, and are
-registered with the coverage filter.  free pops the pointer's free list
+FallbackAllocator).  malloc first steps a countdown kept on the
+allocator: an itertools.repeat, whose C counter next() decrements in one
+operation, atomic under the GIL, that makes no int, as GWP-ASan's hook
+decrements a plain thread-local integer.  Until it runs out, malloc
+goes on as the host's malloc.  When it runs out, malloc asks the policy
+in sampler.py, and sampled requests that fit a page go to the guarded
+pool, get their stack captured and recorded, and are registered with
+the coverage filter.  free pops the pointer's free list
 from the host's size map and appends the pointer to it; only on a miss
 does it compare the pointer with the pool bounds cached at enable time.
 Guarded frees are validated, so double frees and mid-object frees are
@@ -27,6 +26,8 @@ entry points, making the disabled tool bit-identical to no tool at all.
 
 from __future__ import annotations
 
+import itertools
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -48,11 +49,11 @@ from .vmem import PROT_READ, PROT_WRITE, AccessType, VirtualMemory
 
 _MASK64 = (1 << 64) - 1
 
-# The countdown splits a skip of S calls into _skip, 1.._CHUNK, and
-# _chunks whole chunks of _CHUNK calls: S = _skip + _CHUNK * _chunks.
-# 256 is the largest int CPython caches (it keeps -5..256), so no
-# decrement of _skip makes a new int.
-_CHUNK = 256
+# malloc's countdowns: next(countdown, True) is True once it runs out, so a
+# skip of S calls is repeat(None, S - 1).  It is parked on the endless one
+# while the policy decides; the timer's is run out: each malloc asks its gate.
+_PARKED = itertools.repeat(None)
+_RUN_OUT = itertools.repeat(None, 0)
 
 
 class _FreeList(list):  # one key's recycled blocks
@@ -190,10 +191,12 @@ class GuardianConfig:
             )
         if self.policy not in ("counter", "timer"):
             raise ValueError(f"policy must be 'counter' or 'timer', got {self.policy!r}")
-        if self.sample_rate < 1:
-            raise ValueError(f"sample_rate must be >= 1, got {self.sample_rate}")
-        if not self.sample_interval > 0:  # also rejects NaN
-            raise ValueError(f"sample_interval must be positive, got {self.sample_interval}")
+        # The countdown's C Py_ssize_t counter holds up to 2*sample_rate - 1.
+        if not isinstance(self.sample_rate, int) or not 1 <= self.sample_rate <= 2**62:
+            raise ValueError(f"sample_rate must be an int in [1, 2**62], got {self.sample_rate!r}")
+        if not (math.isfinite(self.sample_interval) and self.sample_interval > 0):
+            raise ValueError(
+                f"sample_interval must be positive and finite, got {self.sample_interval}")
         if self.min_alignment < 1 or self.min_alignment & (self.min_alignment - 1):
             raise ValueError(f"min_alignment must be a power of two, got {self.min_alignment}")
 
@@ -268,11 +271,10 @@ class GuardianAllocator(FallbackAllocator):
         self._max_frames = cfg.max_frames
         if cfg.policy == "counter":
             self._sampler = CounterSampler(cfg.sample_rate, cfg.seed)
-            self._chunks, first = divmod(self._sampler.next_skip() - 1, _CHUNK)
-            self._skip = first + 1
+            self._ticks = itertools.repeat(None, self._sampler.next_skip() - 1)
         else:
             self._sampler = TimerGate(cfg.sample_interval, cfg.timer_clock)
-            self._chunks, self._skip = 0, 1
+            self._ticks = _RUN_OUT
         self._pool_lo = self.pool.base
         self._pool_hi = self.pool.base + self.pool.region_length
 
@@ -287,19 +289,9 @@ class GuardianAllocator(FallbackAllocator):
     # -- allocation entry points ------------------------------------------
 
     def malloc(self, size: int, alignment: int = 0) -> int:
-        # _skip holds only 1.._CHUNK and _chunks only values >= 0, even
-        # under races.  An expired _skip reloads a chunk, or with none left
-        # is parked at a full one while the policy decides, so a malloc on
-        # another thread meanwhile counts down instead of sampling too.
-        skip = self._skip - 1
-        if skip <= 0:
-            chunks = self._chunks
-            if not chunks:
-                self._skip = _CHUNK
-                return self._guarded_malloc(size, alignment)
-            self._chunks = chunks - 1
-            skip = _CHUNK
-        self._skip = skip
+        if next(self._ticks, True):  # the countdown ran out: park it, ask the policy
+            self._ticks = _PARKED
+            return self._guarded_malloc(size, alignment)
         # The host's malloc from here on, as in FallbackAllocator.malloc;
         # the host's default alignment, 16, needs no power-of-two check.
         if size < 0:
@@ -385,13 +377,14 @@ class GuardianAllocator(FallbackAllocator):
 
     def _guarded_malloc(self, size: int, alignment: int) -> int:
         """The countdown expired: ask the policy, then guard the request."""
+        # Rearm the countdown before the timer's clock, which can raise,
+        # so that an error never leaves it parked.
         sampler = self._sampler
-        if isinstance(sampler, TimerGate):  # the countdown stays at 1, no chunks
-            self._skip = 1
+        if isinstance(sampler, TimerGate):
+            self._ticks = _RUN_OUT
             sample = sampler.want_to_sample()
         else:
-            self._chunks, first = divmod(sampler.next_skip() - 1, _CHUNK)
-            self._skip = first + 1
+            self._ticks = itertools.repeat(None, sampler.next_skip() - 1)
             sample = True
         if (not sample or self.reporter.disabled
                 or size < 0 or alignment < 0 or alignment & (alignment - 1)):

@@ -29,6 +29,7 @@ from guardpool.reporter import (
     parse_report,
     render_report,
 )
+from guardpool import shim as shim_module
 from guardpool.shim import GuardianAllocator, GuardianConfig
 from guardpool.cli import EXIT_OK, EXIT_UNDETECTED, main
 from guardpool.vmem import SegmentationFault
@@ -266,6 +267,53 @@ def test_disabled_overhead_within_one_percent(bench_results):
 @pytest.mark.acceptance("4-enabled enabled overhead is at most 5%")
 def test_enabled_overhead_within_five_percent(bench_results):
     assert bench_results["enabled"] <= 5.0, bench_results["line"]
+
+
+def _pair_opcodes(alloc) -> int:
+    """Bytecodes that one recycled 16 B malloc/free pair runs in shim.py."""
+    malloc, free = alloc.malloc, alloc.free
+    free(malloc(16))  # carve once; the traced pair recycles
+    count = 0
+
+    def step(frame, event, arg):
+        nonlocal count
+        count += event == "opcode"
+        return step
+
+    def enter(frame, event, arg):
+        if frame.f_code.co_filename == shim_module.__file__:
+            frame.f_trace_opcodes = True
+            return step
+        return None
+
+    sys.settrace(enter)
+    try:
+        free(malloc(16))
+    finally:
+        sys.settrace(None)
+    return count
+
+
+# Counted on CPython 3.11.  The absent and disabled legs run the host's
+# own malloc and free; the enabled leg adds the countdown's step and
+# skips the power-of-two check on the default alignment.
+GATE_4_PAIR_OPCODES = {(3, 11): {"absent": 64, "disabled": 64, "enabled": 64}}
+
+
+def test_gate_4_legs_run_pinned_bytecode_counts():
+    # Gate 4's legs, counted in bytecodes, which no VM noise moves.
+    config = dict(sample_rate=5000, seed=1, sink=io.StringIO())
+    legs = {
+        "absent": GuardianAllocator(GuardianConfig(enabled=False, **config)),
+        "disabled": GuardianAllocator(GuardianConfig(process_sample_probability=0.0, **config)),
+        "enabled": GuardianAllocator(GuardianConfig(**config)),
+    }
+    counts = {leg: _pair_opcodes(alloc) for leg, alloc in legs.items()}
+    assert legs["enabled"].stats.sampled == 0
+    assert counts["disabled"] == counts["absent"], counts
+    pinned = GATE_4_PAIR_OPCODES.get(sys.version_info[:2])
+    if pinned is not None:
+        assert counts == pinned
 
 
 # -- criterion 5: metadata compression --------------------------------------------

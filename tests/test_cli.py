@@ -118,6 +118,12 @@ def test_missing_command_exits_config_status():
      "--duration-ms: must be a positive finite number"),
     (["sample-stats", "--policy", "timer", "--duration-ms", "inf"],
      "--duration-ms: must be a positive finite number"),
+    (["sample-stats", "--policy", "timer", "--sample-interval-ms", "inf"],
+     "--sample-interval-ms: must be a positive finite number"),
+    (["sample-stats", "--policy", "timer", "--sample-interval-ms", "nan"],
+     "--sample-interval-ms: must be a positive finite number"),
+    (["stress", "--policy", "timer", "--sample-interval-ms", "0"],
+     "--sample-interval-ms: must be a positive finite number"),
     (["sample-stats", "--duration-ms", "500"], "--duration-ms: only --policy timer reads it"),
     (["sample-stats", "--duration-ms", "500", "--policy", "counter"],
      "--duration-ms: only --policy timer reads it"),
@@ -162,10 +168,31 @@ def test_invalid_free_below_the_block_is_still_injected(capsys):
 
 
 def test_invalid_config_value_exits_config_status(capsys):
-    code, _, err = run_cli(capsys, "sample-stats", "--sample-rate", "0",
-                           "--iterations", "10")
+    for rate in ("0", str(2**62 + 1)):
+        code, _, err = run_cli(capsys, "sample-stats", "--sample-rate", rate,
+                               "--iterations", "10")
+        assert code == EXIT_CONFIG, rate
+        assert "sample_rate" in err
+
+
+def test_a_non_finite_interval_in_the_config_exits_config_status(capsys, monkeypatch):
+    # The flag's type rejects inf; a config that carries one anyway is
+    # rejected by GuardianConfig.validate, not run with no samples.
+    monkeypatch.setattr(cli, "_allocator_config", lambda args, **overrides: cli.GuardianConfig(
+        policy="timer", sample_interval=float("inf"), **overrides))
+    code, out, err = run_cli(capsys, "sample-stats", "--policy", "timer", "--iterations", "10")
     assert code == EXIT_CONFIG
-    assert "sample_rate" in err
+    assert "sample_interval must be positive and finite" in err
+    assert out == ""
+
+
+def test_timer_stats_with_no_finite_expected_count_exits_config_status(capsys):
+    # 1000 ms over 1e-323 s is inf: no count to print, and no traceback.
+    code, out, err = run_cli(capsys, "sample-stats", "--policy", "timer",
+                             "--sample-interval-ms", "1e-320", "--iterations", "10")
+    assert code == EXIT_CONFIG
+    assert "the expected count, 1000 ms / " in err and "is not finite" in err
+    assert "Traceback" not in err and out == ""
 
 
 # -- inject -----------------------------------------------------------------

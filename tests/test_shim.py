@@ -1,6 +1,8 @@
 """Allocator front end: routing, free-path validation, passthrough cost model."""
 
 import io
+import itertools
+import operator
 import random
 import sys
 import threading
@@ -475,6 +477,10 @@ def test_bad_config_rejected_whatever_the_launch_decision():
     ("coverage_threshold", 0.0),
     ("coverage_threshold", 1.5),
     ("sample_interval", float("nan")),
+    ("sample_interval", float("inf")),
+    ("sample_rate", 0),
+    ("sample_rate", 2**62 + 1),
+    ("sample_rate", 2.5),
     ("max_frames", 0),
     ("max_frames", -3),
     ("min_alignment", 8192),
@@ -496,16 +502,18 @@ def test_launch_decision_is_seed_deterministic():
 # -- the inlined countdown ------------------------------------------------
 
 
-# 128, 256 and 257: skips that end inside the countdown's first chunk of
-# 256 calls, exactly on its end, and one call past it.
-@pytest.mark.parametrize("rate", [1, 7, 128, 256, 257, 5000])
+# Skips from 1 call (a countdown run out from the start) up to 80,000:
+# 128, 256 and 257 draw skips either side of 256, the largest int CPython
+# caches, and 40,000 skips far past it.  A skip is at most 2 * rate
+# calls, so 6 * rate calls hold at least three samples.
+@pytest.mark.parametrize("rate", [1, 7, 128, 256, 257, 5000, 40_000])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_sampled_calls_match_the_counter_sampler(seed, rate):
     allocator, _ = make_allocator(sample_rate=rate, seed=seed, max_frames=1)
     oracle = CounterSampler(rate, seed).want_to_sample
     malloc, free, stats = allocator.malloc, allocator.free, allocator.stats
     got, want = [], []
-    for call in range(100_000):
+    for call in range(max(100_000, 6 * rate)):
         before = stats.sampled
         free(malloc(16))
         if stats.sampled > before:
@@ -548,8 +556,10 @@ def test_unlocked_countdown_keeps_sampling_under_threads():
 
 
 def test_two_threads_keep_the_sampling_rate():
-    # The countdown is unlocked: a race can lose a decrement or take an
-    # extra sample, but the realized rate must stay in gate 3a's band.
+    # The countdown is unlocked, but its step is one C operation, so two
+    # threads' decrements never overwrite each other; a race can only
+    # take an extra sample (two threads run it out before either parks
+    # it).  The realized rate must stay in gate 3a's band.
     allocator, _ = make_allocator(sample_rate=1000, seed=8, max_frames=1)
     per_thread = 100_000
     errors = []
@@ -597,6 +607,39 @@ def test_a_malloc_while_the_policy_decides_is_not_sampled_too():
     ptrs = [allocator.malloc(16) for _ in range(2001)]
     assert len(raced) == 2 and not allocator.is_guarded(raced[1])
     assert allocator.stats.sampled == sum(map(allocator.is_guarded, ptrs)) >= 1
+
+
+def test_the_largest_sample_rate_fits_the_countdown():
+    # A skip of up to 2 * sample_rate calls is held as repeat(None,
+    # skip - 1), whose counter is a C Py_ssize_t: 2**62 is the largest
+    # rate whose every skip fits.
+    rate = 2**62
+    itertools.repeat(None, 2 * rate - 1)
+    with pytest.raises(OverflowError):
+        itertools.repeat(None, 2 * (rate + 1) - 1)
+    allocator, _ = make_allocator(sample_rate=rate, seed=5)
+    allocator.free(allocator.malloc(16))
+    assert allocator.stats == AllocatorStats()
+
+
+def test_a_clock_error_leaves_the_timer_gate_asked_again():
+    # The countdown is rearmed before the clock is read: a clock that
+    # raises once must not leave it parked, which would end sampling.
+    reads, now = [], [0.0]
+
+    def clock():
+        reads.append(now[0])
+        if len(reads) == 2:  # the first malloc's read; the gate's set-up is the first
+            raise RuntimeError("clock failed")
+        return now[0]
+
+    allocator, _ = make_allocator(policy="timer", sample_interval=1.0, timer_clock=clock)
+    with pytest.raises(RuntimeError, match="clock failed"):
+        allocator.malloc(16)
+    now[0] = 1.5
+    assert allocator.is_guarded(allocator.malloc(16))
+    assert len(reads) == 3
+    assert allocator.stats.sampled == 1
 
 
 def _sampled_outcomes_add_up(stats):
@@ -735,11 +778,12 @@ UNSAMPLED_PAIR_CALLS = 2
 
 
 def test_an_unsampled_pair_makes_one_python_call_per_entry_point():
-    # 600 pairs span at least two reloads of the countdown's 256-call
-    # chunk: a reload runs in the malloc frame like any other decrement.
+    # The countdown is stepped in C: each malloc takes exactly one count
+    # off it, and no step runs Python code.
     allocator, _ = make_allocator(sample_rate=10**9)
     allocator.free(allocator.malloc(64))  # carve once; the pairs below recycle
-    malloc, free, chunks = allocator.malloc, allocator.free, allocator._chunks
+    malloc, free = allocator.malloc, allocator.free
+    left = operator.length_hint(allocator._ticks)
 
     def pairs():
         for _ in range(600):
@@ -749,7 +793,7 @@ def test_an_unsampled_pair_makes_one_python_call_per_entry_point():
     assert calls[0] == "test_shim.py:pairs"
     assert len(calls[1:]) == 600 * UNSAMPLED_PAIR_CALLS
     assert calls[1:] == ["shim.py:malloc", "shim.py:free"] * 600
-    assert chunks - allocator._chunks >= 2
+    assert left - operator.length_hint(allocator._ticks) == 600
     assert allocator.stats == AllocatorStats()
 
 
@@ -806,9 +850,9 @@ def test_a_recycled_malloc_allocates_nothing(hooked):
     # A default-alignment malloc keys its free list on the int size and
     # stores that list in the size map: it builds no object, so blocks
     # held live after recycling cost the host no memory of its own.
+    # The hooked host runs at sample_rate=10**9: its countdown makes no
+    # int at any rate.
     arena = host_and_hooked()[hooked]
-    if hooked:
-        arena._chunks = 200  # below 256: no chunk reload makes a new int
     # Warm-up: 3,000 live blocks grow the size map past what the measured
     # run needs, and their free list to more than it takes, so neither
     # is resized while tracemalloc watches.
