@@ -9,12 +9,20 @@ reports this module produces, and also accepts frames carrying
 symbolizer text before the bracketed address.
 
 Reports are rendered and parsed on every detection and every triage, so
-both are single passes.  render_report formats each line once and joins
-each stack block once.  parse_report walks text.splitlines() once with
-an index, matching each line against one precompiled pattern; running
-off the end of the lines is the one "unexpected end of report" error.
-render_report and emit_synthetic read no enum property and hash no
-enum member, both of which are Python-level calls.
+neither does Python-level work per frame.  render_report formats each
+stack block with one % on a frame template picked by frame count: the
+templates up to the default max_frames are built at import, a longer
+stack's per call.  parse_report first matches the whole text against
+one pattern built from the line patterns below, which accepts every
+well-formed report whose line breaks are all newlines, and takes each
+stack's pcs with one findall.  Only when that match, or its check of
+the locator and the block addresses, fails does it walk
+text.splitlines() with an index, matching each line against its
+pattern.  The walker is the only source of ReportParseError: it names
+the first offending line, and running off the end of the lines is its
+one "unexpected end of report" error.  Nothing is cached by report
+content.  render_report and emit_synthetic read no enum property and
+hash no enum member, both of which are Python-level calls.
 
 Reporter builds every report, for the fault handler and for the
 allocator's checks of a free or usable_size alike.  It reads the
@@ -37,6 +45,7 @@ never fault and never block.
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 import sys
 import threading
@@ -129,6 +138,16 @@ class ErrorReport:
 # -- rendering ---------------------------------------------------------
 
 
+def _frame_template(n: int) -> str:
+    """The frame lines of an n-frame stack, each pc a %x field: %x is
+    {pc:x} for the non-negative pcs a stack holds."""
+    return "\n".join(["  #%d [0x%%x]" % k for k in range(1, n + 1)])
+
+
+# Indexed by frame count, up to GuardianConfig's default max_frames.
+_FRAME_TEMPLATES = [_frame_template(n) for n in range(65)]
+
+
 def render_report(report: ErrorReport) -> str:
     """Render a report; pure function of its argument."""
     access = report.access_address
@@ -166,8 +185,9 @@ def render_report(report: ErrorReport) -> str:
         if lost:
             frames = _LOST
         elif trace:
-            # hex(pc) is 0x{pc:x} for the non-negative pcs a stack holds.
-            frames = "\n".join([f"  #{n} [{hex(pc)}]" for n, pc in enumerate(trace, 1)])
+            n = len(trace)
+            frames = (_FRAME_TEMPLATES[n] if n < len(_FRAME_TEMPLATES)
+                      else _frame_template(n)) % tuple(trace)
         else:
             frames = _UNAVAILABLE
         parts.append(f"{title}\n{frames}\n")
@@ -201,7 +221,15 @@ _ACCESS_WORDS = {"read": AccessType.READ, "write": AccessType.WRITE, None: Acces
 # Frames may carry symbolizer text between the number and the bracketed
 # address; only the address is semantic.  The lazy ?? tries the plain
 # frame first, so this module's own frames match without backtracking.
-_FRAME_RE = re.compile(r"  #\d+ (?:\S.* )??\[0x([0-9a-f]+)\]", re.ASCII)
+# The symbolizer text is \S.* less the characters str.splitlines()
+# breaks on (\n, \r, \x0b, \x0c, \x1c-\x1e, \x85, \u2028, \u2029), none
+# of which a line holds, so that _REPORT_RE can match frames across the
+# whole text.  Both classes list what they admit: re tests such a class
+# in about half the time of the same class negated.  %s is the
+# address's hex digits.
+_FRAME = (r"  #\d+ (?:[\x21-\x84\x00-\x08\x0e-\x1b\x1f\x86-\u2027\u202a-\U0010ffff]"
+          r"[\x1f-\x84\x00-\x09\x0e-\x1b\x86-\u2027\u202a-\U0010ffff]* )??\[0x%s\]")
+_FRAME_RE = re.compile(_FRAME % "([0-9a-f]+)", re.ASCII)
 # Groups: distance and side (both None for "within"), size, address.
 _LOCATOR_RE = re.compile(
     r"The access is (?:within |(\d+)B (left|right) of )(\d+)B allocation at 0x([0-9a-f]+)",
@@ -209,6 +237,30 @@ _LOCATOR_RE = re.compile(
 )
 _BLOCK_RE = re.compile(
     r"0x([0-9a-f]+) was (deallocated|allocated) by thread (\d+|<unknown>):", re.ASCII)
+
+# A well-formed report whose line breaks are all newlines, from its
+# leading blank lines through its trailer line.  Groups: the headline's
+# four; the access stack's frame run; the locator's four (all None for
+# the no-allocation locator); then per optional trace block its three,
+# its <metadata lost> line and its frame run.  A frame run takes every
+# frame line it can, as the walker does.  It is possessive where re
+# supports it (3.11), so a text that fails to match is scanned once; a
+# greedy run matches the same texts, since what follows a run starts
+# with a newline and a frame line does not.
+_POSSESSIVE = "+" if sys.version_info >= (3, 11) else ""
+_RUN = rf"((?:{_FRAME % '[0-9a-f]+'}\n)+{_POSSESSIVE})"
+_BLOCK = rf"(?:\n{_BLOCK_RE.pattern}\n(?:{_UNAVAILABLE}\n|({_LOST}\n)|{_RUN}))?"
+_REPORT_RE = re.compile(
+    rf"\n*{re.escape(REPORT_HEADER)}\n{_HEADLINE_RE.pattern}\n(?:{_UNAVAILABLE}\n|{_RUN})"
+    rf"\n(?:{_NO_ALLOC_LOCATOR}|{_LOCATOR_RE.pattern})\n{_BLOCK}{_BLOCK}"
+    rf"{re.escape(REPORT_TRAILER)}(?:\n|\Z)",
+    re.ASCII,
+)
+# Each frame line of a run ends in its pc.
+_RUN_PC_RE = re.compile(r"\[0x([0-9a-f]+)\]\n")
+# int(pc, 16) through map, with no Python-level call per pc; an endless
+# repeat is never used up, so every caller shares it.
+_BASE_16 = itertools.repeat(16)
 
 
 def parse_report(text: str) -> ErrorReport:
@@ -218,6 +270,71 @@ def parse_report(text: str) -> ErrorReport:
     symbolized frame lines.  Raises ReportParseError naming the first
     offending line.
     """
+    match = _REPORT_RE.match(text)
+    if match is None:
+        return _walk_report(text)
+    (headline, access_word, access_hex, faulting_thread, access_run,
+     distance, side, size, alloc_hex, *blocks) = match.groups()
+    access_address = int(access_hex, 16)
+    kind = _HEADLINE_KINDS.get(headline)
+    allocation_address = allocation_size = None
+    if alloc_hex is not None:
+        # The walker's locator and kind checks, each failure sent to it.
+        allocation_size = int(size)
+        allocation_address = int(alloc_hex, 16)
+        off = access_address - allocation_address
+        if side is None:
+            placed = kind is not None and 0 <= off < allocation_size
+        else:
+            gap = -off if side == "left" else off - allocation_size + 1
+            placed = gap >= 1 and int(distance) == gap
+            if kind is None:
+                kind = (ReportKind.BUFFER_UNDERFLOW if side == "left"
+                        else ReportKind.BUFFER_OVERFLOW)
+        if not placed:
+            return _walk_report(text)
+    elif kind is None:
+        return _walk_report(text)
+
+    metadata_lost = alloc_hex is None
+    stacks = {}  # verb -> (thread, trace)
+    for block_hex, verb, thread_word, lost, run in (blocks[:5], blocks[5:]):
+        if block_hex is None:
+            break
+        # A block address equal to the locator's as text is equal as a
+        # number; the walker settles any other spelling.
+        if block_hex != alloc_hex or verb in stacks:
+            return _walk_report(text)
+        if lost is not None:
+            trace = None
+            metadata_lost = True
+        else:
+            trace = list(map(int, _RUN_PC_RE.findall(run), _BASE_16)) if run else []
+        stacks[verb] = (None if thread_word == "<unknown>" else int(thread_word), trace)
+
+    alloc_thread, alloc_trace = stacks.get("allocated", (None, None))
+    dealloc_thread, dealloc_trace = stacks.get("deallocated", (None, None))
+    return ErrorReport(
+        kind=kind,
+        access_address=access_address,
+        access_kind=_ACCESS_WORDS[access_word],
+        faulting_thread=int(faulting_thread),
+        access_trace=(list(map(int, _RUN_PC_RE.findall(access_run), _BASE_16))
+                      if access_run else []),
+        allocation_address=allocation_address,
+        allocation_size=allocation_size,
+        alloc_thread=alloc_thread,
+        alloc_trace=alloc_trace,
+        dealloc_thread=dealloc_thread,
+        dealloc_trace=dealloc_trace,
+        metadata_lost=metadata_lost,
+    )
+
+
+def _walk_report(text: str) -> ErrorReport:
+    """parse_report's line walker: any text that _REPORT_RE or the
+    checks after it turn away, parsed line by line or rejected with the
+    first offending line."""
     lines = text.splitlines()
     n = len(lines)
     i = 0

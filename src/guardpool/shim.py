@@ -172,13 +172,17 @@ class GuardianConfig:
     enabled: bool = True  # False models running with no tool linked in
 
     def validate(self) -> None:
-        if self.slot_count < 1:
-            raise ValueError(f"slot_count must be >= 1, got {self.slot_count}")
-        if self.max_frames < 1:
-            raise ValueError(f"max_frames must be >= 1, got {self.max_frames}")
-        if self.max_live is not None and not 1 <= self.max_live <= self.slot_count:
+        # Int fields are type-checked too: a float passes the range checks,
+        # then fails inside the pool or caps nothing (max_frames=2.5 never
+        # equals a frame count, max_live=1.5 lets 2 blocks live).
+        if not isinstance(self.slot_count, int) or self.slot_count < 1:
+            raise ValueError(f"slot_count must be an int >= 1, got {self.slot_count!r}")
+        if not isinstance(self.max_frames, int) or self.max_frames < 1:
+            raise ValueError(f"max_frames must be an int >= 1, got {self.max_frames!r}")
+        if self.max_live is not None and (not isinstance(self.max_live, int)
+                                          or not 1 <= self.max_live <= self.slot_count):
             raise ValueError(
-                f"max_live must be in [1, {self.slot_count}], got {self.max_live}"
+                f"max_live must be an int in [1, {self.slot_count}], got {self.max_live!r}"
             )
         if not 0.0 <= self.process_sample_probability <= 1.0:
             raise ValueError(
@@ -197,8 +201,10 @@ class GuardianConfig:
         if not (math.isfinite(self.sample_interval) and self.sample_interval > 0):
             raise ValueError(
                 f"sample_interval must be positive and finite, got {self.sample_interval}")
-        if self.min_alignment < 1 or self.min_alignment & (self.min_alignment - 1):
-            raise ValueError(f"min_alignment must be a power of two, got {self.min_alignment}")
+        if (not isinstance(self.min_alignment, int) or self.min_alignment < 1
+                or self.min_alignment & (self.min_alignment - 1)):
+            raise ValueError(
+                f"min_alignment must be an int power of two, got {self.min_alignment!r}")
 
 
 @dataclass

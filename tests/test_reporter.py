@@ -6,9 +6,10 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from guardpool import cli
 from guardpool.pool import AddressKind, AlignmentSide, GuardedPool
 from guardpool.reporter import (
     REPORT_HEADER,
@@ -498,23 +499,105 @@ def test_render_matches_oracle(rng):
     assert render_report(report) == oracle.render_report(report)
 
 
+# -- which parse path runs -------------------------------------------------
+
+WALKER = "reporter.py:_walk_report"
+
+
+def walked(text):
+    """parse_report(text)'s outcome, and whether it reached the line walker."""
+    result, calls = python_calls(outcome, parse_report, text)
+    return result, WALKER in calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_lines(), st.sampled_from(["\n", "", "\nafter the trailer\r\n\x85"]))
+def test_a_well_formed_report_never_reaches_the_walker(lines, tail):
+    text = "\n".join(lines) + tail
+    expected = outcome(oracle.parse_report, text)
+    # Well formed: the oracle parses it, and up to the trailer every line
+    # break is a newline (drawn symbolizer text may hold others).
+    head = text[:text.find(REPORT_TRAILER)]
+    assume(isinstance(expected, ErrorReport) and head.splitlines() == head.split("\n")[:-1])
+    assert walked(text) == (expected, False)
+
+
+def test_a_report_cut_at_its_trailer_never_reaches_the_walker():
+    # cli._first_report passes the text up to the trailer's last character.
+    text = UAF_EXAMPLE + "output after the report\n"
+    result, calls = python_calls(cli._first_report, text)
+    assert result == parse_report(UAF_EXAMPLE)
+    assert WALKER not in calls
+
+
+@pytest.mark.parametrize("edit", ERROR_EDITS)
+def test_every_parse_error_comes_from_the_walker(edit):
+    replacements, _ = ERROR_EDITS[edit]
+    text = UNATTRIBUTED if replacements[0][0] == "Invalid-free" else _sample_text()
+    for old, new in replacements:
+        text = text.replace(old, new, 1)
+    assert walked(text) == (outcome(oracle.parse_report, text), True)
+
+
+def test_a_report_with_crlf_line_breaks_is_walked():
+    text = UAF_EXAMPLE.replace("\n", "\r\n")
+    result, walker_ran = walked(text)
+    assert walker_ran
+    assert result == oracle.parse_report(text) == parse_report(UAF_EXAMPLE)
+
+
+# -- stacks longer than the frame template table ----------------------------
+
+
+@pytest.mark.parametrize("frames", [65, 200])
+def test_a_stack_longer_than_the_template_table_round_trips(frames):
+    rng = random.Random(frames)
+
+    def trace():
+        pcs = [rng.randrange(1 << 64) for _ in range(frames - 3)] + [0, 1, 2**64 - 1]
+        rng.shuffle(pcs)
+        return pcs
+
+    report = ErrorReport(
+        kind=ReportKind.USE_AFTER_FREE, access_address=0x1008, access_kind=AccessType.READ,
+        faulting_thread=4, access_trace=trace(), allocation_address=0x1000,
+        allocation_size=41, alloc_thread=4, alloc_trace=trace(), dealloc_thread=5,
+        dealloc_trace=trace())
+    text = render_report(report)
+    assert text == oracle.render_report(report)
+    assert text.count("\n  #") == 3 * frames
+    assert parse_report(text) == report
+
+
 # -- the report path's cost ------------------------------------------------
 
 # A report reads no enum property and hashes no enum member, both of
-# which are Python-level calls.  The use-after-free read's Python-level
-# calls: read, the protection scan's genexpr, _runs, _find_region,
-# _deliver_fault, the FaultInfo's __init__, handle_fault,
-# classify_address, _build_report, snapshot, _record_report,
-# capture_trace, decompress_trace twice, the report's __init__, _emit,
-# render_report and one <listcomp> per stack block, the
-# SegmentationFault's __init__.
-UAF_READ_CALLS = 21
+# which are Python-level calls, and renders each stack block with one %
+# on a frame template, with no per-frame comprehension.  The
+# use-after-free read's Python-level calls: read, the protection scan's
+# genexpr, _runs, _find_region, _deliver_fault, the FaultInfo's
+# __init__, handle_fault, classify_address, _build_report, snapshot,
+# _record_report, capture_trace, decompress_trace twice, the report's
+# __init__, _emit, render_report, the SegmentationFault's __init__.
+UAF_READ_CALLS = 18
 # The double free's: free, _guarded_free, classify_address,
 # user_address, slot_report, snapshot, _record_report, capture_trace,
 # decompress_trace twice, the report's __init__, emit_synthetic, _emit,
-# render_report and one <listcomp> per stack block, the FaultInfo's and
-# the SegmentationFault's __init__.
-DOUBLE_FREE_CALLS = 19
+# render_report, the FaultInfo's and the SegmentationFault's __init__.
+DOUBLE_FREE_CALLS = 16
+
+
+# parse_report of a rendered three-stack report: parse_report and the
+# report's __init__.  The one-match pattern, the findall per stack and
+# the pcs' int() calls all run in C.
+PARSE_CALLS = ["reporter.py:parse_report", "<string>:__init__"]
+
+
+def test_a_parse_makes_a_fixed_number_of_python_calls():
+    text = _sample_text()
+    report, calls = python_calls(parse_report, text)
+    assert report == oracle.parse_report(text)
+    assert calls == PARSE_CALLS
 
 
 @pytest.mark.parametrize("kind,expected", [("use-after-free read", UAF_READ_CALLS),

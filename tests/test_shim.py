@@ -484,6 +484,11 @@ def test_bad_config_rejected_whatever_the_launch_decision():
     ("max_frames", 0),
     ("max_frames", -3),
     ("min_alignment", 8192),
+    # Floats that pass the range checks.
+    ("slot_count", 2.5),
+    ("max_live", 1.5),
+    ("max_frames", 2.5),
+    ("min_alignment", 32.0),
 ])
 def test_every_bad_field_is_rejected_on_every_launch(launch, field, value):
     config = GuardianConfig(**{"seed": 3, "sink": io.StringIO(), **launch, field: value})
