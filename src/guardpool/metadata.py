@@ -31,50 +31,42 @@ from typing import Optional, Sequence
 
 _MASK64 = (1 << 64) - 1
 
-# Frames whose module lives here are tool internals and are skipped
-# during capture; the harness CLI is deliberately absent so injected
-# scenarios show up in their own reports.
-_TOOL_MODULES = frozenset(
-    __package__ + suffix
-    for suffix in ("", ".metadata", ".pool", ".shim", ".reporter", ".coverage",
-                   ".sampler", ".vmem")
-)
+# Frames whose module lives here are tool internals: the innermost run
+# of them is skipped during capture.  The harness CLI is deliberately
+# absent so injected scenarios show up in their own reports.
+_TOOL_MODULES = frozenset(__package__ + suffix for suffix in (
+    "", ".metadata", ".pool", ".shim", ".reporter", ".coverage", ".sampler", ".vmem"))
+
+_getframe = getattr(sys, "_getframe", None)
 
 
-def capture_trace(max_frames: int) -> list[int]:
-    """Capture up to max_frames pcs, innermost first, skipping tool frames.
+def capture_trace(max_frames: int, depth: int = 1) -> list[int]:
+    """Capture up to max_frames pcs, innermost first, from depth frames up.
 
-    A frame's pc is id(f_code) + f_lasti.  Returns an empty list when
-    unwinding is unavailable or fails; an empty trace renders as
+    The walk starts depth frames above this one (1 is the caller), past
+    the tool frames a caller knows of; it skips the innermost run of tool
+    frames left there and keeps every frame beyond, program or tool.  A
+    frame's pc is id(f_code) + f_lasti.  An empty list, when unwinding is
+    unavailable or the stack is shallower than depth, renders as
     <unavailable> rather than aborting a report.
 
-    The frames of one module come in runs, so a frame's module name is
-    looked up only when its globals dict is not the previous frame's.
-    Neither clamp nor mask is needed: every frame on the f_back chain
-    has executed its call instruction, so its f_lasti is at least 0,
-    and an id is an address below 2**64.
+    No clamp or mask is needed: each frame on the f_back chain has run
+    its call instruction, so its f_lasti >= 0, and an id is below 2**64.
     """
-    if max_frames <= 0:
-        return []
-    getframe = getattr(sys, "_getframe", None)
-    if getframe is None:
+    if max_frames <= 0 or _getframe is None:
         return []
     try:
-        frame = getframe(1)
+        frame = _getframe(depth)
     except ValueError:
         return []
+    while frame is not None and frame.f_globals.get("__name__") in _TOOL_MODULES:
+        frame = frame.f_back
     pcs: list[int] = []
     append = pcs.append
-    tool_modules = _TOOL_MODULES
-    module = tool = None
-    while frame is not None:
-        if frame.f_globals is not module:
-            module = frame.f_globals
-            tool = module.get("__name__") in tool_modules
-        if not tool:
-            append(id(frame.f_code) + frame.f_lasti)
-            if len(pcs) == max_frames:
-                break
+    for _ in range(max_frames):
+        if frame is None:
+            break
+        append(id(frame.f_code) + frame.f_lasti)
         frame = frame.f_back
     return pcs
 

@@ -564,8 +564,9 @@ class Reporter:
     def _record_report(self, kind: ReportKind, record: Optional[SlotRecord], address: int,
                        access_kind: AccessType, thread: int) -> ErrorReport:
         """Geometry and evidence all from the one record; the access stack
-        is captured here, for fault and free path alike."""
-        access = (kind, address, access_kind, thread, capture_trace(self._max_frames))
+        is captured here, for fault and free path alike, from depth 3: past
+        this frame and slot_report or _build_report."""
+        access = (kind, address, access_kind, thread, capture_trace(self._max_frames, depth=3))
         if record is None:
             return ErrorReport(*access, metadata_lost=True)
         pool = self._pool

@@ -174,7 +174,13 @@ class GuardianConfig:
     def validate(self) -> None:
         # Int fields are type-checked too: a float passes the range checks,
         # then fails inside the pool or caps nothing (max_frames=2.5 never
-        # equals a frame count, max_live=1.5 lets 2 blocks live).
+        # equals a frame count, max_live=1.5 lets 2 blocks live, seed=1.5
+        # fails on ^); a side of "right" would place every block left.
+        if self.seed is not None and not isinstance(self.seed, int):
+            raise ValueError(f"seed must be None or an int, got {self.seed!r}")
+        if not isinstance(self.force_alignment_side, (AlignmentSide, type(None))):
+            raise ValueError("force_alignment_side must be None or an AlignmentSide,"
+                             f" got {self.force_alignment_side!r}")
         if not isinstance(self.slot_count, int) or self.slot_count < 1:
             raise ValueError(f"slot_count must be an int >= 1, got {self.slot_count!r}")
         if not isinstance(self.max_frames, int) or self.max_frames < 1:
@@ -410,7 +416,7 @@ class GuardianAllocator(FallbackAllocator):
             return FallbackAllocator.malloc(self, size, alignment)
 
         # One tuple, hashed by source_of's memo and kept by compress_trace's.
-        trace = tuple(capture_trace(self._max_frames))
+        trace = tuple(capture_trace(self._max_frames, depth=3))  # past this frame and malloc
         thread_id = threading.get_ident()
         with pool.lock:
             self.stats.sampled += 1
@@ -469,8 +475,8 @@ class GuardianAllocator(FallbackAllocator):
                     and (addr - pool.base) % pool.page_size == pool.slots[slot_index].user_offset):
                 self.coverage.remove(pool.slots[slot_index].coverage_source)
                 pool.release(slot_index)
-                self.store.store_dealloc(
-                    slot_index, threading.get_ident(), capture_trace(self._max_frames))
+                self.store.store_dealloc(  # depth 3: past this frame and free
+                    slot_index, threading.get_ident(), capture_trace(self._max_frames, depth=3))
                 return
             if self.reporter.disabled:
                 return  # recovered or destroyed: swallowed, and not counted

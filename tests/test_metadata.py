@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import itertools
 import random
 import sys
 
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guardpool import metadata
+from guardpool import cli, metadata
+from guardpool import reporter as reporter_module
+from guardpool import shim as shim_module
 from guardpool.metadata import (
     CompressedTrace,
     MetadataStore,
@@ -229,7 +232,7 @@ def test_capture_zero_frames():
 
 def test_capture_skips_tool_frames():
     # capture_trace itself lives in a tool module; its own frame (and
-    # any other library-internal frame) must not appear.
+    # any other tool frame between it and its caller) must not appear.
     import guardpool.metadata as metadata_module
 
     trace = capture_trace(64)
@@ -523,24 +526,66 @@ def test_decompress_raises_like_the_helpers_on_bad_deltas(pcs, data):
             decompress_trace(trailing)
 
 
-def _reference_capture(max_frames=64):
-    import guardpool.metadata as metadata_module
+def _is_tool_frame(frame):
+    return frame.f_globals.get("__name__") in metadata._TOOL_MODULES
 
+
+def _reference_capture(max_frames=64, depth=1):
+    """The rule from its parts: the stack from depth frames up (1 is the
+    caller), less its innermost run of tool frames, cut to max_frames."""
     if max_frames <= 0:
         return []
-    frame = sys._getframe(1)
+    try:
+        frame = sys._getframe(depth)
+    except ValueError:
+        return []
+    frames = []
+    while frame is not None:
+        frames.append(frame)
+        frame = frame.f_back
+    kept = list(itertools.dropwhile(_is_tool_frame, frames))[:max_frames]
+    return [(id(f.f_code) + max(f.f_lasti, 0)) & ((1 << 64) - 1) for f in kept]
+
+
+def _parent_capture(max_frames, depth=1):
+    """The earlier rule, kept to check the change against: tool frames
+    anywhere on the stack are skipped.  It started at the caller; depth
+    picks the start frame as capture_trace's does."""
+    if max_frames <= 0:
+        return []
+    getframe = getattr(sys, "_getframe", None)
+    if getframe is None:
+        return []
+    try:
+        frame = getframe(depth)
+    except ValueError:
+        return []
     pcs = []
-    while frame is not None and len(pcs) < max_frames:
-        if frame.f_globals.get("__name__") not in metadata_module._TOOL_MODULES:
-            pcs.append((id(frame.f_code) + max(frame.f_lasti, 0)) & ((1 << 64) - 1))
+    append = pcs.append
+    tool_modules = metadata._TOOL_MODULES
+    module = tool = None
+    while frame is not None:
+        if frame.f_globals is not module:
+            module = frame.f_globals
+            tool = module.get("__name__") in tool_modules
+        if not tool:
+            append(id(frame.f_code) + frame.f_lasti)
+            if len(pcs) == max_frames:
+                break
         frame = frame.f_back
     return pcs
 
 
-# A frame whose module name is a tool module's: capture must skip it.
+# A frame whose module name is a tool module's: capture skips it only in
+# the innermost run of such frames.
 _tool_globals = {"__name__": "guardpool.shim"}
 exec("def tool_hop(fn, *args):\n    return fn(*args)\n", _tool_globals)
 _tool_hop = _tool_globals["tool_hop"]
+
+
+def _in_code(pc, fn):
+    """Whether pc is a pc of fn's code: its id plus an offset into it."""
+    return 0 <= pc - id(fn.__code__) < len(fn.__code__.co_code)
 
 
 @pytest.mark.parametrize("max_frames", [1, 5, 64])
@@ -561,6 +606,91 @@ def test_capture_matches_the_frame_pc_loop(max_frames):
         assert got == want, depth
         assert 0 < len(got) <= max_frames
     assert len(got) == max_frames  # depth 70 is deeper than every cap
+
+
+def test_capture_keeps_a_tool_run_below_a_program_frame():
+    def program():
+        return _tool_hop(_tool_hop, capture_trace, 64)
+
+    def outer():
+        return _tool_hop(program)
+
+    trace = outer()
+    # The inner run of two hops is skipped; the hop under program is kept.
+    assert _in_code(trace[0], program)
+    assert _in_code(trace[1], _tool_hop)
+    assert _in_code(trace[2], outer)
+
+
+def test_capture_from_past_the_bottom_of_the_stack_is_empty():
+    assert capture_trace(64, depth=10**6) == []
+    assert capture_trace(64, depth=2) != []
+
+
+def _until_guarded(alloc, make):
+    # At rate 1 the countdown still draws a skip of 1 or 2: retry.
+    for _ in range(64):
+        addr = make()
+        if alloc.is_guarded(addr):
+            return addr
+        alloc.free(addr)
+    raise AssertionError("no guarded allocation")
+
+
+def _record_of(alloc, addr):
+    return alloc.store.snapshot(alloc.pool.classify_address(addr).slot_index)
+
+
+def test_guarded_traces_start_at_the_program_frame():
+    alloc = GuardianAllocator(GuardianConfig(sample_rate=1, seed=5, recoverable=True,
+                                             sink=io.StringIO()))
+
+    def calloc_site():
+        return alloc.calloc(3, 8)
+
+    def realloc_site(addr):
+        return alloc.realloc(addr, 40)
+
+    def free_site(addr):
+        alloc.free(addr)
+
+    for _ in range(64):
+        block = _until_guarded(alloc, calloc_site)
+        assert _in_code(decompress_trace(_record_of(alloc, block).alloc_trace)[0], calloc_site)
+        moved = realloc_site(block)
+        if alloc.is_guarded(moved):
+            break
+        alloc.free(moved)
+    # realloc's own malloc and free, each past the calloc/realloc frame.
+    assert _in_code(decompress_trace(_record_of(alloc, moved).alloc_trace)[0], realloc_site)
+    assert _in_code(decompress_trace(_record_of(alloc, block).dealloc_trace)[0], realloc_site)
+    free_site(moved)
+    assert _in_code(decompress_trace(_record_of(alloc, moved).dealloc_trace)[0], free_site)
+    free_site(moved)  # a double free: reported, then recovered
+    report = alloc.reporter.last_report
+    assert report.kind.name == "DOUBLE_FREE"
+    assert _in_code(report.access_trace[0], free_site)
+
+
+def test_an_allocating_sink_keeps_the_reporter_frames_under_it():
+    # The tool's frames below a program frame stay: a report sink that
+    # allocates shows where in the reporter it was called from.
+    class Sink:
+        def __init__(self):
+            self.blocks = []
+
+        def write(self, text):
+            self.blocks.append(_until_guarded(alloc, lambda: alloc.malloc(16)))
+
+    sink = Sink()
+    alloc = GuardianAllocator(GuardianConfig(sample_rate=1, seed=6, recoverable=True, sink=sink))
+    block = _until_guarded(alloc, lambda: alloc.malloc(16))
+    alloc.free(block)
+    alloc.free(block)  # a double free: reported to the sink
+    [inner] = sink.blocks
+    trace = decompress_trace(_record_of(alloc, inner).alloc_trace)
+    assert _in_code(trace[2], Sink.write)
+    assert _in_code(trace[3], reporter_module.Reporter._emit)
 
 
 # One hop per globals dict: two distinct dicts both named like the shim,
@@ -589,8 +719,9 @@ _HOPS = [_hop_from(name) for name in _HOP_MODULES]
        st.lists(st.integers(1, 40), max_size=4))
 def test_capture_matches_the_reference_over_runs_of_frames(chain, caps):
     # Runs of hops from one dict, from distinct dicts of one name, and
-    # tool hops anywhere in the chain, innermost included; the last cap
-    # is past the number of non-tool frames on the stack.
+    # tool hops anywhere in the chain: only the innermost run of tool
+    # hops is skipped, and a tool hop below a program hop is kept.  The
+    # last cap is past the number of frames on the stack.
     hops = [_HOPS[k] for k in chain]
     caps = caps + [10**6]
     results = hops[0](hops, 1, caps, (capture_trace, _reference_capture))
@@ -599,3 +730,125 @@ def test_capture_matches_the_reference_over_runs_of_frames(chain, caps):
     for cap, (got, want) in zip(caps, results):
         assert got == want, (chain, cap)
         assert len(got) == min(cap, len(full))
+
+
+# -- the change of rule against the earlier one -------------------------------
+#
+# capture_trace used to skip tool frames anywhere on the stack, starting
+# at its caller.  Where the tool's frames are only the innermost run, as
+# on every stack the allocator and the harness make, both rules must give
+# the same trace.  The fixture makes each capture the shim or reporter
+# asks for run both rules from the same frame.
+
+
+@pytest.fixture
+def against_the_earlier_rule(monkeypatch):
+    pairs = []
+
+    def both(max_frames, depth=1):
+        # One frame more than the caller asked for: this one.
+        got = capture_trace(max_frames, depth + 1)
+        pairs.append((got, _parent_capture(max_frames, 2)))
+        return got
+
+    monkeypatch.setattr(shim_module, "capture_trace", both)
+    monkeypatch.setattr(reporter_module, "capture_trace", both)
+    return pairs
+
+
+def _site(depth, op, *args):
+    # Recursion depth picks the call site, as on perfbench's sampled workload.
+    if depth:
+        return _site(depth - 1, op, *args)
+    return op(*args)
+
+
+@pytest.mark.parametrize("max_frames", [4, 64])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_guarded_ops_capture_as_the_earlier_rule(against_the_earlier_rule, seed, max_frames):
+    rng = random.Random(seed)
+    alloc = GuardianAllocator(GuardianConfig(sample_rate=1, seed=seed, slot_count=16,
+                                             max_frames=max_frames, sink=io.StringIO()))
+    live = []
+    for _ in range(400):
+        depth = rng.randrange(12)
+        op = rng.randrange(4)
+        if op == 0 or not live:
+            live.append(_site(depth, alloc.malloc, rng.randrange(1, 256)))
+        elif op == 1:
+            live.append(_site(depth, alloc.calloc, 2, rng.randrange(1, 128)))
+        elif op == 2:
+            live.append(_site(depth, alloc.realloc, live.pop(0), rng.randrange(1, 256)))
+        else:
+            _site(depth, alloc.free, live.pop(0))
+        if len(live) > 12:
+            _site(depth, alloc.free, live.pop(0))
+    assert alloc.stats.guarded > 50
+    assert len(against_the_earlier_rule) > 100
+    for got, want in against_the_earlier_rule:
+        assert got == want
+        assert 0 < len(got) <= max_frames
+
+
+@pytest.mark.parametrize("recoverable", [False, True])
+@pytest.mark.parametrize("kind", sorted(cli._INJECTIONS))
+def test_injected_bugs_capture_as_the_earlier_rule(against_the_earlier_rule, capsys,
+                                                   kind, recoverable):
+    argv = ["inject", kind, "--format", "records"] + ["--recoverable"] * recoverable
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "detected=1" in capsys.readouterr().out
+    # The victim's allocation and, but for the free bugs, its access.
+    assert len(against_the_earlier_rule) >= 2
+    for got, want in against_the_earlier_rule:
+        assert got == want
+        assert got
+
+
+# -- the walk's cost, counted in bytecodes ------------------------------------
+
+
+def _capture_opcodes(call, *args):
+    """call(*args), and the bytecodes capture_trace's own frames ran in it."""
+    count = 0
+    code = capture_trace.__code__
+
+    def step(frame, event, arg):
+        nonlocal count
+        count += event == "opcode"
+        return step
+
+    def enter(frame, event, arg):
+        if frame.f_code is code:
+            frame.f_trace_opcodes = True
+            return step
+        return None
+
+    sys.settrace(enter)
+    try:
+        result = call(*args)
+    finally:
+        sys.settrace(None)
+    return result, count
+
+
+# Counted on CPython 3.11, at max_frames=4 under five _site frames, so
+# pytest's own depth does not matter.  The earlier rule ran 206 for each:
+# it walked the tool's own two frames and compared each frame's globals.
+CAPTURE_OPCODES = {(3, 11): {"malloc": 121, "free": 121}}
+
+
+def test_capture_runs_pinned_bytecode_counts():
+    pinned = CAPTURE_OPCODES.get(sys.version_info[:2])
+    if pinned is None:
+        pytest.skip("bytecode counts are pinned for CPython 3.11 only")
+    alloc = GuardianAllocator(GuardianConfig(sample_rate=1, seed=4, max_frames=4,
+                                             sink=io.StringIO()))
+    counts = {}
+    for _ in range(64):
+        sampled = alloc.stats.sampled
+        addr, counts["malloc"] = _capture_opcodes(_site, 4, alloc.malloc, 16)
+        if alloc.is_guarded(addr):
+            break
+        assert alloc.stats.sampled == sampled and counts["malloc"] == 0
+    _, counts["free"] = _capture_opcodes(_site, 4, alloc.free, addr)
+    assert counts == pinned

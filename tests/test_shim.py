@@ -489,6 +489,9 @@ def test_bad_config_rejected_whatever_the_launch_decision():
     ("max_live", 1.5),
     ("max_frames", 2.5),
     ("min_alignment", 32.0),
+    # A side by its name would place every block left; a float seed fails on ^.
+    ("force_alignment_side", "right"),
+    ("seed", 1.5),
 ])
 def test_every_bad_field_is_rejected_on_every_launch(launch, field, value):
     config = GuardianConfig(**{"seed": 3, "sink": io.StringIO(), **launch, field: value})
