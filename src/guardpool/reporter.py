@@ -22,7 +22,15 @@ pattern.  The walker is the only source of ReportParseError: it names
 the first offending line, and running off the end of the lines is its
 one "unexpected end of report" error.  Nothing is cached by report
 content.  render_report and emit_synthetic read no enum property and
-hash no enum member, both of which are Python-level calls.
+hash no enum member, both of which are Python-level calls.  Every
+ErrorReport is built positionally, parsed or from a record, as vmem
+builds its FaultInfo: a keyword call matches each name to its field.
+A use-after-free read's report thus makes one call per step: read,
+which delivers a fault at the access's first byte itself, then
+_deliver_fault, FaultInfo, handle_fault, classify_address,
+_build_report, snapshot, _record_report, capture_trace, a
+decompress_trace per stored stack, ErrorReport, _emit, render_report
+and SegmentationFault.
 
 Reporter builds every report, for the fault handler and for the
 allocator's checks of a free or usable_size alike.  It reads the
@@ -314,21 +322,11 @@ def parse_report(text: str) -> ErrorReport:
 
     alloc_thread, alloc_trace = stacks.get("allocated", (None, None))
     dealloc_thread, dealloc_trace = stacks.get("deallocated", (None, None))
-    return ErrorReport(
-        kind=kind,
-        access_address=access_address,
-        access_kind=_ACCESS_WORDS[access_word],
-        faulting_thread=int(faulting_thread),
-        access_trace=(list(map(int, _RUN_PC_RE.findall(access_run), _BASE_16))
-                      if access_run else []),
-        allocation_address=allocation_address,
-        allocation_size=allocation_size,
-        alloc_thread=alloc_thread,
-        alloc_trace=alloc_trace,
-        dealloc_thread=dealloc_thread,
-        dealloc_trace=dealloc_trace,
-        metadata_lost=metadata_lost,
-    )
+    return ErrorReport(  # positional, in field order, as the module docstring says
+        kind, access_address, _ACCESS_WORDS[access_word], int(faulting_thread),
+        list(map(int, _RUN_PC_RE.findall(access_run), _BASE_16)) if access_run else [],
+        allocation_address, allocation_size, alloc_thread, alloc_trace,
+        dealloc_thread, dealloc_trace, metadata_lost)
 
 
 def _walk_report(text: str) -> ErrorReport:
@@ -566,21 +564,18 @@ class Reporter:
         """Geometry and evidence all from the one record; the access stack
         is captured here, for fault and free path alike, from depth 3: past
         this frame and slot_report or _build_report."""
-        access = (kind, address, access_kind, thread, capture_trace(self._max_frames, depth=3))
-        if record is None:
-            return ErrorReport(*access, metadata_lost=True)
+        trace = capture_trace(self._max_frames, depth=3)
+        if record is None:  # positional, as parse_report builds it
+            return ErrorReport(kind, address, access_kind, thread, trace,
+                               None, None, None, None, None, None, True)
         pool = self._pool
         page = pool.base + (2 * record.slot_index + 1) * pool.page_size
         dealloc_trace = record.dealloc_trace
         return ErrorReport(
-            *access,
-            allocation_address=page + record.user_offset,
-            allocation_size=record.user_size,
-            alloc_thread=record.alloc_thread,
-            alloc_trace=decompress_trace(record.alloc_trace),
-            dealloc_thread=record.dealloc_thread,
-            dealloc_trace=None if dealloc_trace is None else decompress_trace(dealloc_trace),
-        )
+            kind, address, access_kind, thread, trace,
+            page + record.user_offset, record.user_size,
+            record.alloc_thread, decompress_trace(record.alloc_trace), record.dealloc_thread,
+            None if dealloc_trace is None else decompress_trace(dealloc_trace), False)
 
     def _emit(self, report: ErrorReport) -> None:
         text = render_report(report)

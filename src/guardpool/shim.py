@@ -175,9 +175,17 @@ class GuardianConfig:
         # Int fields are type-checked too: a float passes the range checks,
         # then fails inside the pool or caps nothing (max_frames=2.5 never
         # equals a frame count, max_live=1.5 lets 2 blocks live, seed=1.5
-        # fails on ^); a side of "right" would place every block left.
+        # fails on ^); a side of "right" would place every block left.  A
+        # string flag is truthy ("no" turns it on); a string or None float
+        # fails the range checks with a bare TypeError.
         if self.seed is not None and not isinstance(self.seed, int):
             raise ValueError(f"seed must be None or an int, got {self.seed!r}")
+        for name in ("recoverable", "enabled"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        for name in ("process_sample_probability", "coverage_threshold", "sample_interval"):
+            if not isinstance(getattr(self, name), (int, float)):
+                raise ValueError(f"{name} must be an int or a float, got {getattr(self, name)!r}")
         if not isinstance(self.force_alignment_side, (AlignmentSide, type(None))):
             raise ValueError("force_alignment_side must be None or an AlignmentSide,"
                              f" got {self.force_alignment_side!r}")
@@ -255,13 +263,14 @@ class GuardianAllocator(FallbackAllocator):
         self._sampler = None
         self._pool_lo = self._pool_hi = 0  # pool bounds: empty until enabled
 
+        # One seed for the launch decision, the skip lengths and slot placement.
         seed = self.config.seed if self.config.seed is not None else time.time_ns()
         launch_rng = Xorshift64Star(splitmix64((seed ^ 0x70726F63) & _MASK64))
         if self.config.enabled and process_sampling_decision(
             self.config.process_sample_probability, launch_rng
         ):
             try:
-                self._enable()
+                self._enable(seed)
             except PoolUnavailableError:
                 # No pool, no tool: behave exactly as if sampling had
                 # been disabled for this launch.
@@ -270,11 +279,10 @@ class GuardianAllocator(FallbackAllocator):
         if not self.enabled:
             self._bind_passthrough()
 
-    def _enable(self) -> None:
+    def _enable(self, seed: int) -> None:
         cfg = self.config
-        self.pool = GuardedPool(
-            self.vm, cfg.slot_count, cfg.max_live, cfg.seed, cfg.force_alignment_side
-        )
+        self.pool = GuardedPool(self.vm, cfg.slot_count, cfg.max_live, seed,
+                                cfg.force_alignment_side)
         self.store = self.pool.store
         self.coverage = CoverageFilter(utilization_threshold=cfg.coverage_threshold)
         self.reporter = Reporter(self.pool, self.store, cfg.max_frames, cfg.recoverable, cfg.sink)
@@ -282,7 +290,7 @@ class GuardianAllocator(FallbackAllocator):
         self._min_alignment = cfg.min_alignment
         self._max_frames = cfg.max_frames
         if cfg.policy == "counter":
-            self._sampler = CounterSampler(cfg.sample_rate, cfg.seed)
+            self._sampler = CounterSampler(cfg.sample_rate, seed)
             self._ticks = itertools.repeat(None, self._sampler.next_skip() - 1)
         else:
             self._sampler = TimerGate(cfg.sample_interval, cfg.timer_clock)

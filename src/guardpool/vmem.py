@@ -19,7 +19,10 @@ clears the region's plain flag before it stores any protection short of
 read-write, and nothing sets the flag again, so an access that saw the
 flag set is ordered before that store.  An access inside any other
 region is a bisect, a scan of the protections of the pages it spans,
-and one copy.  Any other span moves run by run: the accessible prefix
+and one copy.  An access whose first page lacks the needed bit traps
+at its first byte in that frame, as a load or store traps at the
+faulting instruction; only if the handler resolves the fault does it
+move run by run, as any other span does: the accessible prefix
 first, then a fault at the first inaccessible byte, then the rest.
 
 Handler chaining follows sigaction semantics: installing a handler
@@ -214,22 +217,26 @@ class VirtualMemory:
         # before it stores a narrower protection, so a set flag means
         # every page was read-write when the flag was read.
         i = bisect_right(self._bases, addr) - 1
-        if i >= 0:
-            region = self._regions[i]
-            if end <= region.end:
-                off = addr - region.base
-                if region.plain:
-                    return region.mem[off : off + length]
-                prots = region.prots
-                page = off >> self._page_shift
-                last = (off + length - 1) >> self._page_shift
-                while page < last and prots[page] & PROT_READ:
-                    page += 1
-                if prots[page] & PROT_READ:
-                    return region.mem[off : off + length]
+        if i >= 0 and end <= (region := self._regions[i]).end:
+            off = addr - region.base
+            if region.plain:
+                return region.mem[off : off + length]
+            prots = region.prots
+            page = off >> self._page_shift
+            last = (off + length - 1) >> self._page_shift
+            while page < last and prots[page] & PROT_READ:
+                page += 1
+            if prots[page] & PROT_READ:
+                return region.mem[off : off + length]
+            # A first-byte fault traps in this frame: no run walk unless resolved.
+            faults = page == off >> self._page_shift
+            if faults:
+                self._deliver_fault(addr, AccessType.READ)
+        else:
+            faults = 0
         return b"".join(
             region.mem[lo - region.base : hi - region.base]
-            for region, lo, hi in self._runs(addr, end, AccessType.READ)
+            for region, lo, hi in self._runs(addr, end, AccessType.READ, faults)
         )
 
     def write(self, addr: int, data: bytes) -> None:
@@ -243,23 +250,26 @@ class VirtualMemory:
             return
         end = addr + length
         i = bisect_right(self._bases, addr) - 1  # inlined, as in read
-        if i >= 0:
-            region = self._regions[i]
-            if end <= region.end:
-                off = addr - region.base
-                if region.plain:  # never narrowed: no scan, as in read
-                    region.mem[off : off + length] = data
-                    return
-                prots = region.prots
-                page = off >> self._page_shift
-                last = (off + length - 1) >> self._page_shift
-                while page < last and prots[page] & PROT_WRITE:
-                    page += 1
-                if prots[page] & PROT_WRITE:
-                    region.mem[off : off + length] = data
-                    return
+        if i >= 0 and end <= (region := self._regions[i]).end:
+            off = addr - region.base
+            if region.plain:  # never narrowed: no scan, as in read
+                region.mem[off : off + length] = data
+                return
+            prots = region.prots
+            page = off >> self._page_shift
+            last = (off + length - 1) >> self._page_shift
+            while page < last and prots[page] & PROT_WRITE:
+                page += 1
+            if prots[page] & PROT_WRITE:
+                region.mem[off : off + length] = data
+                return
+            faults = page == off >> self._page_shift  # a first-byte fault traps here
+            if faults:
+                self._deliver_fault(addr, AccessType.WRITE)
+        else:
+            faults = 0
         view = memoryview(data)
-        for region, lo, hi in self._runs(addr, end, AccessType.WRITE):
+        for region, lo, hi in self._runs(addr, end, AccessType.WRITE, faults):
             region.mem[lo - region.base : hi - region.base] = view[lo - addr : hi - addr]
 
     def fill(self, addr: int, length: int, value: int = 0) -> None:
@@ -288,18 +298,20 @@ class VirtualMemory:
                 return region
         return None
 
-    def _runs(self, pos: int, end: int, kind: AccessType) -> Iterator[tuple[_Region, int, int]]:
+    def _runs(self, pos: int, end: int, kind: AccessType,
+              faults: int) -> Iterator[tuple[_Region, int, int]]:
         """Yield the accessible runs (region, lo, hi) of [pos, end) in order.
 
         A run stops at end, its region's end or a page without the needed
         bit.  Between runs, delivers a fault at the first inaccessible byte
         and retries once the handler resolves it; a handler that resolves
         without making progress trips the retry bound.  The caller moves
-        each run's bytes before the next fault is delivered.
+        each run's bytes before the next fault is delivered.  faults is
+        the number read or write already delivered at pos (1 after a
+        first-byte fault, else 0), so the bound counts every delivery.
         """
         needed = PROT_READ if kind is AccessType.READ else PROT_WRITE
         shift = self._page_shift
-        faults = 0
         while pos < end:
             region = self._find_region(pos)
             stop = pos
@@ -328,11 +340,8 @@ class VirtualMemory:
 
     def _deliver_fault(self, addr: int, kind: AccessType) -> None:
         self.fault_count += 1
-        fault = FaultInfo(
-            address=addr,
-            access=kind if self.expose_access_kind else AccessType.UNKNOWN,
-            thread_id=threading.get_ident(),
-        )
+        fault = FaultInfo(addr, kind if self.expose_access_kind else AccessType.UNKNOWN,
+                          threading.get_ident())
         handler = self._handler
         action = handler(fault) if handler is not None else FaultAction.TERMINATE
         if action is FaultAction.RESUME:

@@ -58,6 +58,29 @@ def python_calls(fn, *args, raises=()):
     return result, calls
 
 
+def traced_opcodes(counted, fn, *args):
+    """fn(*args), and the bytecodes run in frames whose code counted(code) accepts."""
+    count = 0
+
+    def step(frame, event, arg):
+        nonlocal count
+        count += event == "opcode"
+        return step
+
+    def enter(frame, event, arg):
+        if counted(frame.f_code):
+            frame.f_trace_opcodes = True
+            return step
+        return None
+
+    sys.settrace(enter)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(None)
+    return result, count
+
+
 # The pool's documented layout: guard pages and slot pages alternate, so
 # slot i is the page right of guard i, and guard slot_count is the far
 # right.

@@ -34,6 +34,7 @@ from guardpool.shim import GuardianAllocator, GuardianConfig
 from guardpool.cli import EXIT_OK, EXIT_UNDETECTED, main
 from guardpool.vmem import SegmentationFault
 
+from conftest import traced_opcodes
 from test_reporter import random_report
 
 PAGE = 4096
@@ -273,24 +274,8 @@ def _pair_opcodes(alloc) -> int:
     """Bytecodes that one recycled 16 B malloc/free pair runs in shim.py."""
     malloc, free = alloc.malloc, alloc.free
     free(malloc(16))  # carve once; the traced pair recycles
-    count = 0
-
-    def step(frame, event, arg):
-        nonlocal count
-        count += event == "opcode"
-        return step
-
-    def enter(frame, event, arg):
-        if frame.f_code.co_filename == shim_module.__file__:
-            frame.f_trace_opcodes = True
-            return step
-        return None
-
-    sys.settrace(enter)
-    try:
-        free(malloc(16))
-    finally:
-        sys.settrace(None)
+    _, count = traced_opcodes(lambda code: code.co_filename == shim_module.__file__,
+                              lambda: free(malloc(16)))
     return count
 
 

@@ -25,6 +25,8 @@ from guardpool.pool import GuardedPool
 from guardpool.shim import GuardianAllocator, GuardianConfig
 from guardpool.vmem import VirtualMemory
 
+from conftest import traced_opcodes
+
 # -- the reference encoder ---------------------------------------------------
 #
 # The program stores CompressedTrace objects and never serializes them,
@@ -807,28 +809,8 @@ def test_injected_bugs_capture_as_the_earlier_rule(against_the_earlier_rule, cap
 # -- the walk's cost, counted in bytecodes ------------------------------------
 
 
-def _capture_opcodes(call, *args):
-    """call(*args), and the bytecodes capture_trace's own frames ran in it."""
-    count = 0
-    code = capture_trace.__code__
-
-    def step(frame, event, arg):
-        nonlocal count
-        count += event == "opcode"
-        return step
-
-    def enter(frame, event, arg):
-        if frame.f_code is code:
-            frame.f_trace_opcodes = True
-            return step
-        return None
-
-    sys.settrace(enter)
-    try:
-        result = call(*args)
-    finally:
-        sys.settrace(None)
-    return result, count
+def _is_capture(code):
+    return code is capture_trace.__code__
 
 
 # Counted on CPython 3.11, at max_frames=4 under five _site frames, so
@@ -846,9 +828,9 @@ def test_capture_runs_pinned_bytecode_counts():
     counts = {}
     for _ in range(64):
         sampled = alloc.stats.sampled
-        addr, counts["malloc"] = _capture_opcodes(_site, 4, alloc.malloc, 16)
+        addr, counts["malloc"] = traced_opcodes(_is_capture, _site, 4, alloc.malloc, 16)
         if alloc.is_guarded(addr):
             break
         assert alloc.stats.sampled == sampled and counts["malloc"] == 0
-    _, counts["free"] = _capture_opcodes(_site, 4, alloc.free, addr)
+    _, counts["free"] = traced_opcodes(_is_capture, _site, 4, alloc.free, addr)
     assert counts == pinned

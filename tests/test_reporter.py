@@ -573,13 +573,19 @@ def test_a_stack_longer_than_the_template_table_round_trips(frames):
 
 # A report reads no enum property and hashes no enum member, both of
 # which are Python-level calls, and renders each stack block with one %
-# on a frame template, with no per-frame comprehension.  The
-# use-after-free read's Python-level calls: read, the protection scan's
-# genexpr, _runs, _find_region, _deliver_fault, the FaultInfo's
-# __init__, handle_fault, classify_address, _build_report, snapshot,
-# _record_report, capture_trace, decompress_trace twice, the report's
-# __init__, _emit, render_report, the SegmentationFault's __init__.
-UAF_READ_CALLS = 18
+# on a frame template, with no per-frame comprehension.  A fault at an
+# access's first byte is delivered from read or write itself, with no run
+# walker.  The use-after-free read's Python-level calls: read,
+# _deliver_fault, the FaultInfo's __init__, handle_fault,
+# classify_address, _build_report, snapshot, _record_report,
+# capture_trace, decompress_trace twice, the report's __init__, _emit,
+# render_report, the SegmentationFault's __init__.
+UAF_READ_CALLS = 15
+# The same list with write for read.
+UAF_WRITE_CALLS = 15
+# A write onto the right guard of a live block: its record has no
+# deallocation stack, so decompress_trace runs once.
+GUARD_WRITE_CALLS = 14
 # The double free's: free, _guarded_free, classify_address,
 # user_address, slot_report, snapshot, _record_report, capture_trace,
 # decompress_trace twice, the report's __init__, emit_synthetic, _emit,
@@ -601,6 +607,8 @@ def test_a_parse_makes_a_fixed_number_of_python_calls():
 
 
 @pytest.mark.parametrize("kind,expected", [("use-after-free read", UAF_READ_CALLS),
+                                           ("use-after-free write", UAF_WRITE_CALLS),
+                                           ("right-guard write", GUARD_WRITE_CALLS),
                                            ("double-free", DOUBLE_FREE_CALLS)])
 def test_a_report_makes_a_fixed_number_of_python_calls(kind, expected):
     alloc = GuardianAllocator(GuardianConfig(
@@ -610,12 +618,19 @@ def test_a_report_makes_a_fixed_number_of_python_calls(kind, expected):
         if alloc.is_guarded(ptr):
             break
         alloc.free(ptr)
-    alloc.free(ptr)
-    if kind == "double-free":
-        fault, calls = python_calls(alloc.free, ptr, raises=SegmentationFault)
-    else:
-        fault, calls = python_calls(alloc.vm.read, ptr, 1, raises=SegmentationFault)
+    pool = alloc.pool
+    right_guard = guard_page_addr(pool, (ptr - pool.base) // pool.page_size // 2 + 1)
+    reported, *call = {
+        "use-after-free read": (ReportKind.USE_AFTER_FREE, alloc.vm.read, ptr, 1),
+        "use-after-free write": (ReportKind.USE_AFTER_FREE, alloc.vm.write, ptr, b"x"),
+        "right-guard write": (ReportKind.BUFFER_OVERFLOW, alloc.vm.write, right_guard, b"x"),
+        "double-free": (ReportKind.DOUBLE_FREE, alloc.free, ptr),
+    }[kind]
+    if reported is not ReportKind.BUFFER_OVERFLOW:
+        alloc.free(ptr)
+    fault, calls = python_calls(*call, raises=SegmentationFault)
     assert isinstance(fault, SegmentationFault)
+    assert alloc.reporter.last_report.kind is reported
     assert alloc.reporter.reports_emitted == 1
     assert len(calls) == expected, " ".join(calls)
     assert not any(name.startswith("enum.py:") for name in calls), " ".join(calls)

@@ -18,7 +18,7 @@ from guardpool.sampler import CounterSampler
 from guardpool.shim import AllocatorStats, FallbackAllocator, GuardianAllocator, GuardianConfig
 from guardpool.vmem import SegmentationFault, VirtualMemory
 
-from conftest import guard_page_addr, python_calls, slot_page_addr
+from conftest import guard_page_addr, python_calls, slot_page_addr, traced_opcodes
 
 
 def make_allocator(**kwargs):
@@ -492,6 +492,13 @@ def test_bad_config_rejected_whatever_the_launch_decision():
     # A side by its name would place every block left; a float seed fails on ^.
     ("force_alignment_side", "right"),
     ("seed", 1.5),
+    # A truthy string would turn the flag on; the numbers would fail their
+    # range checks with a bare TypeError.
+    ("recoverable", "no"),
+    ("enabled", "no"),
+    ("process_sample_probability", "1"),
+    ("coverage_threshold", None),
+    ("sample_interval", "0.1"),
 ])
 def test_every_bad_field_is_rejected_on_every_launch(launch, field, value):
     config = GuardianConfig(**{"seed": 3, "sink": io.StringIO(), **launch, field: value})
@@ -505,6 +512,18 @@ def test_launch_decision_is_seed_deterministic():
         allocator, _ = make_allocator(process_sample_probability=0.5, seed=123)
         decisions.append(allocator.enabled)
     assert decisions[0] == decisions[1]
+
+
+def test_an_unseeded_launch_seeds_slot_order_from_the_time(monkeypatch):
+    # Slot order comes from the launch's one seed, the time when none is
+    # given, so unseeded processes do not all place blocks alike.
+    def slot_order(now):
+        monkeypatch.setattr(shim_module.time, "time_ns", lambda: now)
+        allocator, _ = make_allocator(seed=None, slot_count=64)
+        return list(allocator.pool._free_list)
+
+    assert slot_order(1_700_000_000_000_000_001) != slot_order(1_700_000_000_000_000_002)
+    assert slot_order(1_700_000_000_000_000_001) == slot_order(1_700_000_000_000_000_001)
 
 
 # -- the inlined countdown ------------------------------------------------
@@ -939,6 +958,30 @@ def test_an_accessible_vm_access_is_one_python_call(size):
         result, read_calls = python_calls(vm.read, ptr, size)
         assert result == data
         assert (write_calls, read_calls) == (["vmem.py:write"], ["vmem.py:read"])
+
+
+# Counted on CPython 3.11, for a 16 B access.  The fault branch for a
+# span's first byte runs only after the protection scan has failed, so an
+# accessible access pays nothing for it.
+ACCESS_OPCODES = {(3, 11): {"plain read": 50, "plain write": 53,
+                            "guarded read": 77, "guarded write": 80}}
+
+
+def test_accessible_vm_accesses_run_pinned_bytecode_counts():
+    pinned = ACCESS_OPCODES.get(sys.version_info[:2])
+    if pinned is None:
+        pytest.skip("bytecode counts are pinned for CPython 3.11 only")
+    host, _ = make_allocator(sample_rate=10**9)
+    guarded, _ = make_allocator()
+    codes = (VirtualMemory.read.__code__, VirtualMemory.write.__code__)
+    data = bytes(range(16))
+    counts = {}
+    for block, alloc, ptr in (("plain", host, host.malloc(16)),
+                              ("guarded", guarded, guarded_malloc(guarded, 16))):
+        _, counts[f"{block} write"] = traced_opcodes(codes.__contains__, alloc.vm.write, ptr, data)
+        result, counts[f"{block} read"] = traced_opcodes(codes.__contains__, alloc.vm.read, ptr, 16)
+        assert result == data
+    assert counts == pinned
 
 
 def test_high_rate_serves_from_fallback():
