@@ -9,14 +9,15 @@ reports this module produces, and also accepts frames carrying
 symbolizer text before the bracketed address.
 
 Reports are rendered and parsed on every detection and every triage, so
-neither does Python-level work per frame.  render_report formats each
-stack block with one % on a frame template picked by frame count: the
-templates up to the default max_frames are built at import, a longer
-stack's per call.  parse_report first matches the whole text against
-one pattern built from the line patterns below, which accepts every
-well-formed report whose line breaks are all newlines, and takes each
-stack's pcs with one findall.  Only when that match, or its check of
-the locator and the block addresses, fails does it walk
+neither does Python-level work per frame.  render_report applies one %
+per report, to one format string joined from fixed pieces and a frame
+template per stack picked by frame count: the templates up to the
+default max_frames are built at import, a longer stack's per call.
+parse_report first matches the whole text against one pattern built
+from the line patterns below, which accepts every well-formed report
+whose line breaks are all newlines, and takes each stack's pcs with one
+findall over its run of frame lines.  Only when that match, or its
+check of the locator and the block addresses, fails does it walk
 text.splitlines() with an index, matching each line against its
 pattern.  The walker is the only source of ReportParseError: it names
 the first offending line, and running off the end of the lines is its
@@ -27,8 +28,8 @@ ErrorReport is built positionally, parsed or from a record, as vmem
 builds its FaultInfo: a keyword call matches each name to its field.
 A use-after-free read's report thus makes one call per step: read,
 which delivers a fault at the access's first byte itself, then
-_deliver_fault, FaultInfo, handle_fault, classify_address,
-_build_report, snapshot, _record_report, capture_trace, a
+_deliver_fault, FaultInfo, handle_fault (which picks the kind),
+classify_address, snapshot, _record_report, capture_trace, a
 decompress_trace per stored stack, ErrorReport, _emit, render_report
 and SegmentationFault.
 
@@ -62,7 +63,7 @@ from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
 from .metadata import MetadataStore, SlotRecord, SlotState, capture_trace, decompress_trace
-from .pool import AddressClassification, AddressKind, GuardedPool
+from .pool import AddressKind, GuardedPool
 from .vmem import (
     AccessType,
     FaultAction,
@@ -152,55 +153,63 @@ def _frame_template(n: int) -> str:
     return "\n".join(["  #%d [0x%%x]" % k for k in range(1, n + 1)])
 
 
-# Indexed by frame count, up to GuardianConfig's default max_frames.
-_FRAME_TEMPLATES = [_frame_template(n) for n in range(65)]
+# Indexed by frame count, up to GuardianConfig's default max_frames; an
+# empty stack renders as <unavailable>.
+_FRAME_TEMPLATES = [_UNAVAILABLE] + [_frame_template(n) for n in range(1, 65)]
+_TEMPLATED = len(_FRAME_TEMPLATES)
+# render_report's other pieces.  Decimal fields are %s, as an f-string
+# field would be.
+_HEAD = f"{REPORT_HEADER}\n%s%s at 0x%x by thread %s:\n"
+_ACCESS_WORD_TEXT = {"read": " read", "write": " write", "unknown": ""}
+_NO_ALLOC = f"\n\n{_NO_ALLOC_LOCATOR}"
+_WITHIN = "\n\nThe access is within %sB allocation at 0x%x"
+_BESIDE = "\n\nThe access is %sB %s of %sB allocation at 0x%x"
+_BLOCK_TITLE = "\n\n0x%x was %s by thread %s:\n"
+_TAIL = f"\n{REPORT_TRAILER}\n"
 
 
 def render_report(report: ErrorReport) -> str:
-    """Render a report; pure function of its argument."""
+    """Render a report; pure function of its argument.  The text is one %
+    on one format string, joined from the pieces above and the frame
+    templates, over one flat list of fields."""
     access = report.access_address
-    word = "" if report.access_kind is AccessType.UNKNOWN else f" {report.access_kind._value_}"
-    # (title, stack, lost) per stack block; the locator follows the first.
-    blocks = [(f"{_KIND_HEADLINES[report.kind._value_]}{word} at 0x{access:x}"
-               f" by thread {report.faulting_thread}:", report.access_trace, False)]
+    trace = report.access_trace or ()
+    n = len(trace)
+    fmt = [_HEAD, _FRAME_TEMPLATES[n] if n < _TEMPLATED else _frame_template(n)]
+    args = [_KIND_HEADLINES[report.kind._value_], _ACCESS_WORD_TEXT[report.access_kind._value_],
+            access, report.faulting_thread, *trace]
     alloc = report.allocation_address
     if alloc is None:
-        locator = _NO_ALLOC_LOCATOR
+        fmt.append(_NO_ALLOC)
     else:
         size = report.allocation_size or 0
         off = access - alloc
         if 0 <= off < size:
-            locator = f"The access is within {size}B allocation at 0x{alloc:x}"
-        elif off < 0:
-            locator = f"The access is {-off}B left of {size}B allocation at 0x{alloc:x}"
+            fmt.append(_WITHIN)
+            args += (size, alloc)
         else:
             # First byte past the end is 1B right: distances are 1-based
             # on both sides of the allocation.
-            locator = f"The access is {off - size + 1}B right of {size}B allocation at 0x{alloc:x}"
+            fmt.append(_BESIDE)
+            args += ((-off, "left", size, alloc) if off < 0
+                     else (off - size + 1, "right", size, alloc))
         lost = report.metadata_lost
         thread = report.dealloc_thread
-        if (report.dealloc_trace is not None or thread is not None
-                or lost and report.kind in _FREED_KINDS):
-            blocks.append((f"0x{alloc:x} was deallocated by thread"
-                           f" {'<unknown>' if thread is None else thread}:",
-                           report.dealloc_trace, lost))
-        thread = report.alloc_thread
-        blocks.append((f"0x{alloc:x} was allocated by thread"
-                       f" {'<unknown>' if thread is None else thread}:",
-                       report.alloc_trace, lost))
-    parts = []
-    for title, trace, lost in blocks:
-        if lost:
-            frames = _LOST
-        elif trace:
+        trace = report.dealloc_trace
+        if trace is not None or thread is not None or lost and report.kind in _FREED_KINDS:
+            trace = () if lost else trace or ()
             n = len(trace)
-            frames = (_FRAME_TEMPLATES[n] if n < len(_FRAME_TEMPLATES)
-                      else _frame_template(n)) % tuple(trace)
-        else:
-            frames = _UNAVAILABLE
-        parts.append(f"{title}\n{frames}\n")
-    parts[0] += f"\n{locator}\n"
-    return f"{REPORT_HEADER}\n" + "\n".join(parts) + f"{REPORT_TRAILER}\n"
+            fmt += (_BLOCK_TITLE, _LOST if lost else _FRAME_TEMPLATES[n] if n < _TEMPLATED
+                    else _frame_template(n))
+            args += (alloc, "deallocated", "<unknown>" if thread is None else thread, *trace)
+        thread = report.alloc_thread
+        trace = () if lost else report.alloc_trace or ()
+        n = len(trace)
+        fmt += (_BLOCK_TITLE, _LOST if lost else _FRAME_TEMPLATES[n] if n < _TEMPLATED
+                else _frame_template(n))
+        args += (alloc, "allocated", "<unknown>" if thread is None else thread, *trace)
+    fmt.append(_TAIL)
+    return "".join(fmt) % tuple(args)
 
 
 # -- parsing -----------------------------------------------------------
@@ -465,6 +474,7 @@ class Reporter:
         self._max_frames = max_frames  # access stacks' cap
         self.recoverable = recoverable
         self._sink = sink if sink is not None else sys.stderr
+        self._flush = getattr(self._sink, "flush", None)
         # Spin permit, not a blocking wait: a holder only formats and
         # writes, never faults, so spinning cannot deadlock with the
         # interrupted thread.
@@ -492,14 +502,31 @@ class Reporter:
     # -- fault path -------------------------------------------------------
 
     def handle_fault(self, fault: FaultInfo) -> FaultAction:
-        """Access-violation hook: classify, report, terminate or recover."""
-        classification = self._pool.classify_address(fault.address)
-        if classification.kind is AddressKind.NOT_OURS:
+        """Access-violation hook: classify, report, terminate or recover.
+
+        The kind comes from the attributed slot's record: use-after-free
+        for a freed occupant (on a guard too, where the locator carries
+        the out-of-bounds part), overflow or underflow for a live one's
+        guard, and otherwise only that the slot changed hands."""
+        cls = self._pool.classify_address(fault.address)
+        if cls.kind is AddressKind.NOT_OURS:
             if self._prev is not None:
                 return self._prev(fault)
             return FaultAction.TERMINATE
         if not self.disabled:
-            self._emit(self._build_report(fault, classification))
+            slot_index = cls.slot_index
+            record = None if slot_index is None else self._store.snapshot(slot_index)
+            state = None if record is None else record.state
+            if state is SlotState.QUARANTINED:
+                kind = ReportKind.USE_AFTER_FREE
+            elif state is SlotState.ALLOCATED and cls.kind is AddressKind.LEFT_GUARD:
+                kind = ReportKind.BUFFER_UNDERFLOW
+            elif state is SlotState.ALLOCATED and cls.kind is AddressKind.RIGHT_GUARD:
+                kind = ReportKind.BUFFER_OVERFLOW
+            else:
+                kind, record = ReportKind.INDETERMINATE_GUARD_HIT, None
+            self._emit(self._record_report(kind, record, fault.address, fault.access,
+                                           fault.thread_id))
             if not self.recoverable:
                 return FaultAction.TERMINATE
             self.disabled = True
@@ -538,32 +565,11 @@ class Reporter:
         record = None if slot_index is None else self._store.snapshot(slot_index)
         return self._record_report(kind, record, address, access_kind, thread)
 
-    def _build_report(self, fault: FaultInfo, cls: AddressClassification) -> ErrorReport:
-        """The fault's report, its kind taken from the attributed slot's record.
-
-        A freed occupant's record says use-after-free, for a guard hit
-        too, where the locator carries the out-of-bounds part.  A live
-        one says overflow or underflow on a guard; on the slot's own
-        page, which cannot fault while it is allocated, it only says the
-        slot changed hands.  So does a FREE record, and no record."""
-        slot_index = cls.slot_index
-        record = None if slot_index is None else self._store.snapshot(slot_index)
-        state = None if record is None else record.state
-        if state is SlotState.QUARANTINED:
-            kind = ReportKind.USE_AFTER_FREE
-        elif state is SlotState.ALLOCATED and cls.kind is AddressKind.LEFT_GUARD:
-            kind = ReportKind.BUFFER_UNDERFLOW
-        elif state is SlotState.ALLOCATED and cls.kind is AddressKind.RIGHT_GUARD:
-            kind = ReportKind.BUFFER_OVERFLOW
-        else:
-            kind, record = ReportKind.INDETERMINATE_GUARD_HIT, None
-        return self._record_report(kind, record, fault.address, fault.access, fault.thread_id)
-
     def _record_report(self, kind: ReportKind, record: Optional[SlotRecord], address: int,
                        access_kind: AccessType, thread: int) -> ErrorReport:
         """Geometry and evidence all from the one record; the access stack
         is captured here, for fault and free path alike, from depth 3: past
-        this frame and slot_report or _build_report."""
+        this frame and handle_fault or slot_report."""
         trace = capture_trace(self._max_frames, depth=3)
         if record is None:  # positional, as parse_report builds it
             return ErrorReport(kind, address, access_kind, thread, trace,
@@ -578,15 +584,15 @@ class Reporter:
             None if dealloc_trace is None else decompress_trace(dealloc_trace), False)
 
     def _emit(self, report: ErrorReport) -> None:
+        """Write the report under the permit; it counts once the sink has it."""
         text = render_report(report)
-        while not self._permit.acquire(blocking=False):
+        while not self._permit.acquire(False):
             time.sleep(0)
         try:
+            self._sink.write(text)
             self.last_report = report
             self.reports_emitted += 1
-            self._sink.write(text)
-            flush = getattr(self._sink, "flush", None)
-            if flush is not None:
-                flush()
+            if self._flush is not None:
+                self._flush()
         finally:
             self._permit.release()

@@ -219,6 +219,10 @@ class GuardianConfig:
                 or self.min_alignment & (self.min_alignment - 1)):
             raise ValueError(
                 f"min_alignment must be an int power of two, got {self.min_alignment!r}")
+        if self.sink is not None and not callable(getattr(self.sink, "write", None)):
+            raise ValueError(f"sink must be None or have a callable write, got {self.sink!r}")
+        if not callable(self.timer_clock):
+            raise ValueError(f"timer_clock must be callable, got {self.timer_clock!r}")
 
 
 @dataclass

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from guardpool import cli
+from guardpool import reporter as reporter_module
 from guardpool.pool import AddressKind, AlignmentSide, GuardedPool
 from guardpool.reporter import (
     REPORT_HEADER,
@@ -511,7 +512,8 @@ def walked(text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(report_lines(), st.sampled_from(["\n", "", "\nafter the trailer\r\n\x85"]))
+@given(report_lines(), st.sampled_from(["\n", "", "\nafter the trailer\r\n\x85",
+                                        "\n  #1 [0xdead]\n"]))
 def test_a_well_formed_report_never_reaches_the_walker(lines, tail):
     text = "\n".join(lines) + tail
     expected = outcome(oracle.parse_report, text)
@@ -520,6 +522,25 @@ def test_a_well_formed_report_never_reaches_the_walker(lines, tail):
     head = text[:text.find(REPORT_TRAILER)]
     assume(isinstance(expected, ErrorReport) and head.splitlines() == head.split("\n")[:-1])
     assert walked(text) == (expected, False)
+
+
+def test_the_pc_findalls_stop_at_the_trailer(monkeypatch):
+    # Frame lines after the trailer belong to no stack: the pcs come from
+    # the report's own frame runs, and nothing past the trailer is scanned.
+    expected = parse_report(UAF_EXAMPLE)
+    found = []
+
+    class CountingPattern:
+        def findall(self, *args):
+            pcs = pattern.findall(*args)
+            found.extend(pcs)
+            return pcs
+
+    pattern = reporter_module._RUN_PC_RE
+    monkeypatch.setattr(reporter_module, "_RUN_PC_RE", CountingPattern())
+    text = UAF_EXAMPLE + "output after the report\n  #1 [0xdead]\n" * 100
+    assert parse_report(text) == expected
+    assert len(found) == UAF_EXAMPLE.count("\n  #") == 4
 
 
 def test_a_report_cut_at_its_trailer_never_reaches_the_walker():
@@ -572,20 +593,20 @@ def test_a_stack_longer_than_the_template_table_round_trips(frames):
 # -- the report path's cost ------------------------------------------------
 
 # A report reads no enum property and hashes no enum member, both of
-# which are Python-level calls, and renders each stack block with one %
-# on a frame template, with no per-frame comprehension.  A fault at an
+# which are Python-level calls, and renders the whole text with one % on
+# one format string, with no per-frame or per-block call.  A fault at an
 # access's first byte is delivered from read or write itself, with no run
 # walker.  The use-after-free read's Python-level calls: read,
 # _deliver_fault, the FaultInfo's __init__, handle_fault,
-# classify_address, _build_report, snapshot, _record_report,
-# capture_trace, decompress_trace twice, the report's __init__, _emit,
-# render_report, the SegmentationFault's __init__.
-UAF_READ_CALLS = 15
+# classify_address, snapshot, _record_report, capture_trace,
+# decompress_trace twice, the report's __init__, _emit, render_report,
+# the SegmentationFault's __init__.
+UAF_READ_CALLS = 14
 # The same list with write for read.
-UAF_WRITE_CALLS = 15
+UAF_WRITE_CALLS = 14
 # A write onto the right guard of a live block: its record has no
 # deallocation stack, so decompress_trace runs once.
-GUARD_WRITE_CALLS = 14
+GUARD_WRITE_CALLS = 13
 # The double free's: free, _guarded_free, classify_address,
 # user_address, slot_report, snapshot, _record_report, capture_trace,
 # decompress_trace twice, the report's __init__, emit_synthetic, _emit,
@@ -604,6 +625,20 @@ def test_a_parse_makes_a_fixed_number_of_python_calls():
     report, calls = python_calls(parse_report, text)
     assert report == oracle.parse_report(text)
     assert calls == PARSE_CALLS
+
+
+@pytest.mark.parametrize("frames", [3, 64])
+def test_a_render_makes_one_python_call(frames):
+    # Up to the default max_frames every stack's template is prebuilt.
+    pcs = [0x1000 + 16 * k for k in range(frames)]
+    report = ErrorReport(
+        kind=ReportKind.USE_AFTER_FREE, access_address=0x1008, access_kind=AccessType.READ,
+        faulting_thread=4, access_trace=pcs, allocation_address=0x1000,
+        allocation_size=41, alloc_thread=4, alloc_trace=pcs, dealloc_thread=5,
+        dealloc_trace=pcs)
+    text, calls = python_calls(render_report, report)
+    assert text == oracle.render_report(report)
+    assert calls == ["reporter.py:render_report"]
 
 
 @pytest.mark.parametrize("kind,expected", [("use-after-free read", UAF_READ_CALLS),
@@ -963,6 +998,35 @@ def test_fault_while_holding_pool_lock_does_not_deadlock():
         with pytest.raises(SegmentationFault):
             vm.read(addr, 1)
     assert parse_report(sink.getvalue()).kind is ReportKind.USE_AFTER_FREE
+
+
+def test_a_report_counts_only_once_its_sink_has_it():
+    class FlakySink(io.StringIO):
+        failures = 1
+
+        def write(self, text):
+            if self.failures:
+                self.failures -= 1
+                raise OSError("sink unavailable")
+            return super().write(text)
+
+    vm = VirtualMemory()
+    pool = GuardedPool(vm, slot_count=4, seed=11)
+    store = pool.store
+    sink = FlakySink()
+    reporter = Reporter(pool, store, 64, sink=sink)
+    reporter.install(vm)
+    slot_index, addr = acquire_slot(pool, 41)
+    release_slot(pool, slot_index)
+    with pytest.raises(OSError, match="sink unavailable"):
+        vm.read(addr, 1)
+    assert reporter.reports_emitted == 0
+    assert reporter.last_report is None
+    # The failed write released the permit: the next report gets through.
+    with pytest.raises(SegmentationFault):
+        vm.read(addr, 1)
+    assert reporter.reports_emitted == 1
+    assert parse_report(sink.getvalue()) == reporter.last_report
 
 
 # -- recovery -------------------------------------------------------------

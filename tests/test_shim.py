@@ -499,6 +499,10 @@ def test_bad_config_rejected_whatever_the_launch_decision():
     ("process_sample_probability", "1"),
     ("coverage_threshold", None),
     ("sample_interval", "0.1"),
+    # A sink with no write fails inside the first report; a clock that is
+    # not callable fails inside the timer gate.
+    pytest.param("sink", object(), id="sink-object"),
+    ("timer_clock", 5),
 ])
 def test_every_bad_field_is_rejected_on_every_launch(launch, field, value):
     config = GuardianConfig(**{"seed": 3, "sink": io.StringIO(), **launch, field: value})
