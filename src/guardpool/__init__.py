@@ -8,8 +8,6 @@ counter decrement.
 from .coverage import CoverageFilter, source_of
 from .metadata import (
     CompressedTrace,
-    MetadataStore,
-    SlotState,
     capture_trace,
     compress_trace,
     decompress_trace,
@@ -20,6 +18,7 @@ from .pool import (
     AlignmentSide,
     GuardedPool,
     PoolUnavailableError,
+    SlotState,
 )
 from .reporter import (
     ErrorReport,
@@ -65,7 +64,6 @@ __all__ = [
     "GuardedPool",
     "GuardianAllocator",
     "GuardianConfig",
-    "MetadataStore",
     "PoolUnavailableError",
     "PROT_NONE",
     "PROT_READ",

@@ -1,33 +1,25 @@
-"""Allocation metadata: stack capture, trace compression, record store.
+"""Allocation metadata: stack capture and trace compression.
 
 Traces are lists of program-counter-like integers captured by walking
 the interpreter stack; a frame's pc is its code object address plus the
 bytecode offset, so frames of one function cluster tightly.  Capture is
-the one place that caps a trace's length; the store keeps what it is
-given.  Stored traces are delta-encoded (consecutive pcs tend to be
-close) and the deltas zigzag-mapped then ULEB128-encoded, trading
-decode time on the rare error path for a large resident-memory
-reduction on every sampled allocation.  Allocation stacks repeat, so
-compress_trace interns them as sanitizer stack depots do: a bounded
-memo keyed by the pcs encodes each distinct stack once, and records of
-equal stacks share one immutable CompressedTrace.
-
-The record store holds one record per pool slot, indexed by the slot
-index as in GWP-ASan's Metadata[SlotIndex]: the slot's state, the
-occupant's geometry and coverage source, and both stacks, in one
-object.  The pool reads slot states from the same list.  A record is
-never changed once stored; each transition stores a whole new record
-with one list store.  So a reader reads a slot's record once and
-takes everything it needs from that one object, without a lock.
+the one place that caps a trace's length; the pool's slot records
+keep what they are given.  Stored traces are delta-encoded
+(consecutive pcs tend to be close) and the deltas zigzag-mapped then
+ULEB128-encoded, trading decode time on the rare error path for a
+large resident-memory reduction on every sampled allocation.
+Allocation stacks repeat, so compress_trace interns them as sanitizer
+stack depots do: a bounded memo keyed by the pcs encodes each distinct
+stack once, and records of equal stacks share one immutable
+CompressedTrace.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 _MASK64 = (1 << 64) - 1
 
@@ -153,101 +145,3 @@ def decompress_trace(trace: CompressedTrace) -> list[int]:
         raise ValueError(f"{trailing} trailing bytes after deltas")
     return pcs
 
-
-# -- record store ------------------------------------------------------
-
-
-class SlotState(enum.Enum):
-    FREE = "free"
-    ALLOCATED = "allocated"
-    QUARANTINED = "quarantined"
-
-
-@dataclass(slots=True)
-class SlotRecord:
-    """Everything known about one slot's occupant: state, geometry, evidence.
-
-    A record is never changed once published; each transition publishes
-    a new one in its place.  Not frozen, as ErrorReport is not: a frozen
-    __init__ sets each field through object.__setattr__, twice per
-    guarded pair.  A FREE record is a slot that never held an allocation.
-    """
-
-    slot_index: int
-    state: SlotState = SlotState.FREE
-    user_offset: int = 0
-    user_size: int = 0
-    coverage_source: Optional[int] = None
-    metadata_seq: int = 0  # the allocation's sequence number; 0 before the first
-    alloc_thread: Optional[int] = None
-    alloc_trace: Optional[CompressedTrace] = None
-    dealloc_thread: Optional[int] = None
-    dealloc_trace: Optional[CompressedTrace] = None
-
-    @property
-    def metadata_index(self) -> int:
-        """The slot's own index; perfbench/workloads.py (sampled) reads it."""
-        return self.slot_index
-
-
-class MetadataStore:
-    """The one list of slot records, and its only writer.
-
-    records[i] is slot i's record, as GWP-ASan's Metadata[SlotIndex];
-    the pool reads slot states from the same list.  Writers serialize
-    on the pool lock, and each publishes a whole new record with one
-    list store.  So a reader that reads a slot's record once sees one
-    occupant at one moment, without a lock.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.records = [SlotRecord(i) for i in range(capacity)]
-        self._next_seq = 1
-
-    def store_alloc(self, slot_index: int, user_offset: int, user_size: int,
-                    coverage_source: Optional[int], thread_id: int,
-                    trace: Sequence[int]) -> None:
-        """Publish the ALLOCATED record of a new occupant of slot_index."""
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        self.records[slot_index] = SlotRecord(
-            slot_index, SlotState.ALLOCATED, user_offset, user_size, coverage_source, seq,
-            thread_id, compress_trace(trace),
-        )
-
-    def store_dealloc(self, slot_index: int, thread_id: int, trace: Sequence[int]) -> None:
-        """Publish the QUARANTINED record: the occupant's, plus its deallocation."""
-        record = self.records[slot_index]
-        self.records[slot_index] = SlotRecord(
-            slot_index, SlotState.QUARANTINED, record.user_offset, record.user_size,
-            record.coverage_source, record.metadata_seq, record.alloc_thread,
-            record.alloc_trace, thread_id, compress_trace(trace),
-        )
-
-    def snapshot(self, slot_index: int, seq: Optional[int] = None) -> Optional[SlotRecord]:
-        """Slot slot_index's record, read once; None if out of range.
-
-        With seq, None also when the record is not that allocation's.
-        """
-        if not 0 <= slot_index < len(self.records):
-            return None
-        record = self.records[slot_index]
-        if seq is not None and record.metadata_seq != seq:
-            return None
-        return record
-
-    def accounted_trace_bytes(self) -> int:
-        """Total bytes held by stored compressed traces; frameless ones count 0.
-
-        Counts each record's traces, as GWP-ASan stores a trace per
-        slot, even though records of equal stacks share one interned
-        CompressedTrace.
-        """
-        total = 0
-        for record in self.records:
-            for trace in (record.alloc_trace, record.dealloc_trace):
-                if trace is not None and trace.frame_count:
-                    total += trace.byte_size()
-        return total

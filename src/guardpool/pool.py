@@ -10,14 +10,17 @@ hit a guard page immediately.  Released slots are re-protected and
 quarantined: the page stays inaccessible until the slot is reused, so
 use-after-free accesses fault too.
 
-The pool's store (metadata.MetadataStore) owns the one list of slot
-records, and self.slots is that list: the pool reads slot states from
-it and never writes it.  acquire and release do the page work and the
-free-list bookkeeping under the caller's hold of the pool lock, as
-GWP-ASan's reserveSlot and freeSlot run under its allocate's and
-deallocate's hold of PoolMutex; the caller then publishes the slot's
-new record through the store, under the same hold.  So each transition
-takes the lock once, and the lock is a plain, non-reentrant Lock.
+The pool owns one record per slot, as GWP-ASan's allocator owns
+Metadata[SlotIndex]: self.slots[i] holds the slot's state, the
+occupant's geometry and coverage source, and both stacks, in one
+object.  Each transition is one call, under the caller's hold of the
+pool lock, as GWP-ASan's allocate and deallocate each run under one
+hold of PoolMutex: acquire does the page work and publishes the
+ALLOCATED record, release re-protects the page and publishes the
+QUARANTINED one.  The lock is a plain, non-reentrant Lock.  A record
+is never changed once published; each transition stores a whole new
+one with one list store.  So a reader reads a slot's record once and
+takes everything it needs from that one object, without a lock.
 
 classify_address runs on every guarded free and every fault.  It
 shifts rather than divides (the page size is a power of two), tells
@@ -38,9 +41,9 @@ import collections
 import enum
 import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-from .metadata import MetadataStore, SlotState
+from . import metadata  # compress_trace through the module: perfbench's tracer patches it
 from .sampler import Xorshift64Star, splitmix64
 from .vmem import PROT_NONE, PROT_READ, PROT_WRITE, VirtualMemory
 
@@ -68,6 +71,39 @@ class AddressClassification:
     slot_index: Optional[int] = None
 
 
+class SlotState(enum.Enum):
+    FREE = "free"
+    ALLOCATED = "allocated"
+    QUARANTINED = "quarantined"
+
+
+@dataclass(slots=True)
+class SlotRecord:
+    """Everything known about one slot's occupant: state, geometry, evidence.
+
+    A record is never changed once published; each transition publishes
+    a new one in its place.  Not frozen, as ErrorReport is not: a frozen
+    __init__ sets each field through object.__setattr__, twice per
+    guarded pair.  A FREE record is a slot that never held an allocation.
+    """
+
+    slot_index: int
+    state: SlotState = SlotState.FREE
+    user_offset: int = 0
+    user_size: int = 0
+    coverage_source: Optional[int] = None
+    metadata_seq: int = 0  # the allocation's sequence number; 0 before the first
+    alloc_thread: Optional[int] = None
+    alloc_trace: Optional[metadata.CompressedTrace] = None
+    dealloc_thread: Optional[int] = None
+    dealloc_trace: Optional[metadata.CompressedTrace] = None
+
+    @property
+    def metadata_index(self) -> int:
+        """The slot's own index; perfbench/workloads.py (sampled) reads it."""
+        return self.slot_index
+
+
 # classify_address compares states by identity through these names, and
 # returns one shared instance per answer.
 _ALLOCATED = SlotState.ALLOCATED
@@ -82,11 +118,11 @@ class PoolUnavailableError(Exception):
 
 
 class GuardedPool:
-    """The guarded region plus slot lifecycle.
+    """The guarded region, its slot records, and the slot lifecycle.
 
     acquire/release mutate the pool and run under self.lock, which the
-    caller takes once and holds across the transition and the
-    publication of the slot's record.  The lock is a plain Lock:
+    caller takes once and holds across the transition, the publication
+    of the slot's record included.  The lock is a plain Lock:
     nothing re-enters it, and the report path never takes it, so a
     fault raised while the lock is held still reports.
     classify_address is lock-free and safe to call from a fault
@@ -116,8 +152,8 @@ class GuardedPool:
             raise PoolUnavailableError(f"pool reservation failed: {exc}") from exc
         self.region_length = (2 * self.slot_count + 1) * self.page_size
 
-        self.store = MetadataStore(self.slot_count)
-        self.slots = self.store.records  # one FREE record per slot
+        self.slots = [SlotRecord(i) for i in range(self.slot_count)]  # one FREE record each
+        self._next_seq = 1
         self._rng = Xorshift64Star(splitmix64((seed or 0) ^ 0x706F6F6C))
         order = list(range(self.slot_count))
         # Fisher-Yates with the pool rng: slot order is unpredictable to
@@ -148,12 +184,11 @@ class GuardedPool:
 
     # -- lifecycle ---------------------------------------------------
 
-    def acquire(self, size: int, alignment: int = 1) -> Optional[tuple[int, int]]:
-        """Take, open and scrub a slot for a size-byte allocation.
+    def acquire(self, size: int, alignment: int, source: Optional[int], thread_id: int,
+                trace: Sequence[int]) -> Optional[int]:
+        """Take, open and scrub a slot, and publish its ALLOCATED record.
 
-        The caller holds self.lock.  The slot's record is left as it
-        was: the caller, still holding the lock, then publishes the
-        occupant's record with store.store_alloc.  Returns (slot_index, user_address), or None
+        The caller holds self.lock.  Returns the user address, or None
         when the pool cannot serve the request (slot pressure, oversized
         request, or a page-protection failure).  Raises ValueError only
         on caller bugs: non-positive size or a bad alignment.
@@ -192,14 +227,12 @@ class GuardedPool:
         offset = ((self.page_size - size) // alignment) * alignment if right else 0
         self.live_count += 1
         self.acquire_count += 1
-        return slot_index, page + offset
+        self.store_alloc(slot_index, offset, size, source, thread_id, trace)
+        return page + offset
 
-    def release(self, slot_index: int) -> None:
-        """Re-protect the slot page and queue the slot for reuse.
-
-        The caller holds self.lock, and then publishes the QUARANTINED record with
-        store.store_dealloc, under the same hold of the lock.
-        """
+    def release(self, slot_index: int, thread_id: int, trace: Sequence[int]) -> None:
+        """Re-protect the slot page, queue the slot for reuse, and publish
+        its QUARANTINED record.  The caller holds self.lock."""
         state = self.slots[slot_index].state
         if state is not _ALLOCATED:
             raise ValueError(f"slot {slot_index} is {state.value}, not allocated")
@@ -207,6 +240,58 @@ class GuardedPool:
         self.vm.protect(page, self.page_size, PROT_NONE)
         self.live_count -= 1
         self._free_list.append(slot_index)
+        self.store_dealloc(slot_index, thread_id, trace)
+
+    # -- records -----------------------------------------------------------
+    #
+    # acquire and release publish through store_alloc and store_dealloc,
+    # looked up on self: perfbench's tracer times each on the instance.
+
+    def store_alloc(self, slot_index: int, user_offset: int, user_size: int,
+                    coverage_source: Optional[int], thread_id: int,
+                    trace: Sequence[int]) -> None:
+        """Publish the ALLOCATED record of a new occupant of slot_index."""
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        self.slots[slot_index] = SlotRecord(
+            slot_index, _ALLOCATED, user_offset, user_size, coverage_source, seq,
+            thread_id, metadata.compress_trace(trace),
+        )
+
+    def store_dealloc(self, slot_index: int, thread_id: int, trace: Sequence[int]) -> None:
+        """Publish the QUARANTINED record: the occupant's, plus its deallocation."""
+        record = self.slots[slot_index]
+        self.slots[slot_index] = SlotRecord(
+            slot_index, _QUARANTINED, record.user_offset, record.user_size,
+            record.coverage_source, record.metadata_seq, record.alloc_thread,
+            record.alloc_trace, thread_id, metadata.compress_trace(trace),
+        )
+
+    def snapshot(self, slot_index: int, seq: Optional[int] = None) -> Optional[SlotRecord]:
+        """Slot slot_index's record, read once; None if out of range.
+
+        With seq, None also when the record is not that allocation's.
+        """
+        if not 0 <= slot_index < self.slot_count:
+            return None
+        record = self.slots[slot_index]
+        if seq is not None and record.metadata_seq != seq:
+            return None
+        return record
+
+    def accounted_trace_bytes(self) -> int:
+        """Total bytes held by stored compressed traces; frameless ones count 0.
+
+        Counts each record's traces, as GWP-ASan stores a trace per
+        slot, even though records of equal stacks share one interned
+        CompressedTrace.
+        """
+        total = 0
+        for record in self.slots:
+            for trace in (record.alloc_trace, record.dealloc_trace):
+                if trace is not None and trace.frame_count:
+                    total += trace.byte_size()
+        return total
 
     # -- classification ------------------------------------------------
 

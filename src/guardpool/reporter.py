@@ -62,8 +62,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
-from .metadata import MetadataStore, SlotRecord, SlotState, capture_trace, decompress_trace
-from .pool import AddressKind, GuardedPool
+from .metadata import capture_trace, decompress_trace
+from .pool import AddressKind, GuardedPool, SlotRecord, SlotState
 from .vmem import (
     AccessType,
     FaultAction,
@@ -464,13 +464,11 @@ class Reporter:
     def __init__(
         self,
         pool: GuardedPool,
-        store: MetadataStore,
         max_frames: int,
         recoverable: bool = False,
         sink: Optional[TextIO] = None,
     ):
         self._pool = pool
-        self._store = store
         self._max_frames = max_frames  # access stacks' cap
         self.recoverable = recoverable
         self._sink = sink if sink is not None else sys.stderr
@@ -515,7 +513,7 @@ class Reporter:
             return FaultAction.TERMINATE
         if not self.disabled:
             slot_index = cls.slot_index
-            record = None if slot_index is None else self._store.snapshot(slot_index)
+            record = None if slot_index is None else self._pool.snapshot(slot_index)
             state = None if record is None else record.state
             if state is SlotState.QUARANTINED:
                 kind = ReportKind.USE_AFTER_FREE
@@ -562,7 +560,7 @@ class Reporter:
         """A report of kind for an access at address, from slot_index's record.
 
         No slot_index gives a metadata_lost report."""
-        record = None if slot_index is None else self._store.snapshot(slot_index)
+        record = None if slot_index is None else self._pool.snapshot(slot_index)
         return self._record_report(kind, record, address, access_kind, thread)
 
     def _record_report(self, kind: ReportKind, record: Optional[SlotRecord], address: int,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, TextIO
 
 from .coverage import CoverageFilter, source_of
-from .metadata import MetadataStore, capture_trace
+from .metadata import capture_trace
 from .metadata import decompress_trace  # noqa: F401  perfbench/tracer.py wraps it here
 from .pool import AddressKind, AlignmentSide, GuardedPool, PoolUnavailableError
 from .reporter import Reporter, ReportKind
@@ -123,6 +123,8 @@ class FallbackAllocator:
 
     def _carve(self, key: int | tuple[int, int], size: int, alignment: int) -> int:
         """A fresh block from the arena's end, carved under the host lock."""
+        if not isinstance(size, int):  # a float cursor would make every later address one
+            raise TypeError(f"size must be an int, got {size!r}")
         span = max(size, 1)
         with self._lock:
             addr = -(-self._cursor // alignment) * alignment
@@ -261,7 +263,6 @@ class GuardianAllocator(FallbackAllocator):
         self.stats = AllocatorStats()
 
         self.pool: Optional[GuardedPool] = None
-        self.store: Optional[MetadataStore] = None
         self.coverage: Optional[CoverageFilter] = None
         self.reporter: Optional[Reporter] = None
         self._sampler = None
@@ -280,6 +281,7 @@ class GuardianAllocator(FallbackAllocator):
                 # been disabled for this launch.
                 self.pool = None
         self.enabled = self.pool is not None
+        self.store = self.pool  # the record store; perfbench's tracer patches it
         if not self.enabled:
             self._bind_passthrough()
 
@@ -287,9 +289,8 @@ class GuardianAllocator(FallbackAllocator):
         cfg = self.config
         self.pool = GuardedPool(self.vm, cfg.slot_count, cfg.max_live, seed,
                                 cfg.force_alignment_side)
-        self.store = self.pool.store
         self.coverage = CoverageFilter(utilization_threshold=cfg.coverage_threshold)
-        self.reporter = Reporter(self.pool, self.store, cfg.max_frames, cfg.recoverable, cfg.sink)
+        self.reporter = Reporter(self.pool, cfg.max_frames, cfg.recoverable, cfg.sink)
         self.reporter.install(self.vm)
         self._min_alignment = cfg.min_alignment
         self._max_frames = cfg.max_frames
@@ -339,6 +340,8 @@ class GuardianAllocator(FallbackAllocator):
         if count < 0 or size < 0:
             raise ValueError("calloc arguments must be non-negative")
         total = count * size
+        if not isinstance(total, int):  # before a recycled block is handed out
+            raise TypeError(f"calloc arguments must be ints, got {count!r} and {size!r}")
         addr = self.malloc(total)
         # Guarded slots are scrubbed on acquire; recycled host blocks
         # are not, so calloc zeroes explicitly there.
@@ -348,6 +351,8 @@ class GuardianAllocator(FallbackAllocator):
 
     def realloc(self, addr: int, size: int) -> int:
         """Move-based realloc: fresh sampling decision for the new block."""
+        if not isinstance(size, int):  # before a recycled block is handed out
+            raise TypeError(f"size must be an int, got {size!r}")
         if not addr:
             return self.malloc(size)
         if self._pool_lo <= addr < self._pool_hi:
@@ -410,10 +415,12 @@ class GuardianAllocator(FallbackAllocator):
         else:
             self._ticks = itertools.repeat(None, sampler.next_skip() - 1)
             sample = True
-        if (not sample or self.reporter.disabled
+        if (not sample or self.reporter.disabled or not isinstance(size, int)
                 or size < 0 or alignment < 0 or alignment & (alignment - 1)):
-            # Not sampled, or a request the host rejects: it raises its
-            # own error before a stack is captured or a counter moves.
+            # Not sampled, or a request for the host alone: one it rejects,
+            # or a non-int size, which would place a block at a non-int
+            # address.  It raises its own error before a stack is captured
+            # or a counter moves.
             return FallbackAllocator.malloc(self, size, alignment)
 
         # Every stats counter moves under pool.lock, so sampled always
@@ -436,13 +443,10 @@ class GuardianAllocator(FallbackAllocator):
             if not self.coverage.admit(pool.live_count / pool.max_live, source):
                 self.stats.coverage_rejected += 1
                 return FallbackAllocator.malloc(self, size, alignment)
-            acquired = pool.acquire(size, effective_alignment)
-            if acquired is None:
+            user_address = pool.acquire(size, effective_alignment, source, thread_id, trace)
+            if user_address is None:
                 self.stats.pool_unavailable += 1
                 return FallbackAllocator.malloc(self, size, alignment)
-            slot_index, user_address = acquired
-            self.store.store_alloc(slot_index, (user_address - pool.base) % pool.page_size,
-                                   size, source, thread_id, trace)
             self.coverage.insert(source)
             self.stats.guarded += 1
             return user_address
@@ -486,9 +490,8 @@ class GuardianAllocator(FallbackAllocator):
             if (classification.kind is AddressKind.ALLOCATED_SLOT
                     and (addr - pool.base) % pool.page_size == pool.slots[slot_index].user_offset):
                 self.coverage.remove(pool.slots[slot_index].coverage_source)
-                pool.release(slot_index)
-                self.store.store_dealloc(  # depth 3: past this frame and free
-                    slot_index, threading.get_ident(), capture_trace(self._max_frames, depth=3))
+                pool.release(slot_index, threading.get_ident(),  # depth 3: past this frame and free
+                             capture_trace(self._max_frames, depth=3))
                 return
             if self.reporter.disabled:
                 return  # recovered or destroyed: swallowed, and not counted

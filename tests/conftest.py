@@ -94,25 +94,18 @@ def guard_page_addr(pool, guard_index):
     return pool.base + 2 * guard_index * pool.page_size
 
 
-# The allocator's two-step transitions, for tests that drive a pool
-# directly: under one hold of the pool lock, as the allocator holds it,
-# the pool does the page work, then its store publishes the slot's new
-# record.
+# The allocator's transitions, for tests that drive a pool directly: one
+# pool call under the pool lock, as the allocator holds it.
 
 
-def acquire_slot(pool, size, alignment=1, thread_id=5, trace=(0x100, 0x200)):
-    """pool.acquire, then the ALLOCATED record; None when the pool declines."""
+def acquire_slot(pool, size, alignment=1, source=None, thread_id=5, trace=(0x100, 0x200)):
+    """(slot_index, address) of a new ALLOCATED slot; None when the pool declines."""
     with pool.lock:
-        acquired = pool.acquire(size, alignment)
-        if acquired is not None:
-            slot_index, addr = acquired
-            pool.store.store_alloc(slot_index, addr - slot_page_addr(pool, slot_index), size,
-                                   None, thread_id, trace)
-    return acquired
+        addr = pool.acquire(size, alignment, source, thread_id, trace)
+    return None if addr is None else ((addr - pool.base) // pool.page_size >> 1, addr)
 
 
 def release_slot(pool, slot_index, thread_id=5, trace=(0x300,)):
-    """pool.release, then the QUARANTINED record."""
+    """Quarantine slot_index's occupant."""
     with pool.lock:
-        pool.release(slot_index)
-        pool.store.store_dealloc(slot_index, thread_id, trace)
+        pool.release(slot_index, thread_id, trace)

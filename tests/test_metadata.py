@@ -1,4 +1,4 @@
-"""Trace capture, varint compression, and the per-slot record store."""
+"""Trace capture, varint compression, and the pool's per-slot records."""
 
 import dataclasses
 import io
@@ -15,17 +15,15 @@ from guardpool import reporter as reporter_module
 from guardpool import shim as shim_module
 from guardpool.metadata import (
     CompressedTrace,
-    MetadataStore,
-    SlotState,
     capture_trace,
     compress_trace,
     decompress_trace,
 )
-from guardpool.pool import GuardedPool
+from guardpool.pool import AlignmentSide, GuardedPool, SlotState
 from guardpool.shim import GuardianAllocator, GuardianConfig
 from guardpool.vmem import VirtualMemory
 
-from conftest import traced_opcodes
+from conftest import acquire_slot, release_slot, traced_opcodes
 
 # -- the reference encoder ---------------------------------------------------
 #
@@ -269,44 +267,50 @@ def test_capture_distinguishes_call_sites():
     assert site_a() != site_b()
 
 
-# -- record store ---------------------------------------------------------
+# -- the pool's slot records ----------------------------------------------------
+#
+# The pool publishes a slot's record in the transition's one call:
+# acquire the ALLOCATED record, release the QUARANTINED one.
+
+
+def record_pool(slot_count):
+    """A pool that places every block flush right, so a 41 B block sits at 4055."""
+    return GuardedPool(VirtualMemory(), slot_count=slot_count, seed=3,
+                       force_alignment_side=AlignmentSide.RIGHT)
 
 
 def test_every_slot_starts_with_a_free_record():
-    store = MetadataStore(capacity=3)
-    assert [record.slot_index for record in store.records] == [0, 1, 2]
-    for record in store.records:
+    pool = record_pool(3)
+    assert [record.slot_index for record in pool.slots] == [0, 1, 2]
+    for record in pool.slots:
         assert record.state is SlotState.FREE
         assert record.alloc_trace is record.dealloc_trace is None
-    # The list the pool reads is the store's own.
-    pool = GuardedPool(VirtualMemory(), slot_count=2)
-    assert pool.slots is pool.store.records
 
 
 def test_store_alloc_publishes_the_allocated_record():
-    store = MetadataStore(capacity=4)
-    store.store_alloc(2, 4055, 41, 0xABC, 111, [0x10, 0x20])
-    snap = store.snapshot(2)
-    assert snap is store.records[2]
+    pool = record_pool(4)
+    slot_index = acquire_slot(pool, 41, source=0xABC, thread_id=111, trace=[0x10, 0x20])[0]
+    snap = pool.snapshot(slot_index)
+    assert snap is pool.slots[slot_index]
     assert snap.state is SlotState.ALLOCATED
-    assert (snap.slot_index, snap.user_offset, snap.user_size) == (2, 4055, 41)
+    assert (snap.slot_index, snap.user_offset, snap.user_size) == (slot_index, 4055, 41)
     assert snap.coverage_source == 0xABC
     assert snap.alloc_thread == 111
     assert decompress_trace(snap.alloc_trace) == [0x10, 0x20]
     assert snap.dealloc_thread is snap.dealloc_trace is None
     # Sequence numbers rise across slots, and a snapshot can ask for one.
-    store.store_alloc(0, 0, 8, None, 1, [0x10])
-    assert store.records[0].metadata_seq > snap.metadata_seq
-    assert store.snapshot(2, snap.metadata_seq) is snap
-    assert store.snapshot(2, snap.metadata_seq + 1) is None
+    other = acquire_slot(pool, 8, thread_id=1, trace=[0x10])[0]
+    assert pool.slots[other].metadata_seq > snap.metadata_seq
+    assert pool.snapshot(slot_index, snap.metadata_seq) is snap
+    assert pool.snapshot(slot_index, snap.metadata_seq + 1) is None
 
 
 def test_store_dealloc_attaches_evidence():
-    store = MetadataStore(capacity=4)
-    store.store_alloc(0, 16, 8, 0xABC, 1, [0x10])
-    live = store.snapshot(0)
-    store.store_dealloc(0, 2, [0x30, 0x40])
-    snap = store.snapshot(0, live.metadata_seq)
+    pool = record_pool(4)
+    slot_index = acquire_slot(pool, 8, source=0xABC, thread_id=1, trace=[0x10])[0]
+    live = pool.snapshot(slot_index)
+    release_slot(pool, slot_index, thread_id=2, trace=[0x30, 0x40])
+    snap = pool.snapshot(slot_index, live.metadata_seq)
     assert snap.state is SlotState.QUARANTINED
     assert snap.dealloc_thread == 2
     assert decompress_trace(snap.dealloc_trace) == [0x30, 0x40]
@@ -317,17 +321,22 @@ def test_store_dealloc_attaches_evidence():
 
 
 def test_slot_reuse_recycles_record():
-    store = MetadataStore(capacity=2)
-    store.store_alloc(0, 0, 8, None, 1, [0x10])
-    first_seq = store.records[0].metadata_seq
-    # Other slots' allocations leave slot 0's record alone...
+    pool = record_pool(2)
+    first = acquire_slot(pool, 8, thread_id=1, trace=[0x10])[0]
+    first_seq = pool.slots[first].metadata_seq
+    # Other slots' allocations leave the first slot's record alone...
     for _ in range(10):
-        store.store_alloc(1, 0, 8, None, 1, [0x20])
-    assert store.snapshot(0, first_seq).user_size == 8
-    # ...and only reusing slot 0 recycles it.
-    store.store_alloc(0, 0, 16, None, 1, [0x30])
-    assert store.snapshot(0, first_seq) is None
-    assert store.snapshot(0).user_size == 16
+        other = acquire_slot(pool, 8, thread_id=1, trace=[0x20])[0]
+        assert other != first
+        release_slot(pool, other, thread_id=1, trace=[0x21])
+    assert pool.snapshot(first, first_seq).user_size == 8
+    # ...and only reusing the first slot recycles it: FIFO serves the
+    # other slot once more before it.
+    release_slot(pool, first, thread_id=1, trace=[0x11])
+    assert acquire_slot(pool, 8, thread_id=1, trace=[0x20])[0] != first
+    assert acquire_slot(pool, 16, thread_id=1, trace=[0x30])[0] == first
+    assert pool.snapshot(first, first_seq) is None
+    assert pool.snapshot(first).user_size == 16
 
 
 def _fields(record):
@@ -363,62 +372,56 @@ def test_stored_records_are_never_changed(slot_count, data):
 
 
 def test_snapshot_out_of_range_index():
-    store = MetadataStore(capacity=1)
-    store.store_alloc(0, 0, 8, None, 1, [0x10])
-    seq = store.records[0].metadata_seq
-    assert store.snapshot(5, seq) is None
-    assert store.snapshot(-1, seq) is None
-    assert store.snapshot(5) is None
+    pool = record_pool(1)
+    seq = pool.slots[acquire_slot(pool, 8, thread_id=1, trace=[0x10])[0]].metadata_seq
+    assert pool.snapshot(5, seq) is None
+    assert pool.snapshot(-1, seq) is None
+    assert pool.snapshot(5) is None
 
 
 def test_snapshot_of_never_stored_slot_is_lost():
     # A never-used slot's FREE record carries no evidence, and matches
     # no allocation's sequence number.
-    store = MetadataStore(capacity=2)
-    snap = store.snapshot(1)
+    pool = record_pool(2)
+    snap = pool.snapshot(1)
     assert snap.state is SlotState.FREE
     assert snap.alloc_trace is None and snap.dealloc_trace is None
-    assert store.snapshot(1, -1) is None
-    assert store.snapshot(1, 1) is None
+    assert pool.snapshot(1, -1) is None
+    assert pool.snapshot(1, 1) is None
 
 
 def test_trace_byte_accounting_tracks_slot_records():
-    store = MetadataStore(capacity=2)
-    assert store.accounted_trace_bytes() == 0
-    store.store_alloc(0, 0, 8, None, 1, [0x1000, 0x1010])
-    one = store.accounted_trace_bytes()
+    pool = record_pool(2)
+    assert pool.accounted_trace_bytes() == 0
+    first = acquire_slot(pool, 8, thread_id=1, trace=[0x1000, 0x1010])[0]
+    one = pool.accounted_trace_bytes()
     assert one == compress_trace([0x1000, 0x1010]).byte_size()
-    store.store_dealloc(0, 1, [0x2000])
-    two = store.accounted_trace_bytes()
+    release_slot(pool, first, thread_id=1, trace=[0x2000])
+    two = pool.accounted_trace_bytes()
     assert two == one + compress_trace([0x2000]).byte_size()
     # Another slot adds its own contribution.
-    store.store_alloc(1, 0, 8, None, 1, [0x3000])
+    assert acquire_slot(pool, 8, thread_id=1, trace=[0x3000])[0] != first
     three = two + compress_trace([0x3000]).byte_size()
-    assert store.accounted_trace_bytes() == three
-    # Reusing slot 0 replaces its contribution instead of leaking it.
-    store.store_alloc(0, 0, 8, None, 1, [0x4000])
-    assert store.accounted_trace_bytes() == three - two + compress_trace([0x4000]).byte_size()
-
-
-def test_capacity_validated():
-    with pytest.raises(ValueError):
-        MetadataStore(capacity=0)
+    assert pool.accounted_trace_bytes() == three
+    # Reusing the first slot replaces its contribution instead of leaking it.
+    assert acquire_slot(pool, 8, thread_id=1, trace=[0x4000])[0] == first
+    assert pool.accounted_trace_bytes() == three - two + compress_trace([0x4000]).byte_size()
 
 
 # -- interning ---------------------------------------------------------------
 
 
 def test_equal_traces_in_two_slots_share_one_compressed_trace():
-    store = MetadataStore(capacity=2)
+    pool = record_pool(2)
     trace = [0x7F0000400000 + i * 0x180 for i in range(5)]
-    store.store_alloc(0, 0, 8, None, 1, trace)
-    store.store_alloc(1, 0, 16, None, 2, list(trace))
-    shared = store.snapshot(0).alloc_trace
-    assert store.snapshot(1).alloc_trace is shared
-    store.store_dealloc(1, 2, tuple(trace))
-    assert store.snapshot(1).dealloc_trace is shared
+    first = acquire_slot(pool, 8, thread_id=1, trace=trace)[0]
+    second = acquire_slot(pool, 16, thread_id=2, trace=list(trace))[0]
+    shared = pool.snapshot(first).alloc_trace
+    assert pool.snapshot(second).alloc_trace is shared
+    release_slot(pool, second, thread_id=2, trace=tuple(trace))
+    assert pool.snapshot(second).dealloc_trace is shared
     # Accounting still counts a trace per record.
-    assert store.accounted_trace_bytes() == 3 * shared.byte_size()
+    assert pool.accounted_trace_bytes() == 3 * shared.byte_size()
 
 
 def test_interned_trace_does_not_follow_the_callers_list():
@@ -640,7 +643,7 @@ def _until_guarded(alloc, make):
 
 
 def _record_of(alloc, addr):
-    return alloc.store.snapshot(alloc.pool.classify_address(addr).slot_index)
+    return alloc.pool.snapshot(alloc.pool.classify_address(addr).slot_index)
 
 
 def test_guarded_traces_start_at_the_program_frame():

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guardpool.metadata import SlotRecord
 from guardpool.pool import (
     AddressClassification,
     AddressKind,
     AlignmentSide,
     GuardedPool,
+    SlotRecord,
     SlotState,
 )
 from guardpool.sampler import Xorshift64Star, splitmix64
@@ -50,9 +50,8 @@ def test_the_pool_lock_is_a_plain_lock():
     pool = make_pool()
     with pool.lock:
         assert not pool.lock.acquire(blocking=False)
-        slot_index, _ = pool.acquire(8)
-        pool.store.store_alloc(slot_index, 0, 8, None, 5, (0x100,))
-        pool.release(slot_index)
+        addr = pool.acquire(8, 1, None, 5, (0x100,))
+        pool.release(pool.classify_address(addr).slot_index, 5, (0x300,))
     assert pool.lock.acquire(blocking=False)
     pool.lock.release()
 
@@ -70,7 +69,7 @@ def test_everything_starts_inaccessible():
 
 def test_acquire_makes_only_the_slot_page_accessible():
     pool = make_pool()
-    slot_index, addr = pool.acquire(41)
+    slot_index, addr = acquire_slot(pool, 41)
     page = slot_page_addr(pool, slot_index)
     assert page <= addr < page + PAGE
     pool.vm.write(addr, b"x" * 41)
@@ -102,7 +101,7 @@ def test_acquired_slot_is_zeroed():
 )
 def test_alignment_side_geometry(size, alignment, side, expected_offset):
     pool = make_pool(force_alignment_side=side)
-    slot_index, addr = pool.acquire(size, alignment)
+    slot_index, addr = acquire_slot(pool, size, alignment)
     assert addr == slot_page_addr(pool, slot_index) + expected_offset
     assert addr % alignment == 0
 
@@ -121,17 +120,17 @@ def test_alignment_side_randomized_both_sides_occur():
 def test_acquire_validates_arguments():
     pool = make_pool()
     with pytest.raises(ValueError):
-        pool.acquire(0)
+        acquire_slot(pool, 0)
     with pytest.raises(ValueError):
-        pool.acquire(-5)
+        acquire_slot(pool, -5)
     with pytest.raises(ValueError):
-        pool.acquire(8, alignment=3)
+        acquire_slot(pool, 8, alignment=3)
 
 
 def test_oversized_requests_are_unavailable_not_errors():
     pool = make_pool()
-    assert pool.acquire(PAGE + 1) is None
-    assert pool.acquire(8, alignment=2 * PAGE) is None
+    assert acquire_slot(pool, PAGE + 1) is None
+    assert acquire_slot(pool, 8, alignment=2 * PAGE) is None
 
 
 def test_max_live_bounds_concurrent_allocations():
@@ -147,9 +146,9 @@ def test_max_live_bounds_concurrent_allocations():
 
 def test_exhausted_free_list_returns_unavailable():
     pool = make_pool(slot_count=2, max_live=2)
-    pool.acquire(8)
-    pool.acquire(8)
-    assert pool.acquire(8) is None
+    acquire_slot(pool, 8)
+    acquire_slot(pool, 8)
+    assert acquire_slot(pool, 8) is None
 
 
 def test_release_reprotects_and_quarantines():
@@ -224,8 +223,8 @@ def test_protect_failure_returns_the_slot_to_the_front():
 
 
 def test_initial_slot_order_is_seed_deterministic():
-    order_a = [make_pool(seed=5, slot_count=4).acquire(8)[0] for _ in range(1)]
-    order_b = [make_pool(seed=5, slot_count=4).acquire(8)[0] for _ in range(1)]
+    order_a = [acquire_slot(make_pool(seed=5, slot_count=4), 8)[0] for _ in range(1)]
+    order_b = [acquire_slot(make_pool(seed=5, slot_count=4), 8)[0] for _ in range(1)]
     assert order_a == order_b
 
 

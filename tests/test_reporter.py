@@ -792,15 +792,14 @@ def make_env(
 ):
     vm = VirtualMemory(expose_access_kind=expose_access_kind)
     pool = GuardedPool(vm, slot_count=slot_count, seed=11, force_alignment_side=side)
-    store = pool.store
     sink = io.StringIO()
-    reporter = Reporter(pool, store, 64, recoverable=recoverable, sink=sink)
+    reporter = Reporter(pool, 64, recoverable=recoverable, sink=sink)
     reporter.install(vm)
-    return vm, pool, store, sink, reporter
+    return vm, pool, sink, reporter
 
 
 def test_read_of_quarantined_slot_reports_use_after_free():
-    vm, pool, store, sink, reporter = make_env()
+    vm, pool, sink, reporter = make_env()
     slot_index, addr = acquire_slot(pool, 41)
     release_slot(pool, slot_index)
     with pytest.raises(SegmentationFault):
@@ -819,7 +818,7 @@ def test_read_of_quarantined_slot_reports_use_after_free():
 
 
 def test_write_fault_carries_write_access_kind():
-    vm, pool, store, sink, reporter = make_env()
+    vm, pool, sink, reporter = make_env()
     slot_index, addr = acquire_slot(pool, 41)
     release_slot(pool, slot_index)
     with pytest.raises(SegmentationFault):
@@ -828,7 +827,7 @@ def test_write_fault_carries_write_access_kind():
 
 
 def test_unexposed_access_kind_renders_without_the_word():
-    vm, pool, store, sink, reporter = make_env(expose_access_kind=False)
+    vm, pool, sink, reporter = make_env(expose_access_kind=False)
     slot_index, addr = acquire_slot(pool, 41)
     release_slot(pool, slot_index)
     with pytest.raises(SegmentationFault):
@@ -838,7 +837,7 @@ def test_unexposed_access_kind_renders_without_the_word():
 
 
 def test_right_guard_hit_reports_overflow():
-    vm, pool, store, sink, reporter = make_env(side=AlignmentSide.LEFT)
+    vm, pool, sink, reporter = make_env(side=AlignmentSide.LEFT)
     slot_index, addr = acquire_slot(pool, size=41)
     guard = guard_page_addr(pool, slot_index + 1)
     with pytest.raises(SegmentationFault):
@@ -852,7 +851,7 @@ def test_right_guard_hit_reports_overflow():
 
 
 def test_left_guard_hit_reports_underflow():
-    vm, pool, store, sink, reporter = make_env(side=AlignmentSide.RIGHT)
+    vm, pool, sink, reporter = make_env(side=AlignmentSide.RIGHT)
     slot_index, addr = acquire_slot(pool, size=41)
     with pytest.raises(SegmentationFault):
         vm.read(slot_page_addr(pool, slot_index) - 1, 1)
@@ -862,7 +861,7 @@ def test_left_guard_hit_reports_underflow():
 
 
 def test_guard_next_to_quarantined_victim_reports_use_after_free():
-    vm, pool, store, sink, reporter = make_env()
+    vm, pool, sink, reporter = make_env()
     slot_index, addr = acquire_slot(pool, 41)
     release_slot(pool, slot_index)
     with pytest.raises(SegmentationFault):
@@ -877,7 +876,7 @@ def test_guard_next_to_quarantined_victim_reports_use_after_free():
 
 
 def test_unattributed_guard_hit_is_indeterminate():
-    vm, pool, store, sink, reporter = make_env()
+    vm, pool, sink, reporter = make_env()
     with pytest.raises(SegmentationFault):
         vm.read(guard_page_addr(pool, 1), 1)
     report = parse_report(sink.getvalue())
@@ -890,7 +889,7 @@ def test_allocated_slot_classification_is_indeterminate():
     # An allocated page cannot fault through the vm (it is mapped RW);
     # the only way the handler sees one is a slot that changed hands
     # between fault and classification.  Drive the handler directly.
-    vm, pool, store, sink, reporter = make_env()
+    vm, pool, sink, reporter = make_env()
     slot_index, addr = acquire_slot(pool, 41)
     action = reporter.handle_fault(FaultInfo(addr, AccessType.READ, 1))
     assert action is FaultAction.TERMINATE
@@ -901,7 +900,7 @@ def test_a_slot_that_changes_hands_is_reported_from_its_record():
     # The slot changes hands between the handler's classification and
     # its record read.  The record decides the kind, and gives geometry
     # and stacks, so the report never mixes two occupants.
-    vm, pool, store, sink, reporter = make_env(slot_count=1, side=AlignmentSide.RIGHT)
+    vm, pool, sink, reporter = make_env(slot_count=1, side=AlignmentSide.RIGHT)
     slot_index, addr = acquire_slot(pool, 41)
     release_slot(pool, slot_index)
     stale = pool.classify_address(addr)
@@ -930,12 +929,18 @@ def test_a_slot_that_changes_hands_is_reported_from_its_record():
 
 
 def test_an_unpublished_slot_is_not_attributed():
-    # Between acquire and store_alloc the slot's record is still FREE:
-    # its guards belong to no allocation yet.
-    vm, pool, store, sink, reporter = make_env(side=AlignmentSide.RIGHT)
-    slot_index, addr = pool.acquire(41, 1)
-    with pytest.raises(SegmentationFault):
-        vm.read(addr + 41, 1)
+    # Inside acquire, between the page work and store_alloc, the slot's
+    # record is still FREE: its guards belong to no allocation yet.
+    vm, pool, sink, reporter = make_env(side=AlignmentSide.RIGHT)
+    publish = pool.store_alloc
+
+    def read_the_guard_first(slot_index, user_offset, *record):
+        with pytest.raises(SegmentationFault):
+            vm.read(slot_page_addr(pool, slot_index) + pool.page_size, 1)
+        publish(slot_index, user_offset, *record)
+
+    pool.store_alloc = read_the_guard_first
+    acquire_slot(pool, 41)
     report = parse_report(sink.getvalue())
     assert report.kind is ReportKind.INDETERMINATE_GUARD_HIT
     assert report.allocation_address is None and report.metadata_lost
@@ -951,9 +956,8 @@ def test_not_ours_chains_to_previous_handler():
 
     vm.install_fault_handler(recorder)
     pool = GuardedPool(vm, slot_count=2, seed=1)
-    store = pool.store
     sink = io.StringIO()
-    reporter = Reporter(pool, store, 64, sink=sink)
+    reporter = Reporter(pool, 64, sink=sink)
     reporter.install(vm)
 
     outside = vm.reserve(1, PROT_NONE)
@@ -974,9 +978,8 @@ def test_uninstall_restores_previous_handler():
 
     vm.install_fault_handler(recorder)
     pool = GuardedPool(vm, slot_count=2, seed=1)
-    store = pool.store
     sink = io.StringIO()
-    reporter = Reporter(pool, store, 64, sink=sink)
+    reporter = Reporter(pool, 64, sink=sink)
     reporter.install(vm)
     slot_index, addr = acquire_slot(pool, 16)
     release_slot(pool, slot_index)
@@ -991,7 +994,7 @@ def test_uninstall_restores_previous_handler():
 def test_fault_while_holding_pool_lock_does_not_deadlock():
     # Signal-handler discipline: the report path takes no pool lock, so
     # a fault raised by the thread that owns the lock must complete.
-    vm, pool, store, sink, reporter = make_env()
+    vm, pool, sink, reporter = make_env()
     slot_index, addr = acquire_slot(pool, 41)
     release_slot(pool, slot_index)
     with pool.lock:
@@ -1012,9 +1015,8 @@ def test_a_report_counts_only_once_its_sink_has_it():
 
     vm = VirtualMemory()
     pool = GuardedPool(vm, slot_count=4, seed=11)
-    store = pool.store
     sink = FlakySink()
-    reporter = Reporter(pool, store, 64, sink=sink)
+    reporter = Reporter(pool, 64, sink=sink)
     reporter.install(vm)
     slot_index, addr = acquire_slot(pool, 41)
     release_slot(pool, slot_index)
@@ -1033,7 +1035,7 @@ def test_a_report_counts_only_once_its_sink_has_it():
 
 
 def test_recoverable_fault_scrubs_page_and_resumes():
-    vm, pool, store, sink, reporter = make_env(recoverable=True)
+    vm, pool, sink, reporter = make_env(recoverable=True)
     slot_index, addr = acquire_slot(pool, size=64)
     vm.write(addr, b"\xaa" * 64)
     release_slot(pool, slot_index)
@@ -1046,7 +1048,7 @@ def test_recoverable_fault_scrubs_page_and_resumes():
 
 
 def test_second_fault_after_recovery_is_silent():
-    vm, pool, store, sink, reporter = make_env(recoverable=True)
+    vm, pool, sink, reporter = make_env(recoverable=True)
     first_index, first_addr = acquire_slot(pool, 41)
     second_index, second_addr = acquire_slot(pool, 41)
     release_slot(pool, first_index)
@@ -1060,7 +1062,7 @@ def test_second_fault_after_recovery_is_silent():
 
 
 def test_emit_synthetic_fatal_by_default():
-    vm, pool, store, sink, reporter = make_env()
+    vm, pool, sink, reporter = make_env()
     report = ErrorReport(
         kind=ReportKind.DOUBLE_FREE,
         access_address=0x1234,
@@ -1081,7 +1083,7 @@ def test_emit_synthetic_fatal_by_default():
 
 
 def test_emit_synthetic_recoverable_disables_reporting():
-    vm, pool, store, sink, reporter = make_env(recoverable=True)
+    vm, pool, sink, reporter = make_env(recoverable=True)
     report = ErrorReport(
         kind=ReportKind.INVALID_FREE,
         access_address=0x1234,
@@ -1129,9 +1131,8 @@ class _OverlapSink:
 def test_concurrent_emission_is_serialized():
     vm = VirtualMemory()
     pool = GuardedPool(vm, slot_count=2, seed=3)
-    store = pool.store
     sink = _OverlapSink()
-    reporter = Reporter(pool, store, 64, sink=sink)
+    reporter = Reporter(pool, 64, sink=sink)
     report = ErrorReport(
         kind=ReportKind.USE_AFTER_FREE,
         access_address=0x1000,

@@ -346,6 +346,43 @@ def test_a_sampled_malloc_rejects_what_the_host_rejects(monkeypatch):
     assert sink.getvalue() == ""
 
 
+@pytest.mark.parametrize("config", [
+    {"sample_rate": 1}, {"sample_rate": 10**9}, {"enabled": False},
+], ids=["rate-1", "rate-1e9", "disabled"])
+def test_a_non_int_size_is_rejected_before_anything_moves(config):
+    # A float size once moved the host's cursor to a float, so every
+    # later carved address was one too; on the guarded path a block
+    # placed right got a float address that free could not release.
+    # Now malloc, calloc and realloc raise before a block is carved,
+    # guarded or handed out, sampled or not; calloc and realloc even when
+    # an int-equal size would find a recycled block.
+    allocator, sink = make_allocator(force_alignment_side=AlignmentSide.RIGHT, **config)
+    live = allocator.malloc(32)
+    allocator.free(FallbackAllocator.malloc(allocator, 16))  # 16.0 finds a recycled block
+    guarded_calls = []
+    if allocator.enabled:
+        guarded_malloc_ = allocator._guarded_malloc
+        allocator._guarded_malloc = lambda *args: guarded_calls.append(args) or guarded_malloc_(*args)
+    layout, cursor = _layout(allocator), allocator._cursor
+    stats = AllocatorStats(**vars(allocator.stats))
+    live_slots = allocator.pool.live_count if allocator.enabled else 0
+    calls = [(allocator.malloc, 8.5), (allocator.malloc, 3.5, 64), (allocator.calloc, 2, 3.5),
+             (allocator.calloc, 3.5, 2), (allocator.calloc, 4, 4.0), (allocator.realloc, 0, 8.5),
+             (allocator.realloc, live, 8.5), (allocator.realloc, live, 16.0)]
+    for call, *args in calls * 4:
+        with pytest.raises(TypeError, match="must be (an int|ints), got"):
+            call(*args)
+    assert (_layout(allocator), allocator._cursor) == (layout, cursor)
+    assert allocator.stats == stats
+    assert _sampled_outcomes_add_up(allocator.stats)
+    if allocator.enabled:
+        assert allocator.pool.live_count == live_slots
+    assert (len(guarded_calls) > 0) is (config == {"sample_rate": 1})
+    assert allocator.usable_size(live) == 32
+    assert all(isinstance(allocator.malloc(16), int) for _ in range(8))
+    assert sink.getvalue() == ""
+
+
 def _timer_declined():
     allocator, _ = make_allocator(policy="timer", timer_clock=lambda: 0.0, min_alignment=256)
     return allocator, allocator.malloc(40)
@@ -799,8 +836,8 @@ def test_sampled_allocation_routes_to_the_pool():
 # next_skip, next_u64 twice (skip and side), capture_trace, source_of,
 # admit, acquire, protect, fill, store_alloc, compress_trace, the
 # record's __init__, insert; then free, _guarded_free, classify_address,
-# remove, release, protect, store_dealloc, capture_trace, compress_trace,
-# the record's __init__.
+# remove, capture_trace (an argument of release), release, protect,
+# store_dealloc, compress_trace, the record's __init__.
 GUARDED_PAIR_CALLS = 25
 
 # The unsampled pair's: the hooked host's malloc and free, with the
@@ -1319,7 +1356,7 @@ def test_freed_allocation_keeps_both_stacks_until_its_slot_is_reused():
     assert report.alloc_trace and report.dealloc_trace
     allocator.free(guarded_malloc(allocator, 32))
     assert pool.acquire_count == pool.slot_count + 1
-    assert allocator.store.snapshot(slot_index, seq) is None
+    assert pool.snapshot(slot_index, seq) is None
 
 
 def test_overflow_through_the_shim():

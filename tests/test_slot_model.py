@@ -83,7 +83,7 @@ def test_guarded_malloc_free_matches_the_oracle(slot_count, data):
 def test_snapshots_stay_consistent_under_threads():
     allocator = GuardianAllocator(GuardianConfig(
         slot_count=16, sample_rate=1, seed=5, sink=io.StringIO()))
-    pool, store = allocator.pool, allocator.store
+    pool = allocator.pool
     logs = [{} for _ in range(4)]  # per thread: seq -> (slot, size), in order
     snapshots = []
     errors = []
@@ -111,7 +111,7 @@ def test_snapshots_stay_consistent_under_threads():
             # Half the reads aim at the free list's front: the slot whose
             # record the next guarded malloc rewrites.
             index = pool._free_list[0] if rng.random() < 0.5 else rng.randrange(pool.slot_count)
-            snap = store.snapshot(index, pool.slots[index].metadata_seq)
+            snap = pool.snapshot(index, pool.slots[index].metadata_seq)
             if snap is not None:
                 snapshots.append((index, snap))
 
