@@ -22,11 +22,13 @@ is never changed once published; each transition stores a whole new
 one with one list store.  So a reader reads a slot's record once and
 takes everything it needs from that one object, without a lock.
 
-classify_address runs on every guarded free and every fault.  It
-shifts rather than divides (the page size is a power of two), tells
-slot states apart by identity, and returns one of a fixed set of
-frozen AddressClassification instances built with the pool, so it
-allocates nothing.
+classify_address runs on every fault, on every bad free (a valid free
+finds its slot by the same arithmetic and reads its record), and on
+usable_size and realloc of a guarded pointer.  It shifts rather than
+divides (the page size is a power of two), tells slot states apart by
+identity, and returns one of a fixed set of frozen
+AddressClassification instances built with the pool, so it allocates
+nothing.
 
 The free list is a FIFO queue: never-used slots first, in a seeded
 shuffle, then released slots in release order.  acquire takes the
@@ -46,6 +48,8 @@ from typing import Optional, Sequence
 from . import metadata  # compress_trace through the module: perfbench's tracer patches it
 from .sampler import Xorshift64Star, splitmix64
 from .vmem import PROT_NONE, PROT_READ, PROT_WRITE, VirtualMemory
+
+_MASK64 = (1 << 64) - 1
 
 
 class AlignmentSide(enum.Enum):
@@ -220,8 +224,16 @@ class GuardedPool:
 
         side = self.force_alignment_side
         if side is None:
-            # The low bit is below(2): 2**64 is even, so no draw is rejected.
-            right = self._rng.next_u64() & 1
+            # The low bit of one next_u64, which is below(2): 2**64 is even,
+            # so no draw is rejected.  The step is inlined, and the
+            # multiplier is odd, so the output's low bit is the state's.
+            rng = self._rng
+            s = rng.state
+            s ^= s >> 12
+            s = (s ^ (s << 25)) & _MASK64
+            s ^= s >> 27
+            rng.state = s
+            right = s & 1
         else:
             right = side is AlignmentSide.RIGHT
         offset = ((self.page_size - size) // alignment) * alignment if right else 0

@@ -105,10 +105,18 @@ class CounterSampler:
         the calls on which want_to_sample() would return True.
         """
         skip = self._skip
-        # below(span) inlined: the same draws, so the same stream.
-        x = self._rng.next_u64()
-        while x >= self._limit:
-            x = self._rng.next_u64()
+        # below(span) and its next_u64 steps inlined: the same draws, so
+        # the same stream.
+        rng = self._rng
+        s = rng.state
+        while True:
+            s ^= s >> 12
+            s = (s ^ (s << 25)) & _MASK64
+            s ^= s >> 27
+            x = (s * 0x2545F4914F6CDD1D) & _MASK64
+            if x < self._limit:
+                break
+        rng.state = s
         self._skip = 1 + x % self._span
         return skip
 

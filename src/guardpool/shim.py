@@ -36,7 +36,7 @@ from typing import Callable, Optional, TextIO
 from .coverage import CoverageFilter, source_of
 from .metadata import capture_trace
 from .metadata import decompress_trace  # noqa: F401  perfbench/tracer.py wraps it here
-from .pool import AddressKind, AlignmentSide, GuardedPool, PoolUnavailableError
+from .pool import AddressKind, AlignmentSide, GuardedPool, PoolUnavailableError, SlotState
 from .reporter import Reporter, ReportKind
 from .sampler import (
     CounterSampler,
@@ -48,6 +48,7 @@ from .sampler import (
 from .vmem import PROT_READ, PROT_WRITE, AccessType, VirtualMemory
 
 _MASK64 = (1 << 64) - 1
+_ALLOCATED = SlotState.ALLOCATED  # free's check compares by identity
 
 # malloc's countdowns: next(countdown, True) is True once it runs out, so a
 # skip of S calls is repeat(None, S - 1).  It is parked on the endless one
@@ -178,8 +179,13 @@ class GuardianConfig:
         # then fails inside the pool or caps nothing (max_frames=2.5 never
         # equals a frame count, max_live=1.5 lets 2 blocks live, seed=1.5
         # fails on ^); a side of "right" would place every block left.  A
-        # string flag is truthy ("no" turns it on); a string or None float
-        # fails the range checks with a bare TypeError.
+        # bool is an int (slot_count=True builds one slot).  A string flag
+        # is truthy ("no" turns it on); a string or None float fails the
+        # range checks with a bare TypeError.
+        for name in ("slot_count", "max_live", "max_frames", "sample_rate", "min_alignment",
+                     "seed"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be an int, not a bool, got {getattr(self, name)!r}")
         if self.seed is not None and not isinstance(self.seed, int):
             raise ValueError(f"seed must be None or an int, got {self.seed!r}")
         for name in ("recoverable", "enabled"):
@@ -245,8 +251,8 @@ class GuardianAllocator(FallbackAllocator):
 
     It is the host allocator with the sampling check written into its
     fast paths.  Every host block, sampled or not, lives in the one size
-    map; the guarded path takes its host blocks from
-    ``FallbackAllocator.malloc(self, ...)``, the host without the check.
+    map: a request the guarded path declines goes on down malloc's own
+    host code.
     """
 
     def __init__(self, config: Optional[GuardianConfig] = None, vm: Optional[VirtualMemory] = None):
@@ -300,8 +306,11 @@ class GuardianAllocator(FallbackAllocator):
         else:
             self._sampler = TimerGate(cfg.sample_interval, cfg.timer_clock)
             self._ticks = _RUN_OUT
+        self._timer = cfg.policy == "timer"
         self._pool_lo = self.pool.base
         self._pool_hi = self.pool.base + self.pool.region_length
+        self._page_shift = self.pool.page_size.bit_length() - 1  # a power of two
+        self._page_mask = self.pool.page_size - 1
 
     def _bind_passthrough(self) -> None:
         # A disabled allocator is the unhooked host: its entry points are
@@ -316,9 +325,12 @@ class GuardianAllocator(FallbackAllocator):
     def malloc(self, size: int, alignment: int = 0) -> int:
         if next(self._ticks, True):  # the countdown ran out: park it, ask the policy
             self._ticks = _PARKED
-            return self._guarded_malloc(size, alignment)
-        # The host's malloc from here on, as in FallbackAllocator.malloc;
-        # the host's default alignment, 16, needs no power-of-two check.
+            addr = self._guarded_malloc(size, alignment)
+            if addr is not None:
+                return addr
+        # The host's malloc from here on, as in FallbackAllocator.malloc,
+        # for unsampled and declined requests alike; the host's default
+        # alignment, 16, needs no power-of-two check.
         if size < 0:
             raise ValueError(f"size must be non-negative, got {size}")
         if not alignment:
@@ -404,35 +416,39 @@ class GuardianAllocator(FallbackAllocator):
 
     # -- slow paths ----------------------------------------------------------
 
-    def _guarded_malloc(self, size: int, alignment: int) -> int:
-        """The countdown expired: ask the policy, then guard the request."""
+    def _guarded_malloc(self, size: int, alignment: int) -> Optional[int]:
+        """The countdown expired: ask the policy, then guard the request.
+
+        Returns the guarded block, or None when the request is declined:
+        malloc then goes on as the host, as Scudo's allocate goes on down
+        its own path when GuardedAlloc.allocate returns null.
+        """
         # Rearm the countdown before the timer's clock, which can raise,
         # so that an error never leaves it parked.
-        sampler = self._sampler
-        if isinstance(sampler, TimerGate):
+        if self._timer:
             self._ticks = _RUN_OUT
-            sample = sampler.want_to_sample()
+            if not self._sampler.want_to_sample():
+                return None
         else:
-            self._ticks = itertools.repeat(None, sampler.next_skip() - 1)
-            sample = True
-        if (not sample or self.reporter.disabled or not isinstance(size, int)
+            self._ticks = itertools.repeat(None, self._sampler.next_skip() - 1)
+        if (self.reporter.disabled or not isinstance(size, int)
                 or size < 0 or alignment < 0 or alignment & (alignment - 1)):
-            # Not sampled, or a request for the host alone: one it rejects,
-            # or a non-int size, which would place a block at a non-int
-            # address.  It raises its own error before a stack is captured
-            # or a counter moves.
-            return FallbackAllocator.malloc(self, size, alignment)
+            # A request for the host alone: one it rejects, or a non-int
+            # size, which would place a block at a non-int address.  The
+            # host raises its own error before a stack is captured or a
+            # counter moves.
+            return None
 
         # Every stats counter moves under pool.lock, so sampled always
         # equals guarded + coverage_rejected + pool_unavailable + oversized.
         pool = self.pool
-        effective_alignment = max(alignment, self._min_alignment)
+        effective_alignment = alignment if alignment > self._min_alignment else self._min_alignment
         if size <= 0 or size > pool.page_size or effective_alignment > pool.page_size:
             # Wasted sample: the request cannot be guarded.
             with pool.lock:
                 self.stats.sampled += 1
                 self.stats.oversized += 1
-            return FallbackAllocator.malloc(self, size, alignment)
+            return None
 
         # One tuple, hashed by source_of's memo and kept by compress_trace's.
         trace = tuple(capture_trace(self._max_frames, depth=3))  # past this frame and malloc
@@ -442,11 +458,11 @@ class GuardianAllocator(FallbackAllocator):
             source = source_of(trace)
             if not self.coverage.admit(pool.live_count / pool.max_live, source):
                 self.stats.coverage_rejected += 1
-                return FallbackAllocator.malloc(self, size, alignment)
+                return None
             user_address = pool.acquire(size, effective_alignment, source, thread_id, trace)
             if user_address is None:
                 self.stats.pool_unavailable += 1
-                return FallbackAllocator.malloc(self, size, alignment)
+                return None
             self.coverage.insert(source)
             self.stats.guarded += 1
             return user_address
@@ -482,21 +498,28 @@ class GuardianAllocator(FallbackAllocator):
 
     def _guarded_free(self, addr: int) -> None:
         pool = self.pool
+        offset = addr - pool.base
+        page_index = offset >> self._page_shift
         with pool.lock:
-            classification = pool.classify_address(addr)
-            slot_index = classification.slot_index
-            # user_address inlined: on its slot's page, addr starts the
-            # block when its offset in the page is the block's.
-            if (classification.kind is AddressKind.ALLOCATED_SLOT
-                    and (addr - pool.base) % pool.page_size == pool.slots[slot_index].user_offset):
-                self.coverage.remove(pool.slots[slot_index].coverage_source)
-                pool.release(slot_index, threading.get_ident(),  # depth 3: past this frame and free
-                             capture_trace(self._max_frames, depth=3))
-                return
+            # As GWP-ASan's deallocate: the slot by address arithmetic, then
+            # its record.  Odd pages are slots; addr starts the block when
+            # its offset in the page is the block's.
+            if page_index & 1:
+                slot_index = page_index >> 1
+                record = pool.slots[slot_index]
+                if record.state is _ALLOCATED and offset & self._page_mask == record.user_offset:
+                    self.coverage.remove(record.coverage_source)
+                    # depth 3: past this frame and free
+                    pool.release(slot_index, threading.get_ident(),
+                                 capture_trace(self._max_frames, depth=3))
+                    return
             if self.reporter.disabled:
                 return  # recovered or destroyed: swallowed, and not counted
-            # The start of a block before its state, as GWP-ASan's
-            # deallocate checks: freeing p + 1 after p is an invalid free.
+            # A bad free: classified for its report.  The start of a block
+            # before its state, as GWP-ASan's deallocate checks: freeing
+            # p + 1 after p is an invalid free.
+            classification = pool.classify_address(addr)
+            slot_index = classification.slot_index
             if (classification.kind is AddressKind.QUARANTINED_SLOT
                     and addr == pool.user_address(slot_index)):
                 kind = ReportKind.DOUBLE_FREE

@@ -81,6 +81,14 @@ def traced_opcodes(counted, fn, *args):
     return result, count
 
 
+def at_depth(depth, op, *args):
+    """op(*args) under depth more frames: recursion depth picks the call
+    site, as on perfbench's sampled workload."""
+    if depth:
+        return at_depth(depth - 1, op, *args)
+    return op(*args)
+
+
 # The pool's documented layout: guard pages and slot pages alternate, so
 # slot i is the page right of guard i, and guard slot_count is the far
 # right.

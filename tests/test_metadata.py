@@ -23,7 +23,7 @@ from guardpool.pool import AlignmentSide, GuardedPool, SlotState
 from guardpool.shim import GuardianAllocator, GuardianConfig
 from guardpool.vmem import VirtualMemory
 
-from conftest import acquire_slot, release_slot, traced_opcodes
+from conftest import acquire_slot, at_depth, release_slot, traced_opcodes
 
 # -- the reference encoder ---------------------------------------------------
 #
@@ -761,13 +761,6 @@ def against_the_earlier_rule(monkeypatch):
     return pairs
 
 
-def _site(depth, op, *args):
-    # Recursion depth picks the call site, as on perfbench's sampled workload.
-    if depth:
-        return _site(depth - 1, op, *args)
-    return op(*args)
-
-
 @pytest.mark.parametrize("max_frames", [4, 64])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_guarded_ops_capture_as_the_earlier_rule(against_the_earlier_rule, seed, max_frames):
@@ -779,15 +772,15 @@ def test_guarded_ops_capture_as_the_earlier_rule(against_the_earlier_rule, seed,
         depth = rng.randrange(12)
         op = rng.randrange(4)
         if op == 0 or not live:
-            live.append(_site(depth, alloc.malloc, rng.randrange(1, 256)))
+            live.append(at_depth(depth, alloc.malloc, rng.randrange(1, 256)))
         elif op == 1:
-            live.append(_site(depth, alloc.calloc, 2, rng.randrange(1, 128)))
+            live.append(at_depth(depth, alloc.calloc, 2, rng.randrange(1, 128)))
         elif op == 2:
-            live.append(_site(depth, alloc.realloc, live.pop(0), rng.randrange(1, 256)))
+            live.append(at_depth(depth, alloc.realloc, live.pop(0), rng.randrange(1, 256)))
         else:
-            _site(depth, alloc.free, live.pop(0))
+            at_depth(depth, alloc.free, live.pop(0))
         if len(live) > 12:
-            _site(depth, alloc.free, live.pop(0))
+            at_depth(depth, alloc.free, live.pop(0))
     assert alloc.stats.guarded > 50
     assert len(against_the_earlier_rule) > 100
     for got, want in against_the_earlier_rule:
@@ -816,7 +809,7 @@ def _is_capture(code):
     return code is capture_trace.__code__
 
 
-# Counted on CPython 3.11, at max_frames=4 under five _site frames, so
+# Counted on CPython 3.11, at max_frames=4 under five at_depth frames, so
 # pytest's own depth does not matter.  The earlier rule ran 206 for each:
 # it walked the tool's own two frames and compared each frame's globals.
 CAPTURE_OPCODES = {(3, 11): {"malloc": 121, "free": 121}}
@@ -831,9 +824,9 @@ def test_capture_runs_pinned_bytecode_counts():
     counts = {}
     for _ in range(64):
         sampled = alloc.stats.sampled
-        addr, counts["malloc"] = traced_opcodes(_is_capture, _site, 4, alloc.malloc, 16)
+        addr, counts["malloc"] = traced_opcodes(_is_capture, at_depth, 4, alloc.malloc, 16)
         if alloc.is_guarded(addr):
             break
         assert alloc.stats.sampled == sampled and counts["malloc"] == 0
-    _, counts["free"] = traced_opcodes(_is_capture, _site, 4, alloc.free, addr)
+    _, counts["free"] = traced_opcodes(_is_capture, at_depth, 4, alloc.free, addr)
     assert counts == pinned

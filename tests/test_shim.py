@@ -12,13 +12,13 @@ import pytest
 
 from guardpool import reporter as reporter_module
 from guardpool import shim as shim_module
-from guardpool.pool import AlignmentSide, SlotState
+from guardpool.pool import AddressKind, AlignmentSide, SlotState
 from guardpool.reporter import REPORT_HEADER, AccessType, ReportKind, parse_report
 from guardpool.sampler import CounterSampler
 from guardpool.shim import AllocatorStats, FallbackAllocator, GuardianAllocator, GuardianConfig
 from guardpool.vmem import SegmentationFault, VirtualMemory
 
-from conftest import guard_page_addr, python_calls, slot_page_addr, traced_opcodes
+from conftest import at_depth, guard_page_addr, python_calls, slot_page_addr, traced_opcodes
 
 
 def make_allocator(**kwargs):
@@ -529,6 +529,13 @@ def test_bad_config_rejected_whatever_the_launch_decision():
     # A side by its name would place every block left; a float seed fails on ^.
     ("force_alignment_side", "right"),
     ("seed", 1.5),
+    # A bool is an int: True would build a one-slot pool or sample at rate 1.
+    ("slot_count", True),
+    ("max_live", True),
+    ("max_frames", True),
+    ("sample_rate", True),
+    ("min_alignment", True),
+    ("seed", False),
     # A truthy string would turn the flag on; the numbers would fail their
     # range checks with a bare TypeError.
     ("recoverable", "no"),
@@ -833,12 +840,12 @@ def test_sampled_allocation_routes_to_the_pool():
 
 
 # The sampled pair's Python-level calls: malloc, _guarded_malloc,
-# next_skip, next_u64 twice (skip and side), capture_trace, source_of,
-# admit, acquire, protect, fill, store_alloc, compress_trace, the
-# record's __init__, insert; then free, _guarded_free, classify_address,
-# remove, capture_trace (an argument of release), release, protect,
-# store_dealloc, compress_trace, the record's __init__.
-GUARDED_PAIR_CALLS = 25
+# next_skip (its draw inline), capture_trace, source_of, admit, acquire
+# (the side's draw inline), protect, fill, store_alloc, compress_trace,
+# the record's __init__, insert; then free, _guarded_free (the slot by
+# address arithmetic), remove, capture_trace (an argument of release),
+# release, protect, store_dealloc, compress_trace, the record's __init__.
+GUARDED_PAIR_CALLS = 22
 
 # The unsampled pair's: the hooked host's malloc and free, with the
 # countdown and the pool-bounds check written into them.
@@ -981,6 +988,110 @@ def test_a_guarded_pair_makes_a_fixed_number_of_python_calls():
     for calls in pairs[1:]:
         assert len(calls) == GUARDED_PAIR_CALLS, " ".join(calls)
     assert not any(name.startswith("enum.py:") for calls in pairs for name in calls)
+
+
+# A declined sample goes on as the host inside malloc, with no host call:
+# a coverage-rejected one makes malloc, _guarded_malloc, next_skip,
+# capture_trace, source_of and admit; a timer not yet due makes malloc,
+# _guarded_malloc and the gate's want_to_sample (its clock is builtin).
+COVERAGE_REJECTED_MALLOC_CALLS = 6
+UNDUE_TIMER_MALLOC_CALLS = 3
+
+
+def test_a_declined_malloc_makes_no_host_call():
+    # One site: once two of four slots hold its blocks, utilization is at
+    # the threshold and the site is live, so its next sample is rejected.
+    allocator, _ = make_allocator(slot_count=4, coverage_threshold=0.5)
+    for addr in [FallbackAllocator.malloc(allocator, 64) for _ in range(8)]:
+        allocator.free(addr)  # host blocks to recycle: no carve
+    for _ in range(16):
+        rejected = allocator.stats.coverage_rejected
+        ptr, calls = python_calls(allocator.malloc, 64)
+        if allocator.stats.coverage_rejected > rejected:
+            break
+        if not allocator.is_guarded(ptr):
+            allocator.free(ptr)
+    else:
+        raise AssertionError("no sample was coverage-rejected")
+    assert len(calls) == COVERAGE_REJECTED_MALLOC_CALLS, " ".join(calls)
+    assert calls[-1] == "coverage.py:admit" and not allocator.is_guarded(ptr)
+
+    timer, _ = make_allocator(policy="timer", sample_interval=3600.0)
+    timer.free(timer.malloc(64))  # carve once; the traced malloc recycles
+    ptr, calls = python_calls(timer.malloc, 64)
+    assert calls == ["shim.py:malloc", "shim.py:_guarded_malloc", "sampler.py:want_to_sample"]
+    assert len(calls) == UNDUE_TIMER_MALLOC_CALLS
+    assert not timer.is_guarded(ptr) and timer.stats == AllocatorStats()
+
+
+_PACKAGE_DIR = shim_module.__file__.rsplit("/", 1)[0]
+
+
+def _code_name(code):
+    return f"{code.co_filename.rsplit('/', 1)[-1]}:{code.co_name}"
+
+
+def _is_tool_code(code):
+    # The record's __init__ is a dataclass's, compiled from a string.
+    return code.co_filename.startswith(_PACKAGE_DIR) or code.co_filename == "<string>"
+
+
+def _guarded_pair_opcodes(counted):
+    """Bytecodes a guarded 64 B malloc and free run in code counted accepts.
+
+    At max_frames=4 under five at_depth frames, so pytest's own depth
+    does not matter; the second guarded pair at one site, so the trace
+    and site memos hit, as on a warm process.
+    """
+    alloc = GuardianAllocator(GuardianConfig(sample_rate=1, seed=4, max_frames=4,
+                                             sink=io.StringIO()))
+    for traced in (False, True):
+        while operator.length_hint(alloc._ticks):  # the next malloc is not sampled
+            alloc.free(at_depth(4, alloc.malloc, 64))
+        if not traced:
+            alloc.free(at_depth(4, alloc.malloc, 64))
+    addr, malloc_count = traced_opcodes(counted, at_depth, 4, alloc.malloc, 64)
+    assert alloc.is_guarded(addr)
+    return malloc_count + traced_opcodes(counted, at_depth, 4, alloc.free, addr)[1]
+
+
+# The first row of a cost ledger: a guarded pair's bytecodes by code
+# object, counted on CPython 3.11.  vmem.py:protect runs twice, and the
+# record's __init__, capture_trace and compress_trace once per entry
+# point.
+GUARDED_PAIR_OPCODES = {(3, 11): {
+    "<string>:__init__": 64,
+    "coverage.py:admit": 7,
+    "coverage.py:insert": 16,
+    "coverage.py:remove": 20,
+    "coverage.py:source_of": 8,
+    "metadata.py:capture_trace": 242,
+    "metadata.py:compress_trace": 16,
+    "pool.py:acquire": 152,
+    "pool.py:release": 56,
+    "pool.py:store_alloc": 29,
+    "pool.py:store_dealloc": 34,
+    "sampler.py:next_skip": 55,
+    "shim.py:_guarded_free": 77,
+    "shim.py:_guarded_malloc": 147,
+    "shim.py:free": 30,
+    "shim.py:malloc": 21,
+    "vmem.py:fill": 64,
+    "vmem.py:protect": 129,
+}}
+
+
+def test_a_guarded_pair_runs_pinned_bytecode_counts():
+    pinned = GUARDED_PAIR_OPCODES.get(sys.version_info[:2])
+    if pinned is None:
+        pytest.skip("bytecode counts are pinned for CPython 3.11 only")
+    ran = set()
+    _guarded_pair_opcodes(lambda code: _is_tool_code(code) and ran.add(_code_name(code)))
+    counts = {name: _guarded_pair_opcodes(lambda code: _is_tool_code(code)
+                                          and _code_name(code) == name)
+              for name in sorted(ran)}
+    assert counts == pinned
+    assert _guarded_pair_opcodes(_is_tool_code) == sum(pinned.values()) == 1167
 
 
 # An accessible vm.read or vm.write runs in its own frame alone: the region
@@ -1291,6 +1402,105 @@ def test_free_error_counters_count_emitted_reports(recoverable):
     assert emitted == sink.getvalue().count(REPORT_HEADER) == (1 if recoverable else 3)
     assert allocator.stats.double_free + allocator.stats.invalid_free == emitted
     assert allocator.stats.double_free == (1 if recoverable else 2)
+
+
+# -- free's check against the earlier rule ----------------------------------
+
+
+def _pool_with_every_slot_state(seed, recoverable):
+    """Five guarded blocks in eight slots, two of them freed: every state,
+    with sides drawn by the seeded pool.  The same seed builds the same pool."""
+    allocator, _ = make_allocator(slot_count=8, seed=seed, recoverable=recoverable,
+                                  coverage_threshold=1.0)
+    rng = random.Random(seed)
+    blocks = [guarded_malloc(allocator, rng.randrange(1, 3000)) for _ in range(5)]
+    for addr in blocks[:2]:
+        allocator.free(addr)
+    return allocator
+
+
+def _free_probes(pool):
+    """Each page's start, start + 1, last byte and end, and on a slot page
+    its block's start, start + 1 and last byte, inside the pool."""
+    probes = set()
+    for page_index in range(2 * pool.slot_count + 1):
+        page = pool.base + page_index * pool.page_size
+        offsets = {0, 1, pool.page_size - 1, pool.page_size}
+        if page_index & 1:
+            record = pool.slots[page_index >> 1]
+            offsets |= {record.user_offset, record.user_offset + 1,
+                        record.user_offset + max(record.user_size, 1) - 1}
+        probes.update(page + offset for offset in offsets)
+    return sorted(addr for addr in probes if addr < pool.base + pool.region_length)
+
+
+def _earlier_free_rule(allocator, addr):
+    """What free did by classify_address: (outcome, slot named)."""
+    pool = allocator.pool
+    classification = pool.classify_address(addr)
+    kind, slot_index = classification.kind, classification.slot_index
+    if (kind is AddressKind.ALLOCATED_SLOT
+            and (addr - pool.base) % pool.page_size == pool.slots[slot_index].user_offset):
+        return "release", slot_index
+    if allocator.reporter.disabled:
+        return "swallowed", None
+    if kind is AddressKind.QUARANTINED_SLOT and addr == pool.user_address(slot_index):
+        return "double-free", slot_index
+    return "invalid-free", None if kind is AddressKind.FREE_SLOT else slot_index
+
+
+def _free_outcome(allocator, addr):
+    """What free does now: (outcome, slot named), read off the pool and reporter."""
+    pool, reporter = allocator.pool, allocator.reporter
+    states = [record.state for record in pool.slots]
+    emitted, counts = reporter.reports_emitted, (allocator.stats.double_free,
+                                                 allocator.stats.invalid_free)
+    try:
+        allocator.free(addr)
+        raised = False
+    except SegmentationFault:
+        raised = True
+    moved = [i for i, record in enumerate(pool.slots) if record.state is not states[i]]
+    if moved:
+        assert not raised and reporter.reports_emitted == emitted
+        assert len(moved) == 1 and pool.slots[moved[0]].state is SlotState.QUARANTINED
+        return "release", moved[0]
+    if reporter.reports_emitted == emitted:
+        assert not raised
+        return "swallowed", None
+    assert raised != allocator.config.recoverable
+    report = reporter.last_report
+    named = report.allocation_address
+    outcome = {ReportKind.DOUBLE_FREE: "double-free",
+               ReportKind.INVALID_FREE: "invalid-free"}[report.kind]
+    kinds = (allocator.stats.double_free - counts[0], allocator.stats.invalid_free - counts[1])
+    assert kinds == ((1, 0) if outcome == "double-free" else (0, 1))
+    return outcome, None if named is None else (named - pool.base) // pool.page_size >> 1
+
+
+@pytest.mark.parametrize("mode", ["fatal", "recoverable", "destroyed"])
+def test_free_checks_its_block_as_classify_address_did(mode):
+    # free finds the slot by address arithmetic and reads its record; the
+    # earlier rule classified every guarded free.  Each probe frees into
+    # a fresh copy of the same seeded pool, so every outcome is a first.
+    seen, sides, states = set(), set(), set()
+    for seed in (1, 2, 3, 4):
+        probes = _free_probes(_pool_with_every_slot_state(seed, mode == "recoverable").pool)
+        for addr in probes:
+            allocator = _pool_with_every_slot_state(seed, mode == "recoverable")
+            if mode == "destroyed":
+                allocator.destroy()
+            want = _earlier_free_rule(allocator, addr)
+            assert _free_outcome(allocator, addr) == want, (seed, hex(addr))
+            seen.add(want[0])
+            states.update(record.state for record in allocator.pool.slots)
+            sides.update(record.user_offset > 0 for record in allocator.pool.slots
+                         if record.state is not SlotState.FREE)
+    assert states == set(SlotState) and sides == {False, True}
+    if mode == "destroyed":
+        assert seen == {"release", "swallowed"}
+    else:
+        assert seen == {"release", "double-free", "invalid-free"}
 
 
 def test_free_null_is_a_no_op():
