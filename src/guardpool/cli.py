@@ -21,13 +21,7 @@ import time
 from typing import Optional
 
 from .pool import AlignmentSide
-from .reporter import (
-    REPORT_TRAILER,
-    ErrorReport,
-    ReportKind,
-    ReportParseError,
-    parse_report,
-)
+from .reporter import ErrorReport, ReportKind, ReportParseError, parse_report
 from .shim import GuardianAllocator, GuardianConfig
 from .vmem import DEFAULT_PAGE_SIZE, SegmentationFault
 
@@ -209,11 +203,10 @@ def _run_scenario(alloc: GuardianAllocator, kind: str, size: int,
 
 
 def _first_report(text: str) -> Optional[ErrorReport]:
-    end = text.find(REPORT_TRAILER)
-    if end < 0:
-        return None
+    """The report at the start of a run's output; parse_report stops at its
+    trailer line."""
     try:
-        return parse_report(text[: end + len(REPORT_TRAILER)])
+        return parse_report(text)
     except ReportParseError:
         return None
 

@@ -13,17 +13,21 @@ neither does Python-level work per frame.  render_report applies one %
 per report, to one format string joined from fixed pieces and a frame
 template per stack picked by frame count: the templates up to the
 default max_frames are built at import, a longer stack's per call.
-parse_report first matches the whole text against one pattern built
-from the line patterns below, which accepts every well-formed report
-whose line breaks are all newlines, and takes each stack's pcs with one
-findall over its run of frame lines.  Only when that match, or its
-check of the locator and the block addresses, fails does it walk
-text.splitlines() with an index, matching each line against its
-pattern.  The walker is the only source of ReportParseError: it names
-the first offending line, and running off the end of the lines is its
-one "unexpected end of report" error.  Nothing is cached by report
-content.  render_report and emit_synthetic read no enum property and
-hash no enum member, both of which are Python-level calls.  Every
+parse_report makes one pass over the text, a section at a time: the
+header with the headline and the access stack, the blank line with the
+locator, each trace block, the trailer.  Each section is one compiled
+pattern matched at the current position (the trailer is one line
+compared as text), each stack's pcs come from one findall over its run
+of frame lines, and nothing after the trailer line is scanned.  The
+locator, kind, block-address and repeated-block checks run once, at
+their section.  A failed section hands its position to
+_reject, the one source of ReportParseError: it names that section's
+line, or says "unexpected end of report" when the text ends there.  Only
+_reject looks for a line break other than a newline, or a last line
+with none; a text with either is parsed once more, as the lines
+str.splitlines() gives.  Nothing is cached by report content.
+render_report and emit_synthetic read no enum property and hash no
+enum member, both of which are Python-level calls.  Every
 ErrorReport is built positionally, parsed or from a record, as vmem
 builds its FaultInfo: a keyword call matches each name to its field.
 A use-after-free read's report thus makes one call per step: read,
@@ -223,58 +227,59 @@ class ReportParseError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
-# Decimal fields take ASCII digits only: under re.ASCII, \d does not
-# match the other Unicode digits that int() would also read.
-_HEADLINE_RE = re.compile(
+# One pattern per section of a report, matched at a position: the head
+# (header, headline, access stack), the locator after its blank line,
+# and each trace block after its blank line; the trailer line is
+# compared as text.  Every line ends with a newline (_reject gives one
+# to a last line without).  A section's lines after its first are
+# optional groups, so a match that leaves them unset shows where the
+# text went wrong.  Decimal fields take ASCII digits only: under
+# re.ASCII, \d does not match the other Unicode digits that int() would
+# also read.
+#
+# Frames may carry symbolizer text between the number and the bracketed
+# address; only the address is semantic.  The lazy ?? tries the plain
+# frame first, so this module's own frames match without backtracking.
+# The symbolizer text is \S.* less the characters str.splitlines()
+# breaks on (\n, \r, \x0b, \x0c, \x1c-\x1e, \x85, \u2028, \u2029), so a
+# frame line holding one fails and reaches _reject.  Both classes list
+# what they admit: re tests such a class in about half the time of the
+# same class negated.
+_FRAME = (r"  #\d+ (?:[\x21-\x84\x00-\x08\x0e-\x1b\x1f\x86-\u2027\u202a-\U0010ffff]"
+          r"[\x1f-\x84\x00-\x09\x0e-\x1b\x86-\u2027\u202a-\U0010ffff]* )??\[0x[0-9a-f]+\]\n")
+# A stack: its <metadata lost> line, or its run (an <unavailable> line
+# or every frame line in a row); neither group set means no stack.  The
+# run ends its pattern, so it is possessive where re supports it (3.11)
+# and saves no state per frame.
+_POSSESSIVE = "+" if sys.version_info >= (3, 11) else ""
+_STACK = rf"(?:({_LOST}\n)|({_UNAVAILABLE}\n|(?:{_FRAME})+{_POSSESSIVE}))?"
+_HEAD_RE = re.compile(
+    rf"\n*{re.escape(REPORT_HEADER)}\n(?:"
     r"(Use-after-free|Out-of-bounds|Double-free|Invalid-free|Indeterminate-guard-hit)"
-    r"(?: (read|write))? at 0x([0-9a-f]+) by thread (\d+):",
+    rf"(?: (read|write))? at 0x([0-9a-f]+) by thread (\d+):\n{_STACK})?",
     re.ASCII,
 )
+# Groups: distance and side (both None for "within"), size, address; all
+# None for the no-allocation locator.
+_LOCATOR_RE = re.compile(
+    rf"\n(?:{_NO_ALLOC_LOCATOR}|The access is (?:within |(\d+)B (left|right) of )"
+    r"(\d+)B allocation at 0x([0-9a-f]+))\n",
+    re.ASCII,
+)
+_BLOCK_RE = re.compile(
+    r"\n(?:0x([0-9a-f]+) was (deallocated|allocated) by thread (\d+|<unknown>):\n"
+    rf"{_STACK})?",
+    re.ASCII,
+)
+_TRAILER_LINE = f"{REPORT_TRAILER}\n"
+# Each frame line of a run ends in its pc.
+_RUN_PC_RE = re.compile(r"\[0x([0-9a-f]+)\]\n")
+_OTHER_BREAK_RE = re.compile("[\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 _HEADLINE_KINDS = {
     headline: ReportKind(value) for value, headline in _KIND_HEADLINES.items()
     if headline != "Out-of-bounds"
 }
 _ACCESS_WORDS = {"read": AccessType.READ, "write": AccessType.WRITE, None: AccessType.UNKNOWN}
-# Frames may carry symbolizer text between the number and the bracketed
-# address; only the address is semantic.  The lazy ?? tries the plain
-# frame first, so this module's own frames match without backtracking.
-# The symbolizer text is \S.* less the characters str.splitlines()
-# breaks on (\n, \r, \x0b, \x0c, \x1c-\x1e, \x85, \u2028, \u2029), none
-# of which a line holds, so that _REPORT_RE can match frames across the
-# whole text.  Both classes list what they admit: re tests such a class
-# in about half the time of the same class negated.  %s is the
-# address's hex digits.
-_FRAME = (r"  #\d+ (?:[\x21-\x84\x00-\x08\x0e-\x1b\x1f\x86-\u2027\u202a-\U0010ffff]"
-          r"[\x1f-\x84\x00-\x09\x0e-\x1b\x86-\u2027\u202a-\U0010ffff]* )??\[0x%s\]")
-_FRAME_RE = re.compile(_FRAME % "([0-9a-f]+)", re.ASCII)
-# Groups: distance and side (both None for "within"), size, address.
-_LOCATOR_RE = re.compile(
-    r"The access is (?:within |(\d+)B (left|right) of )(\d+)B allocation at 0x([0-9a-f]+)",
-    re.ASCII,
-)
-_BLOCK_RE = re.compile(
-    r"0x([0-9a-f]+) was (deallocated|allocated) by thread (\d+|<unknown>):", re.ASCII)
-
-# A well-formed report whose line breaks are all newlines, from its
-# leading blank lines through its trailer line.  Groups: the headline's
-# four; the access stack's frame run; the locator's four (all None for
-# the no-allocation locator); then per optional trace block its three,
-# its <metadata lost> line and its frame run.  A frame run takes every
-# frame line it can, as the walker does.  It is possessive where re
-# supports it (3.11), so a text that fails to match is scanned once; a
-# greedy run matches the same texts, since what follows a run starts
-# with a newline and a frame line does not.
-_POSSESSIVE = "+" if sys.version_info >= (3, 11) else ""
-_RUN = rf"((?:{_FRAME % '[0-9a-f]+'}\n)+{_POSSESSIVE})"
-_BLOCK = rf"(?:\n{_BLOCK_RE.pattern}\n(?:{_UNAVAILABLE}\n|({_LOST}\n)|{_RUN}))?"
-_REPORT_RE = re.compile(
-    rf"\n*{re.escape(REPORT_HEADER)}\n{_HEADLINE_RE.pattern}\n(?:{_UNAVAILABLE}\n|{_RUN})"
-    rf"\n(?:{_NO_ALLOC_LOCATOR}|{_LOCATOR_RE.pattern})\n{_BLOCK}{_BLOCK}"
-    rf"{re.escape(REPORT_TRAILER)}(?:\n|\Z)",
-    re.ASCII,
-)
-# Each frame line of a run ends in its pc.
-_RUN_PC_RE = re.compile(r"\[0x([0-9a-f]+)\]\n")
 # int(pc, 16) through map, with no Python-level call per pc; an endless
 # repeat is never used up, so every caller shares it.
 _BASE_16 = itertools.repeat(16)
@@ -284,175 +289,98 @@ def parse_report(text: str) -> ErrorReport:
     """Parse rendered report text back into an ErrorReport.
 
     Inverse of render_report on this module's own output; also accepts
-    symbolized frame lines.  Raises ReportParseError naming the first
-    offending line.
+    symbolized frame lines, and ignores whatever follows the trailer
+    line.  Raises ReportParseError naming the first offending line.
     """
-    match = _REPORT_RE.match(text)
+    match = _HEAD_RE.match(text)
     if match is None:
-        return _walk_report(text)
-    (headline, access_word, access_hex, faulting_thread, access_run,
-     distance, side, size, alloc_hex, *blocks) = match.groups()
+        return _reject(text, len(text) - len(text.lstrip("\n")), "expected report header, got %r")
+    headline, access_word, access_hex, faulting_thread, lost, run = match.groups()
+    pos = match.end()
+    if run is None:
+        if headline is None:
+            return _reject(text, pos, "malformed headline: %r")
+        if lost is not None:
+            return _reject(text, match.start(5), "access frames cannot be <metadata lost>")
+        return _reject(text, pos, "expected at least one stack frame line")
     access_address = int(access_hex, 16)
-    kind = _HEADLINE_KINDS.get(headline)
+
+    match = _LOCATOR_RE.match(text, pos)
+    if match is None:
+        if not text.startswith("\n", pos):
+            return _reject(text, pos, "expected blank line before locator, got %r")
+        return _reject(text, pos + 1, "malformed locator: %r")
+    pos += 1  # the locator's line, where its and the kind's errors are
+    distance, side, size, alloc_hex = match.groups()
+    kind = _HEADLINE_KINDS.get(headline)  # None for Out-of-bounds: the side says which
     allocation_address = allocation_size = None
-    if alloc_hex is not None:
-        # The walker's locator and kind checks, each failure sent to it.
+    if alloc_hex is None:
+        if kind is None:
+            return _reject(text, pos, "out-of-bounds report without an allocation locator")
+    else:
         allocation_size = int(size)
         allocation_address = int(alloc_hex, 16)
         off = access_address - allocation_address
         if side is None:
-            placed = kind is not None and 0 <= off < allocation_size
-        else:
-            gap = -off if side == "left" else off - allocation_size + 1
-            placed = gap >= 1 and int(distance) == gap
+            if not 0 <= off < allocation_size:
+                return _reject(text, pos, "in-bounds locator disagrees with access address")
             if kind is None:
-                kind = (ReportKind.BUFFER_UNDERFLOW if side == "left"
-                        else ReportKind.BUFFER_OVERFLOW)
-        if not placed:
-            return _walk_report(text)
-    elif kind is None:
-        return _walk_report(text)
+                return _reject(text, pos, "out-of-bounds report with an in-bounds locator")
+        elif (int(distance) < 1 or int(distance)
+              != (-off if side == "left" else off - allocation_size + 1)):
+            return _reject(text, pos, "locator distance disagrees with access address")
+        elif kind is None:
+            kind = ReportKind.BUFFER_UNDERFLOW if side == "left" else ReportKind.BUFFER_OVERFLOW
+    pos = match.end()
 
-    metadata_lost = alloc_hex is None
+    # A report with no allocation has no record whose stacks survive.
+    metadata_lost = allocation_address is None
     stacks = {}  # verb -> (thread, trace)
-    for block_hex, verb, thread_word, lost, run in (blocks[:5], blocks[5:]):
+    while (match := _BLOCK_RE.match(text, pos)) is not None:
+        block_hex, verb, thread_word, lost, trace = match.groups()
+        pos += 1  # the block's title line
         if block_hex is None:
-            break
-        # A block address equal to the locator's as text is equal as a
-        # number; the walker settles any other spelling.
-        if block_hex != alloc_hex or verb in stacks:
-            return _walk_report(text)
+            return _reject(text, pos, "expected trace block or trailer, got %r")
+        # Equal as text is equal as a number; only another spelling needs int().
+        if block_hex != alloc_hex and int(block_hex, 16) != allocation_address:
+            return _reject(text, pos, f"trace block address 0x{int(block_hex, 16):x}"
+                                      " is not the allocation address")
+        if verb in stacks:
+            return _reject(text, pos, f"duplicate {verb} block")
+        pos = match.end()
         if lost is not None:
-            trace = None
             metadata_lost = True
+        elif trace is None:
+            return _reject(text, pos, "expected at least one stack frame line")
         else:
-            trace = list(map(int, _RUN_PC_RE.findall(run), _BASE_16)) if run else []
+            trace = list(map(int, _RUN_PC_RE.findall(trace), _BASE_16))
         stacks[verb] = (None if thread_word == "<unknown>" else int(thread_word), trace)
+    if not text.startswith(_TRAILER_LINE, pos):
+        return _reject(text, pos, "expected report trailer, got %r")
 
     alloc_thread, alloc_trace = stacks.get("allocated", (None, None))
     dealloc_thread, dealloc_trace = stacks.get("deallocated", (None, None))
     return ErrorReport(  # positional, in field order, as the module docstring says
         kind, access_address, _ACCESS_WORDS[access_word], int(faulting_thread),
-        list(map(int, _RUN_PC_RE.findall(access_run), _BASE_16)) if access_run else [],
-        allocation_address, allocation_size, alloc_thread, alloc_trace,
-        dealloc_thread, dealloc_trace, metadata_lost)
+        list(map(int, _RUN_PC_RE.findall(run), _BASE_16)), allocation_address,
+        allocation_size, alloc_thread, alloc_trace, dealloc_thread, dealloc_trace,
+        metadata_lost)
 
 
-def _walk_report(text: str) -> ErrorReport:
-    """parse_report's line walker: any text that _REPORT_RE or the
-    checks after it turn away, parsed line by line or rejected with the
-    first offending line."""
-    lines = text.splitlines()
-    n = len(lines)
-    i = 0
-    try:
-        while lines[i] == "":
-            i += 1
-        if lines[i] != REPORT_HEADER:
-            raise ReportParseError(i + 1, f"expected report header, got {lines[i]!r}")
-        i += 1
-        match = _HEADLINE_RE.fullmatch(lines[i])
-        if match is None:
-            raise ReportParseError(i + 1, f"malformed headline: {lines[i]!r}")
-        headline, access_word, access_hex, faulting_thread = match.groups()
-        access_address = int(access_hex, 16)
-        i += 1
+def _reject(text: str, pos: int, message: str) -> ErrorReport:
+    """parse_report's failure path, for a section that fails at pos.
 
-        access_trace = []
-        line = lines[i] if i < n else None
-        if line == _LOST:
-            raise ReportParseError(i + 1, "access frames cannot be <metadata lost>")
-        if line == _UNAVAILABLE:
-            i += 1
-        else:
-            while i < n and (match := _FRAME_RE.fullmatch(lines[i])):
-                access_trace.append(int(match[1], 16))
-                i += 1
-            if not access_trace:
-                raise ReportParseError(i + 1, "expected at least one stack frame line")
-        if lines[i] != "":
-            raise ReportParseError(i + 1, f"expected blank line before locator, got {lines[i]!r}")
-        i += 1
-
-        allocation_address = allocation_size = side = None
-        if lines[i] != _NO_ALLOC_LOCATOR:
-            match = _LOCATOR_RE.fullmatch(lines[i])
-            if match is None:
-                raise ReportParseError(i + 1, f"malformed locator: {lines[i]!r}")
-            distance, side, size, alloc_hex = match.groups()
-            allocation_size = int(size)
-            allocation_address = int(alloc_hex, 16)
-            off = access_address - allocation_address
-            if side is None:
-                if not 0 <= off < allocation_size:
-                    raise ReportParseError(
-                        i + 1, "in-bounds locator disagrees with access address")
-            elif (int(distance) < 1 or int(distance)
-                  != (-off if side == "left" else off - allocation_size + 1)):
-                raise ReportParseError(i + 1, "locator distance disagrees with access address")
-        kind = _HEADLINE_KINDS.get(headline)
-        if kind is None:
-            # Out-of-bounds: the locator side distinguishes under- from overflow.
-            if allocation_address is None:
-                raise ReportParseError(
-                    i + 1, "out-of-bounds report without an allocation locator")
-            if side is None:
-                raise ReportParseError(i + 1, "out-of-bounds report with an in-bounds locator")
-            kind = ReportKind.BUFFER_UNDERFLOW if side == "left" else ReportKind.BUFFER_OVERFLOW
-        i += 1
-
-        # A report with no allocation has no record whose stacks survive.
-        metadata_lost = allocation_address is None
-        stacks = {}  # verb -> (thread, trace)
-        while lines[i] == "":
-            i += 1
-            match = _BLOCK_RE.fullmatch(lines[i])
-            if match is None:
-                raise ReportParseError(
-                    i + 1, f"expected trace block or trailer, got {lines[i]!r}")
-            block_hex, verb, thread_word = match.groups()
-            if int(block_hex, 16) != allocation_address:
-                raise ReportParseError(i + 1, f"trace block address 0x{int(block_hex, 16):x}"
-                                              " is not the allocation address")
-            if verb in stacks:
-                raise ReportParseError(i + 1, f"duplicate {verb} block")
-            i += 1
-            trace = []
-            line = lines[i] if i < n else None
-            if line == _LOST:
-                trace = None
-                metadata_lost = True
-                i += 1
-            elif line == _UNAVAILABLE:
-                i += 1
-            else:
-                while i < n and (match := _FRAME_RE.fullmatch(lines[i])):
-                    trace.append(int(match[1], 16))
-                    i += 1
-                if not trace:
-                    raise ReportParseError(i + 1, "expected at least one stack frame line")
-            stacks[verb] = (None if thread_word == "<unknown>" else int(thread_word), trace)
-        if lines[i] != REPORT_TRAILER:
-            raise ReportParseError(i + 1, f"expected report trailer, got {lines[i]!r}")
-    except IndexError:
-        raise ReportParseError(i + 1, "unexpected end of report") from None
-
-    alloc_thread, alloc_trace = stacks.get("allocated", (None, None))
-    dealloc_thread, dealloc_trace = stacks.get("deallocated", (None, None))
-    return ErrorReport(
-        kind=kind,
-        access_address=access_address,
-        access_kind=_ACCESS_WORDS[access_word],
-        faulting_thread=int(faulting_thread),
-        access_trace=access_trace,
-        allocation_address=allocation_address,
-        allocation_size=allocation_size,
-        alloc_thread=alloc_thread,
-        alloc_trace=alloc_trace,
-        dealloc_thread=dealloc_thread,
-        dealloc_trace=dealloc_trace,
-        metadata_lost=metadata_lost,
-    )
+    A text with a line break other than a newline, or none after its last
+    line, is parsed once more as the lines str.splitlines() gives.  Else
+    this raises ReportParseError at pos's line; a %r in message quotes
+    that line, or the message is "unexpected end of report" at the end.
+    """
+    if text[-1:] not in ("", "\n") or _OTHER_BREAK_RE.search(text) is not None:
+        return parse_report("\n".join(text.splitlines() + [""]))
+    if "%r" in message:
+        message = ("unexpected end of report" if pos == len(text)
+                   else message % text[pos:text.index("\n", pos)])
+    raise ReportParseError(text.count("\n", 0, pos) + 1, message)
 
 
 # -- the fault handler ---------------------------------------------------

@@ -179,9 +179,10 @@ class GuardianConfig:
         # then fails inside the pool or caps nothing (max_frames=2.5 never
         # equals a frame count, max_live=1.5 lets 2 blocks live, seed=1.5
         # fails on ^); a side of "right" would place every block left.  A
-        # bool is an int (slot_count=True builds one slot).  A string flag
-        # is truthy ("no" turns it on); a string or None float fails the
-        # range checks with a bare TypeError.
+        # bool is an int (slot_count=True builds one slot,
+        # coverage_threshold=True means 1.0).  A string flag is truthy
+        # ("no" turns it on); a string or None float fails the range
+        # checks with a bare TypeError.
         for name in ("slot_count", "max_live", "max_frames", "sample_rate", "min_alignment",
                      "seed"):
             if isinstance(getattr(self, name), bool):
@@ -192,8 +193,9 @@ class GuardianConfig:
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
         for name in ("process_sample_probability", "coverage_threshold", "sample_interval"):
-            if not isinstance(getattr(self, name), (int, float)):
-                raise ValueError(f"{name} must be an int or a float, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be an int or a float, got {value!r}")
         if not isinstance(self.force_alignment_side, (AlignmentSide, type(None))):
             raise ValueError("force_alignment_side must be None or an AlignmentSide,"
                              f" got {self.force_alignment_side!r}")

@@ -2,6 +2,7 @@
 
 import io
 import random
+import sys
 import threading
 import time
 
@@ -33,7 +34,8 @@ from guardpool.vmem import (
 )
 
 import report_oracle as oracle
-from conftest import acquire_slot, guard_page_addr, python_calls, release_slot, slot_page_addr
+from conftest import (acquire_slot, guard_page_addr, python_calls, release_slot, slot_page_addr,
+                      traced_opcodes)
 
 UAF_EXAMPLE = """\
 *** GWP-ASan detected a memory error ***
@@ -500,28 +502,28 @@ def test_render_matches_oracle(rng):
     assert render_report(report) == oracle.render_report(report)
 
 
-# -- which parse path runs -------------------------------------------------
+# -- the one pass and its failure path ---------------------------------------
 
-WALKER = "reporter.py:_walk_report"
-
-
-def walked(text):
-    """parse_report(text)'s outcome, and whether it reached the line walker."""
-    result, calls = python_calls(outcome, parse_report, text)
-    return result, WALKER in calls
+# parse_report walks the text one section at a time; a failed section
+# hands its position to _reject, which raises, or walks the text once
+# more when it holds a line break other than a newline.
+REJECT = "reporter.py:_reject"
+AFTER_THE_TRAILER = ["", "\nafter the trailer\r\n\x85", "\n  #1 [0xdead]\n",
+                     "\n" + REPORT_HEADER + "\n"]
 
 
 @settings(max_examples=300, deadline=None)
-@given(report_lines(), st.sampled_from(["\n", "", "\nafter the trailer\r\n\x85",
-                                        "\n  #1 [0xdead]\n"]))
-def test_a_well_formed_report_never_reaches_the_walker(lines, tail):
-    text = "\n".join(lines) + tail
+@given(report_lines(), st.sampled_from(AFTER_THE_TRAILER))
+def test_a_well_formed_report_never_reaches_the_failure_path(lines, tail):
+    text = "\n".join(lines) + "\n" + tail
     expected = outcome(oracle.parse_report, text)
     # Well formed: the oracle parses it, and up to the trailer every line
     # break is a newline (drawn symbolizer text may hold others).
     head = text[:text.find(REPORT_TRAILER)]
     assume(isinstance(expected, ErrorReport) and head.splitlines() == head.split("\n")[:-1])
-    assert walked(text) == (expected, False)
+    result, calls = python_calls(outcome, parse_report, text)
+    assert result == expected
+    assert REJECT not in calls
 
 
 def test_the_pc_findalls_stop_at_the_trailer(monkeypatch):
@@ -543,28 +545,52 @@ def test_the_pc_findalls_stop_at_the_trailer(monkeypatch):
     assert len(found) == UAF_EXAMPLE.count("\n  #") == 4
 
 
-def test_a_report_cut_at_its_trailer_never_reaches_the_walker():
-    # cli._first_report passes the text up to the trailer's last character.
-    text = UAF_EXAMPLE + "output after the report\n"
-    result, calls = python_calls(cli._first_report, text)
+@pytest.mark.parametrize("tail", AFTER_THE_TRAILER, ids=["none", "text", "frame", "header"])
+def test_output_after_the_report_changes_nothing(tail):
+    # cli._first_report hands a run's whole output to parse_report, which
+    # stops at the trailer line.
+    result, calls = python_calls(cli._first_report, UAF_EXAMPLE + tail)
     assert result == parse_report(UAF_EXAMPLE)
-    assert WALKER not in calls
+    assert calls == ["cli.py:_first_report", *PARSE_CALLS]
+    assert cli._first_report(UAF_EXAMPLE[:UAF_EXAMPLE.find(REPORT_TRAILER)] + tail) is None
 
 
 @pytest.mark.parametrize("edit", ERROR_EDITS)
 def test_every_parse_error_comes_from_the_walker(edit):
+    # The one walk fails at its first bad section and raises from there:
+    # a text whose breaks are all newlines is walked once.
     replacements, _ = ERROR_EDITS[edit]
     text = UNATTRIBUTED if replacements[0][0] == "Invalid-free" else _sample_text()
     for old, new in replacements:
         text = text.replace(old, new, 1)
-    assert walked(text) == (outcome(oracle.parse_report, text), True)
+    result, calls = python_calls(outcome, parse_report, text)
+    assert result == outcome(oracle.parse_report, text)
+    assert calls == ["test_reporter.py:outcome", "reporter.py:parse_report", REJECT,
+                     "reporter.py:__init__"]
 
 
 def test_a_report_with_crlf_line_breaks_is_walked():
-    text = UAF_EXAMPLE.replace("\n", "\r\n")
-    result, walker_ran = walked(text)
-    assert walker_ran
-    assert result == oracle.parse_report(text) == parse_report(UAF_EXAMPLE)
+    # Twice: the first walk fails at the header line's \r, and _reject
+    # walks the text again with newline breaks.
+    result, calls = python_calls(parse_report, UAF_EXAMPLE.replace("\n", "\r\n"))
+    assert result == parse_report(UAF_EXAMPLE)
+    assert calls == ["reporter.py:parse_report", REJECT, *PARSE_CALLS]
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_a_report_cut_anywhere_fails_as_the_oracle_says(brk):
+    # At every length, the last line may lack its newline or end blank.
+    text = _sample_text().replace("\n", brk)
+    for end in range(len(text) + 1):
+        cut = text[:end]
+        assert outcome(parse_report, cut) == outcome(oracle.parse_report, cut), repr(cut)
+
+
+@pytest.mark.parametrize("brk", ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"],
+                         ids=["crlf", "cr", "vt", "ff", "fs", "nel", "ls"])
+def test_every_line_break_splitlines_honours(brk):
+    text = UAF_EXAMPLE.replace("\n", brk)
+    assert parse_report(text) == oracle.parse_report(text) == parse_report(UAF_EXAMPLE)
 
 
 # -- stacks longer than the frame template table ----------------------------
@@ -615,9 +641,12 @@ DOUBLE_FREE_CALLS = 16
 
 
 # parse_report of a rendered three-stack report: parse_report and the
-# report's __init__.  The one-match pattern, the findall per stack and
-# the pcs' int() calls all run in C.
+# report's __init__.  The section matches, the findall per stack and the
+# pcs' int() calls all run in C.
 PARSE_CALLS = ["reporter.py:parse_report", "<string>:__init__"]
+# parse_report's own bytecodes on a rendered three-stack report, counted
+# on CPython 3.11: the same at any frame count.
+PARSE_OPCODES = {(3, 11): 311}
 
 
 def test_a_parse_makes_a_fixed_number_of_python_calls():
@@ -625,6 +654,23 @@ def test_a_parse_makes_a_fixed_number_of_python_calls():
     report, calls = python_calls(parse_report, text)
     assert report == oracle.parse_report(text)
     assert calls == PARSE_CALLS
+
+
+@pytest.mark.parametrize("frames", [3, 64])
+def test_a_parse_runs_pinned_bytecodes_at_any_frame_count(frames):
+    pinned = PARSE_OPCODES.get(sys.version_info[:2])
+    if pinned is None:
+        pytest.skip("bytecode counts are pinned for CPython 3.11 only")
+    pcs = [0x1000 + 16 * k for k in range(frames)]
+    report = ErrorReport(
+        kind=ReportKind.USE_AFTER_FREE, access_address=0x1008, access_kind=AccessType.READ,
+        faulting_thread=4, access_trace=pcs, allocation_address=0x1000,
+        allocation_size=41, alloc_thread=4, alloc_trace=pcs, dealloc_thread=5,
+        dealloc_trace=pcs)
+    parsed, count = traced_opcodes(lambda code: code is parse_report.__code__,
+                                   parse_report, render_report(report))
+    assert parsed == report
+    assert count == pinned
 
 
 @pytest.mark.parametrize("frames", [3, 64])

@@ -529,13 +529,17 @@ def test_bad_config_rejected_whatever_the_launch_decision():
     # A side by its name would place every block left; a float seed fails on ^.
     ("force_alignment_side", "right"),
     ("seed", 1.5),
-    # A bool is an int: True would build a one-slot pool or sample at rate 1.
+    # A bool is an int: True would build a one-slot pool, sample at rate 1,
+    # or stand for 1.0 in a float field.
     ("slot_count", True),
     ("max_live", True),
     ("max_frames", True),
     ("sample_rate", True),
     ("min_alignment", True),
     ("seed", False),
+    ("process_sample_probability", True),
+    ("coverage_threshold", True),
+    ("sample_interval", True),
     # A truthy string would turn the flag on; the numbers would fail their
     # range checks with a bare TypeError.
     ("recoverable", "no"),
